@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "fixtures/synthetic.h"
+#include "obs/metrics.h"
 #include "ufilter/checker.h"
 
 namespace {
@@ -24,6 +25,7 @@ using ufilter::check::CheckOptions;
 using ufilter::check::CheckOutcome;
 using ufilter::check::CheckReport;
 using ufilter::check::UFilter;
+using ufilter::obs::CounterWindow;
 
 constexpr int kDepth = 4;
 constexpr int kRowsPerLevel = 200;
@@ -51,22 +53,22 @@ Setup& SharedSetup() {
   return setup;
 }
 
-void ReportCounters(benchmark::State& state, const Setup& setup,
+/// The work of one run: `counters` opened on the database registry at the
+/// start of the scenario.
+void ReportCounters(benchmark::State& state, const CounterWindow& counters,
                     int64_t updates_checked) {
-  ufilter::relational::EngineStats stats = setup.db->SnapshotWorkCounters();
+  auto delta = [&counters](const char* name) {
+    return static_cast<double>(counters.Delta(name));
+  };
   if (updates_checked > 0) {
     state.counters["probe_queries_per_update"] =
-        static_cast<double>(stats.queries_executed) /
+        delta("engine_queries_executed") /
         static_cast<double>(updates_checked);
   }
-  state.counters["plan_cache_hits"] =
-      static_cast<double>(stats.plan_cache_hits);
-  state.counters["updates_compiled"] =
-      static_cast<double>(stats.updates_compiled);
-  ufilter::check::PlanCacheCounters cache = setup.uf->plan_cache().counters();
-  state.counters["plan_cache_misses"] = static_cast<double>(cache.misses);
-  state.counters["plan_cache_evictions"] =
-      static_cast<double>(cache.evictions);
+  state.counters["plan_cache_hits"] = delta("plan_cache_hits");
+  state.counters["updates_compiled"] = delta("engine_updates_compiled");
+  state.counters["plan_cache_misses"] = delta("plan_cache_misses");
+  state.counters["plan_cache_evictions"] = delta("plan_cache_evictions");
   state.SetItemsProcessed(updates_checked);
 }
 
@@ -75,9 +77,8 @@ void BM_Cold(benchmark::State& state) {
   CheckOptions options;
   options.apply = false;
   options.use_plan_cache = false;
-  // Scenario isolation: counters start at zero for this series.
-  setup.db->ResetWorkCounters();
-  setup.uf->plan_cache().ResetCounters();
+  // Scenario isolation: counters are read as the movement of this series.
+  CounterWindow counters(setup.db->registry());
   int64_t checked = 0;
   size_t next = 0;
   for (auto _ : state) {
@@ -91,7 +92,7 @@ void BM_Cold(benchmark::State& state) {
     ++checked;
     benchmark::DoNotOptimize(r);
   }
-  ReportCounters(state, setup, checked);
+  ReportCounters(state, counters, checked);
 }
 
 void BM_Cached(benchmark::State& state) {
@@ -103,8 +104,7 @@ void BM_Cached(benchmark::State& state) {
   for (const std::string& update : setup.updates) {
     (void)setup.uf->Prepare(update);
   }
-  setup.db->ResetWorkCounters();
-  setup.uf->plan_cache().ResetCounters();
+  CounterWindow counters(setup.db->registry());
   int64_t checked = 0;
   size_t next = 0;
   for (auto _ : state) {
@@ -118,7 +118,7 @@ void BM_Cached(benchmark::State& state) {
     ++checked;
     benchmark::DoNotOptimize(r);
   }
-  ReportCounters(state, setup, checked);
+  ReportCounters(state, counters, checked);
 }
 
 void BM_Batched(benchmark::State& state) {
@@ -129,8 +129,7 @@ void BM_Batched(benchmark::State& state) {
   for (const std::string& update : setup.updates) {
     (void)setup.uf->Prepare(update);
   }
-  setup.db->ResetWorkCounters();
-  setup.uf->plan_cache().ResetCounters();
+  CounterWindow counters(setup.db->registry());
   int64_t checked = 0;
   for (auto _ : state) {
     std::vector<CheckReport> reports =
@@ -144,7 +143,7 @@ void BM_Batched(benchmark::State& state) {
     checked += static_cast<int64_t>(reports.size());
     benchmark::DoNotOptimize(reports);
   }
-  ReportCounters(state, setup, checked);
+  ReportCounters(state, counters, checked);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <memory>
 
 #include "fixtures/tpch_views.h"
+#include "obs/metrics.h"
 #include "relational/query.h"
 #include "relational/tpch.h"
 #include "ufilter/checker.h"
@@ -64,32 +65,31 @@ Instance& InstanceFor(int scale_tenths) {
 }
 
 /// Surfaces the per-iteration probe work of the scenario that just ran.
-/// Counters are reset at scenario entry so series/scales never accumulate
-/// into each other.
+/// `counters` is opened at scenario entry so series/scales never
+/// accumulate into each other.
 void ReportWork(benchmark::State& state,
-                ufilter::relational::Database* db) {
-  const ufilter::relational::EngineStats stats = db->SnapshotWorkCounters();
+                const ufilter::obs::CounterWindow& counters) {
   const double iters = static_cast<double>(std::max<int64_t>(
       state.iterations(), 1));
-  state.counters["queries_per_iter"] =
-      static_cast<double>(stats.queries_executed) / iters;
-  state.counters["rows_scanned_per_iter"] =
-      static_cast<double>(stats.rows_scanned) / iters;
+  auto per_iter = [&](const char* name) {
+    return static_cast<double>(counters.Delta(name)) / iters;
+  };
+  state.counters["queries_per_iter"] = per_iter("engine_queries_executed");
+  state.counters["rows_scanned_per_iter"] = per_iter("engine_rows_scanned");
   // The planner's temp-table rescue: probes against the unindexed
   // materialization show up here instead of as O(n*m) scans.
   state.counters["hash_join_builds_per_iter"] =
-      static_cast<double>(stats.hash_join_builds) / iters;
+      per_iter("engine_hash_join_builds");
   state.counters["hash_join_probes_per_iter"] =
-      static_cast<double>(stats.hash_join_probes) / iters;
-  state.counters["index_lookups_per_iter"] =
-      static_cast<double>(stats.index_lookups) / iters;
+      per_iter("engine_hash_join_probes");
+  state.counters["index_lookups_per_iter"] = per_iter("engine_index_lookups");
 }
 
 /// Hybrid: translate via indexed base-table probes and execute directly.
 void BM_Hybrid(benchmark::State& state) {
   Instance& inst = InstanceFor(static_cast<int>(state.range(0)));
   auto* db = inst.db.get();
-  db->ResetWorkCounters();
+  ufilter::obs::CounterWindow counters(db->registry());
   for (auto _ : state) {
     size_t savepoint = db->Begin();
     auto bound =
@@ -108,7 +108,7 @@ void BM_Hybrid(benchmark::State& state) {
     db->Rollback(savepoint);
   }
   state.counters["db_rows"] = static_cast<double>(db->TotalRows());
-  ReportWork(state, db);
+  ReportWork(state, counters);
 }
 
 /// Outside: materialize the context probe into an unindexed temp table,
@@ -117,7 +117,7 @@ void BM_Hybrid(benchmark::State& state) {
 void BM_Outside(benchmark::State& state) {
   Instance& inst = InstanceFor(static_cast<int>(state.range(0)));
   auto* db = inst.db.get();
-  db->ResetWorkCounters();
+  ufilter::obs::CounterWindow counters(db->registry());
   for (auto _ : state) {
     size_t savepoint = db->Begin();
     auto bound =
@@ -153,7 +153,7 @@ void BM_Outside(benchmark::State& state) {
     db->Rollback(savepoint);
   }
   state.counters["db_rows"] = static_cast<double>(db->TotalRows());
-  ReportWork(state, db);
+  ReportWork(state, counters);
 }
 
 BENCHMARK(BM_Hybrid)->DenseRange(2, 10, 2);

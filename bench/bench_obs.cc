@@ -105,7 +105,6 @@ void BM_CachedCheck(benchmark::State& state) {
   state.SetItemsProcessed(checked);
   state.counters["metrics_enabled"] = metrics_on ? 1 : 0;
   if (metrics_on) {
-    auto snap = svc.Snapshot();
     auto registry = svc.registry().Collect();
     const ufilter::obs::MetricSample* lat =
         ufilter::obs::FindSample(registry, "check_latency_ns");
@@ -115,8 +114,12 @@ void BM_CachedCheck(benchmark::State& state) {
       state.counters["check_p99_ns"] =
           static_cast<double>(lat->hist.Percentile(99));
     }
-    state.counters["queue_wait_p99_ns"] =
-        static_cast<double>(snap.queue_wait_p99_ns);
+    const ufilter::obs::MetricSample* queue_wait =
+        ufilter::obs::FindSample(registry, "stage_queue_wait_ns");
+    if (queue_wait != nullptr) {
+      state.counters["queue_wait_p99_ns"] =
+          static_cast<double>(queue_wait->hist.Percentile(99));
+    }
     state.counters["traces_sampled"] =
         static_cast<double>(svc.tracer().sampled_count());
   }

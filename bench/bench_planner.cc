@@ -24,6 +24,7 @@
 #include <memory>
 #include <string>
 
+#include "obs/metrics.h"
 #include "relational/planner.h"
 #include "relational/query.h"
 #include "relational/tpch.h"
@@ -32,9 +33,9 @@ namespace {
 
 using ufilter::Value;
 using ufilter::ValueType;
+using ufilter::obs::CounterWindow;
 using ufilter::relational::ColRef;
 using ufilter::relational::Database;
-using ufilter::relational::EngineStats;
 using ufilter::relational::PhysicalPlan;
 using ufilter::relational::Planner;
 using ufilter::relational::QueryEvaluator;
@@ -66,22 +67,23 @@ void EnsureTemp(Database* db, const std::string& name, int rows) {
   db->Checkpoint();  // the fixture rows are permanent for the bench
 }
 
-void ReportWork(benchmark::State& state, Database* db) {
-  const EngineStats stats = db->SnapshotWorkCounters();
+/// The engine work of the timed loop, per iteration: `counters` was
+/// opened on the database registry just before it.
+void ReportWork(benchmark::State& state, const CounterWindow& counters) {
   const double iters =
       static_cast<double>(std::max<int64_t>(state.iterations(), 1));
-  state.counters["rows_scanned_per_iter"] =
-      static_cast<double>(stats.rows_scanned) / iters;
-  state.counters["index_lookups_per_iter"] =
-      static_cast<double>(stats.index_lookups) / iters;
+  auto per_iter = [&](const char* name) {
+    return static_cast<double>(counters.Delta(name)) / iters;
+  };
+  state.counters["rows_scanned_per_iter"] = per_iter("engine_rows_scanned");
+  state.counters["index_lookups_per_iter"] = per_iter("engine_index_lookups");
   state.counters["hash_join_builds_per_iter"] =
-      static_cast<double>(stats.hash_join_builds) / iters;
+      per_iter("engine_hash_join_builds");
   state.counters["hash_join_probes_per_iter"] =
-      static_cast<double>(stats.hash_join_probes) / iters;
+      per_iter("engine_hash_join_probes");
   state.counters["plans_compiled_per_iter"] =
-      static_cast<double>(stats.plans_compiled) / iters;
-  state.counters["plan_replays_per_iter"] =
-      static_cast<double>(stats.plan_replays) / iters;
+      per_iter("engine_plans_compiled");
+  state.counters["plan_replays_per_iter"] = per_iter("engine_plan_replays");
 }
 
 /// FROM (TAB_big, TAB_small) equi-joined on the unindexed k columns. The
@@ -103,24 +105,24 @@ void BM_TempTempJoin_Interpreted(benchmark::State& state) {
   Database* db = Db();
   SelectQuery q = TempTempQuery(db, static_cast<int>(state.range(0)));
   QueryEvaluator evaluator(db);
-  db->ResetWorkCounters();
+  CounterWindow counters(db->registry());
   for (auto _ : state) {
     auto rows = evaluator.ExecuteReference(q, {});
     benchmark::DoNotOptimize(rows);
   }
-  ReportWork(state, db);
+  ReportWork(state, counters);
 }
 
 void BM_TempTempJoin_Compiled(benchmark::State& state) {
   Database* db = Db();
   SelectQuery q = TempTempQuery(db, static_cast<int>(state.range(0)));
   QueryEvaluator evaluator(db);
-  db->ResetWorkCounters();
+  CounterWindow counters(db->registry());
   for (auto _ : state) {
     auto rows = evaluator.Execute(q);
     benchmark::DoNotOptimize(rows);
   }
-  ReportWork(state, db);
+  ReportWork(state, counters);
 }
 
 /// The Fig. 16 shape: orders joined with a small unindexed materialization.
@@ -138,24 +140,24 @@ void BM_BaseTempJoin_Interpreted(benchmark::State& state) {
   Database* db = Db();
   SelectQuery q = BaseTempQuery(db, static_cast<int>(state.range(0)));
   QueryEvaluator evaluator(db);
-  db->ResetWorkCounters();
+  CounterWindow counters(db->registry());
   for (auto _ : state) {
     auto rows = evaluator.ExecuteReference(q, {});
     benchmark::DoNotOptimize(rows);
   }
-  ReportWork(state, db);
+  ReportWork(state, counters);
 }
 
 void BM_BaseTempJoin_Compiled(benchmark::State& state) {
   Database* db = Db();
   SelectQuery q = BaseTempQuery(db, static_cast<int>(state.range(0)));
   QueryEvaluator evaluator(db);
-  db->ResetWorkCounters();
+  CounterWindow counters(db->registry());
   for (auto _ : state) {
     auto rows = evaluator.Execute(q);
     benchmark::DoNotOptimize(rows);
   }
-  ReportWork(state, db);
+  ReportWork(state, counters);
 }
 
 /// Indexed three-way join (lineitem/orders/customer): compiled ad-hoc
@@ -177,12 +179,12 @@ void BM_IndexedJoin_Adhoc(benchmark::State& state) {
   Database* db = Db();
   SelectQuery q = IndexedJoinQuery();
   QueryEvaluator evaluator(db);
-  db->ResetWorkCounters();
+  CounterWindow counters(db->registry());
   for (auto _ : state) {
     auto rows = evaluator.Execute(q);
     benchmark::DoNotOptimize(rows);
   }
-  ReportWork(state, db);
+  ReportWork(state, counters);
 }
 
 void BM_IndexedJoin_Replay(benchmark::State& state) {
@@ -195,12 +197,12 @@ void BM_IndexedJoin_Replay(benchmark::State& state) {
     return;
   }
   QueryEvaluator evaluator(db);
-  db->ResetWorkCounters();
+  CounterWindow counters(db->registry());
   for (auto _ : state) {
     auto rows = evaluator.ExecutePlan(*plan);
     benchmark::DoNotOptimize(rows);
   }
-  ReportWork(state, db);
+  ReportWork(state, counters);
 }
 
 /// The primitive ops under every hash join: Value::Hash and operator== over

@@ -28,6 +28,7 @@
 #include "fixtures/synthetic.h"
 #include "net/replication.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "relational/database.h"
 #include "relational/wal.h"
 
@@ -178,14 +179,21 @@ void ReplicationConvergence(benchmark::State& state) {
     ++epochs;
   }
   state.SetItemsProcessed(epochs);
-  auto stats = follower->stats();
+  // The follower's apply counters and lag gauges are series of its
+  // service's registry.
+  const ufilter::obs::RegistrySnapshot follower_series =
+      (*follower_server)->service().registry().Collect();
+  auto series = [&follower_series](const char* name) {
+    return static_cast<double>(
+        ufilter::obs::SampleValue(follower_series, name));
+  };
   const auto avg = benchmark::Counter::kAvgIterations;
   state.counters["records_applied_per_iter"] =
-      benchmark::Counter(static_cast<double>(stats.records_applied), avg);
+      benchmark::Counter(series("repl_records_applied"), avg);
   state.counters["bytes_applied_per_iter"] =
-      benchmark::Counter(static_cast<double>(stats.bytes_applied), avg);
+      benchmark::Counter(series("repl_bytes_applied"), avg);
   state.counters["lag_epochs_final"] =
-      benchmark::Counter(static_cast<double>(stats.lag_epochs));
+      benchmark::Counter(series("replication_lag_epochs"));
   follower->Stop();
   (*source)->Stop();
 }

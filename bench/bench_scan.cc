@@ -27,6 +27,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "relational/database.h"
 #include "relational/query.h"
 
@@ -34,10 +35,10 @@ namespace {
 
 using ufilter::Value;
 using ufilter::ValueType;
+using ufilter::obs::CounterWindow;
 using ufilter::relational::ColRef;
 using ufilter::relational::Database;
 using ufilter::relational::DatabaseSchema;
-using ufilter::relational::EngineStats;
 using ufilter::relational::QueryEvaluator;
 using ufilter::relational::Row;
 using ufilter::relational::SelectQuery;
@@ -86,18 +87,21 @@ SelectQuery ScanQuery(int64_t permille) {
   return q;
 }
 
-void ReportWork(benchmark::State& state, Database* db) {
-  const EngineStats stats = db->SnapshotWorkCounters();
+/// The engine work of the timed loop: `counters` was opened on the
+/// database registry just before it.
+void ReportWork(benchmark::State& state, const CounterWindow& counters) {
   const double iters =
       static_cast<double>(std::max<int64_t>(state.iterations(), 1));
+  auto delta = [&counters](const char* name) {
+    return static_cast<double>(counters.Delta(name));
+  };
   state.counters["rows_scanned_per_iter"] =
-      static_cast<double>(stats.rows_scanned) / iters;
+      delta("engine_rows_scanned") / iters;
   state.counters["columnar_scan_rows_per_iter"] =
-      static_cast<double>(stats.columnar_scan_rows) / iters;
+      delta("columnar_scan_rows") / iters;
   state.counters["selection_vector_rows_per_iter"] =
-      static_cast<double>(stats.selection_vector_rows) / iters;
-  state.counters["columnar_builds"] =
-      static_cast<double>(stats.columnar_builds);
+      delta("selection_vector_rows") / iters;
+  state.counters["columnar_builds"] = delta("columnar_builds");
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
@@ -109,12 +113,12 @@ void BM_FullScanRow(benchmark::State& state) {
   }
   SelectQuery q = ScanQuery(state.range(1));
   QueryEvaluator eval(db);
-  db->ResetWorkCounters();
+  CounterWindow counters(db->registry());
   for (auto _ : state) {
     auto r = eval.Execute(q);
     benchmark::DoNotOptimize(r);
   }
-  ReportWork(state, db);
+  ReportWork(state, counters);
 }
 
 void BM_FullScanColumnar(benchmark::State& state) {
@@ -133,12 +137,12 @@ void BM_FullScanColumnar(benchmark::State& state) {
     auto warm = eval.Execute(q);  // build the column cache outside timing
     benchmark::DoNotOptimize(warm);
   }
-  db->ResetWorkCounters();
+  CounterWindow counters(db->registry());
   for (auto _ : state) {
     auto r = eval.Execute(q);
     benchmark::DoNotOptimize(r);
   }
-  ReportWork(state, db);
+  ReportWork(state, counters);
   db->root_context()->ClearReadSnapshot();
 }
 

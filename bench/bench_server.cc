@@ -10,7 +10,7 @@
 //                           from many clients; most requests must come
 //                           back shed or deadline-expired, never hang.
 //
-// Counters are scraped over the wire via the kStatsRequest message (the
+// Counters are scraped over the wire via the kMetricsRequest message (the
 // same path operators use), so shed/deadline_expired/completed work is
 // visible in BENCH_server.json: requests_per_iter, completed_per_iter,
 // shed_per_iter, deadline_expired_per_iter, client_errors_per_iter. The
@@ -39,7 +39,6 @@ using ufilter::net::Client;
 using ufilter::net::ClientOptions;
 using ufilter::net::Server;
 using ufilter::net::ServerOptions;
-using ufilter::net::StatsMsg;
 
 constexpr int kDepth = 3;
 constexpr int kRowsPerLevel = 64;
@@ -154,17 +153,22 @@ void AttachWireStats(benchmark::State& state, const Rig& rig,
   ClientOptions opts;
   opts.port = rig.server->port();
   Client scraper(opts);
-  auto stats = scraper.ServerStats();
-  StatsMsg wire = stats.ok() ? *stats : StatsMsg{};
+  auto scrape = scraper.Metrics();
+  // A failed scrape reads as zeros, like a missing series.
+  auto wire = [&scrape](const char* name) {
+    const ufilter::net::WireMetric* m =
+        scrape.ok() ? scrape->Find(name) : nullptr;
+    return m != nullptr ? static_cast<double>(m->value) : 0.0;
+  };
   const auto avg = benchmark::Counter::kAvgIterations;
   state.counters["requests_per_iter"] =
       benchmark::Counter(static_cast<double>(requests), avg);
   state.counters["completed_per_iter"] =
-      benchmark::Counter(static_cast<double>(wire.completed), avg);
+      benchmark::Counter(wire("service_completed"), avg);
   state.counters["shed_per_iter"] =
-      benchmark::Counter(static_cast<double>(wire.shed), avg);
+      benchmark::Counter(wire("service_shed"), avg);
   state.counters["deadline_expired_per_iter"] =
-      benchmark::Counter(static_cast<double>(wire.deadline_expired), avg);
+      benchmark::Counter(wire("service_deadline_expired"), avg);
   state.counters["client_errors_per_iter"] =
       benchmark::Counter(static_cast<double>(tally.errors), avg);
 }

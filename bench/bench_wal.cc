@@ -24,6 +24,7 @@
 
 #include "../tests/support/temp_dir.h"
 #include "fixtures/synthetic.h"
+#include "obs/metrics.h"
 #include "relational/wal.h"
 #include "service/check_service.h"
 
@@ -40,7 +41,6 @@ using ufilter::relational::DurabilityOptions;
 using ufilter::relational::FsyncPolicy;
 using ufilter::service::CheckService;
 using ufilter::service::CheckServiceOptions;
-using ufilter::service::CheckServiceStats;
 using ufilter::service::Session;
 using ufilter::test_support::TempDir;
 
@@ -105,14 +105,15 @@ void BM_CommitLatency(benchmark::State& state, Mode mode) {
     state.SkipWithError("WAL went unhealthy during the run");
     return;
   }
-  ufilter::relational::EngineStats engine = db->SnapshotWorkCounters();
+  const ufilter::obs::RegistrySnapshot engine = db->registry().Collect();
+  auto series = [&engine](const char* name) {
+    return static_cast<double>(ufilter::obs::SampleValue(engine, name));
+  };
   state.SetItemsProcessed(i);
-  state.counters["wal_records"] = static_cast<double>(engine.wal_records);
-  state.counters["wal_fsyncs"] = static_cast<double>(engine.wal_fsyncs);
+  state.counters["wal_records"] = series("wal_records");
+  state.counters["wal_fsyncs"] = series("wal_fsyncs");
   state.counters["wal_bytes_per_commit"] =
-      i > 0 ? static_cast<double>(engine.wal_bytes) /
-                  static_cast<double>(i)
-            : 0;
+      i > 0 ? series("wal_bytes") / static_cast<double>(i) : 0;
 }
 
 // The PR 5 mixed sweep under the harshest durability setting: one client
@@ -189,7 +190,7 @@ void BM_ChecksUnderDurableWriter(benchmark::State& state) {
     }
   });
 
-  CheckServiceStats before = svc.Snapshot();
+  ufilter::obs::CounterWindow counters(svc.registry());
   int64_t checked = 0;
   std::vector<std::future<CheckReport>> futures;
   futures.reserve(kChecksPerIter);
@@ -214,23 +215,19 @@ void BM_ChecksUnderDurableWriter(benchmark::State& state) {
   stop.store(true, std::memory_order_release);
   writer.join();
 
-  CheckServiceStats after = svc.Snapshot();
+  auto delta = [&counters](const char* name) {
+    return static_cast<double>(counters.Delta(name));
+  };
   const double iters = static_cast<double>(state.iterations());
   state.SetItemsProcessed(checked);
   state.counters["writer_commits"] = static_cast<double>(commits.load());
-  state.counters["wal_records"] =
-      static_cast<double>(after.wal_records - before.wal_records);
-  state.counters["wal_fsyncs"] =
-      static_cast<double>(after.wal_fsyncs - before.wal_fsyncs);
+  state.counters["wal_records"] = delta("wal_records");
+  state.counters["wal_fsyncs"] = delta("wal_fsyncs");
   // The acceptance counter: snapshot readers must not inherit the
   // writer's fsync latency (compare with BENCH_concurrency.json's
   // non-durable MixedChecksOneWriter series).
   state.counters["reader_wait_ns_per_iter"] =
-      iters > 0
-          ? static_cast<double>(after.reader_wait_ns -
-                                before.reader_wait_ns) /
-                iters
-          : 0;
+      iters > 0 ? delta("service_reader_wait_ns") / iters : 0;
 }
 
 }  // namespace

@@ -84,16 +84,18 @@ int main(int argc, char** argv) {
       ++rejected;
     }
   }
-  const relational::EngineStats stats = (*db)->SnapshotWorkCounters();
+  // The work counters are series of the database's metric registry.
+  const obs::RegistrySnapshot work = (*db)->registry().Collect();
+  auto series = [&work](const char* name) {
+    return static_cast<unsigned long long>(obs::SampleValue(work, name));
+  };
   std::printf(
       "summary: %d executed, %d filtered out by U-Filter\n"
       "work: %llu probe queries (%llu merged covering %llu probes), "
       "%llu plans compiled, %llu cache hits\n",
-      accepted, rejected,
-      static_cast<unsigned long long>(stats.queries_executed),
-      static_cast<unsigned long long>(stats.batch_queries_executed),
-      static_cast<unsigned long long>(stats.batch_branches_merged),
-      static_cast<unsigned long long>(stats.updates_compiled),
-      static_cast<unsigned long long>(stats.plan_cache_hits));
+      accepted, rejected, series("engine_queries_executed"),
+      series("engine_batch_queries_executed"),
+      series("engine_batch_branches_merged"),
+      series("engine_updates_compiled"), series("plan_cache_hits"));
   return 0;
 }

@@ -170,28 +170,6 @@ Status Client::Ping() {
   return last;
 }
 
-Result<StatsMsg> Client::ServerStats() {
-  Status last = Status::Unavailable("no attempt made");
-  for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      ++metrics_.retries;
-      std::this_thread::sleep_for(BackoffDelay(attempt, 0));
-    }
-    bool sent = false;
-    auto raw = RoundTrip(EncodeStatsRequest(), 0, &sent);
-    if (!raw.ok()) {
-      Disconnect();
-      last = raw.status();
-      continue;  // stats reads are idempotent
-    }
-    auto stats = DecodeStatsResponse(*raw);
-    if (stats.ok()) return *std::move(stats);
-    Disconnect();
-    last = stats.status();
-  }
-  return last;
-}
-
 Result<MetricsMsg> Client::Metrics() {
   Status last = Status::Unavailable("no attempt made");
   for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {

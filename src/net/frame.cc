@@ -158,32 +158,6 @@ std::string EncodePong(uint64_t request_id) {
   return out;
 }
 
-std::string EncodeStatsRequest() {
-  std::string out;
-  PutU8(&out, static_cast<uint8_t>(MsgType::kStatsRequest));
-  return out;
-}
-
-std::string EncodeStatsResponse(const StatsMsg& msg) {
-  std::string out;
-  PutU8(&out, static_cast<uint8_t>(MsgType::kStatsResponse));
-  PutU64(&out, msg.submitted);
-  PutU64(&out, msg.completed);
-  PutU64(&out, msg.fast_path);
-  PutU64(&out, msg.writer_lane);
-  PutU64(&out, msg.shed);
-  PutU64(&out, msg.deadline_expired);
-  PutU64(&out, msg.queue_high_water);
-  PutU64(&out, msg.commit_epoch);
-  PutU64(&out, msg.wal_records);
-  PutU64(&out, msg.connections_accepted);
-  PutU64(&out, msg.protocol_errors);
-  PutU64(&out, msg.draining_rejects);
-  PutU64(&out, msg.queue_wait_p50_ns);
-  PutU64(&out, msg.queue_wait_p99_ns);
-  return out;
-}
-
 std::string EncodeMetricsRequest() {
   std::string out;
   PutU8(&out, static_cast<uint8_t>(MsgType::kMetricsRequest));
@@ -265,10 +239,22 @@ obs::RegistrySnapshot SnapshotFromMetrics(const MetricsMsg& msg) {
 Result<MsgType> PeekType(const std::string& payload) {
   if (payload.empty()) return Status::ParseError("empty message payload");
   uint8_t t = static_cast<uint8_t>(payload[0]);
-  if (t < 1 || t > kMaxMsgType) {
-    return Status::ParseError("unknown message type " + std::to_string(t));
+  // Only enumerators pass, so a retired type byte (5 and 6, the old
+  // fixed-size stats request and response) is wire damage like any other.
+  switch (static_cast<MsgType>(t)) {
+    case MsgType::kCheckRequest:
+    case MsgType::kCheckResponse:
+    case MsgType::kPing:
+    case MsgType::kPong:
+    case MsgType::kMetricsRequest:
+    case MsgType::kMetricsResponse:
+    case MsgType::kReplSubscribe:
+    case MsgType::kReplSnapshot:
+    case MsgType::kReplRecords:
+    case MsgType::kReplAck:
+      return static_cast<MsgType>(t);
   }
-  return static_cast<MsgType>(t);
+  return Status::ParseError("unknown message type " + std::to_string(t));
 }
 
 Result<CheckRequestMsg> DecodeCheckRequest(const std::string& payload) {
@@ -317,30 +303,6 @@ Result<uint64_t> DecodePingPong(const std::string& payload) {
   uint64_t id = c.U64();
   if (!c.AtEnd()) return Malformed("ping/pong");
   return id;
-}
-
-Result<StatsMsg> DecodeStatsResponse(const std::string& payload) {
-  Cursor c(payload);
-  if (c.U8() != static_cast<uint8_t>(MsgType::kStatsResponse)) {
-    return Malformed("stats-response");
-  }
-  StatsMsg msg;
-  msg.submitted = c.U64();
-  msg.completed = c.U64();
-  msg.fast_path = c.U64();
-  msg.writer_lane = c.U64();
-  msg.shed = c.U64();
-  msg.deadline_expired = c.U64();
-  msg.queue_high_water = c.U64();
-  msg.commit_epoch = c.U64();
-  msg.wal_records = c.U64();
-  msg.connections_accepted = c.U64();
-  msg.protocol_errors = c.U64();
-  msg.draining_rejects = c.U64();
-  msg.queue_wait_p50_ns = c.U64();
-  msg.queue_wait_p99_ns = c.U64();
-  if (!c.AtEnd()) return Malformed("stats-response");
-  return msg;
 }
 
 Result<MetricsMsg> DecodeMetricsResponse(const std::string& payload) {

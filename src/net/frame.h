@@ -58,13 +58,11 @@ enum class MsgType : uint8_t {
   kCheckResponse = 2,
   kPing = 3,
   kPong = 4,
-  kStatsRequest = 5,
-  kStatsResponse = 6,
+  // 5 and 6 are reserved: older clients send them for a retired stats
+  // summary, and PeekType rejects them as wire damage.
   /// Full metric-registry scrape (counters, gauges, histograms) — the
-  /// wire form of obs::Registry::Collect(). kStats stays the cheap
-  /// fixed-size summary; kMetrics carries everything, including the
-  /// counters that used to be wire-invisible (WAL, columnar, plan cache,
-  /// MVCC) and the latency histograms.
+  /// wire form of obs::Registry::Collect(), the one way to read the
+  /// server's counters remotely.
   kMetricsRequest = 7,
   kMetricsResponse = 8,
   /// Replication plane (epoch-stream snapshot shipping). A follower sends
@@ -77,9 +75,6 @@ enum class MsgType : uint8_t {
   kReplRecords = 11,
   kReplAck = 12,
 };
-
-inline constexpr uint8_t kMaxMsgType =
-    static_cast<uint8_t>(MsgType::kReplAck);
 
 /// The server's answer class for one request. Distinct from CheckOutcome
 /// because the wire must also express service-level dispositions (shed,
@@ -132,26 +127,6 @@ struct CheckResponseMsg {
   int64_t rows_affected = 0;
   /// Advisory backoff for kShed/kDraining; 0 otherwise.
   uint32_t retry_after_ms = 0;
-};
-
-/// Service counters exposed over the wire (bench_server scrapes these so
-/// shed/expired work is visible in BENCH_server.json).
-struct StatsMsg {
-  uint64_t submitted = 0;
-  uint64_t completed = 0;
-  uint64_t fast_path = 0;
-  uint64_t writer_lane = 0;
-  uint64_t shed = 0;
-  uint64_t deadline_expired = 0;
-  uint64_t queue_high_water = 0;
-  uint64_t commit_epoch = 0;
-  uint64_t wal_records = 0;
-  uint64_t connections_accepted = 0;
-  uint64_t protocol_errors = 0;
-  uint64_t draining_rejects = 0;
-  /// Admission-queue residency percentiles (push -> worker pop), ns.
-  uint64_t queue_wait_p50_ns = 0;
-  uint64_t queue_wait_p99_ns = 0;
 };
 
 /// One metric in a kMetricsResponse: the wire form of obs::MetricSample.
@@ -234,8 +209,6 @@ std::string EncodeCheckRequest(const CheckRequestMsg& msg);
 std::string EncodeCheckResponse(const CheckResponseMsg& msg);
 std::string EncodePing(uint64_t request_id);
 std::string EncodePong(uint64_t request_id);
-std::string EncodeStatsRequest();
-std::string EncodeStatsResponse(const StatsMsg& msg);
 std::string EncodeMetricsRequest();
 std::string EncodeMetricsResponse(const MetricsMsg& msg);
 std::string EncodeReplSubscribe(const ReplSubscribeMsg& msg);
@@ -243,12 +216,13 @@ std::string EncodeReplSnapshot(const ReplSnapshotMsg& msg);
 std::string EncodeReplRecords(const ReplRecordsMsg& msg);
 std::string EncodeReplAck(const ReplAckMsg& msg);
 
+/// The payload's message type; ParseError for an empty payload or a byte
+/// that names no MsgType (the retired 5 and 6 included).
 Result<MsgType> PeekType(const std::string& payload);
 Result<CheckRequestMsg> DecodeCheckRequest(const std::string& payload);
 Result<CheckResponseMsg> DecodeCheckResponse(const std::string& payload);
 /// Decodes a kPing or kPong payload to its request id.
 Result<uint64_t> DecodePingPong(const std::string& payload);
-Result<StatsMsg> DecodeStatsResponse(const std::string& payload);
 Result<MetricsMsg> DecodeMetricsResponse(const std::string& payload);
 Result<ReplSubscribeMsg> DecodeReplSubscribe(const std::string& payload);
 Result<ReplSnapshotMsg> DecodeReplSnapshot(const std::string& payload);

@@ -66,17 +66,6 @@ ReplicationSource::ReplicationSource(relational::Database* db,
 
 ReplicationSource::~ReplicationSource() { Stop(); }
 
-ReplicationSourceStats ReplicationSource::stats() const {
-  ReplicationSourceStats s;
-  s.subscribers = subscribers_->Value();
-  s.snapshots_shipped = snapshots_shipped_->Value();
-  s.records_shipped = records_shipped_->Value();
-  s.bytes_shipped = bytes_shipped_->Value();
-  s.acked_epoch = acked_epoch_->Value();
-  s.protocol_errors = protocol_errors_->Value();
-  return s;
-}
-
 void ReplicationSource::AcceptLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
     auto fd = AcceptWithTimeout(listen_fd_, /*timeout_ms=*/100);
@@ -303,19 +292,6 @@ Follower::Follower(service::CheckService* service, relational::Database* db,
 }
 
 Follower::~Follower() { Stop(); }
-
-FollowerStats Follower::stats() const {
-  FollowerStats s;
-  s.connects = connects_->Value();
-  s.snapshots_loaded = snapshots_loaded_->Value();
-  s.records_applied = records_applied_->Value();
-  s.bytes_applied = bytes_applied_->Value();
-  s.stale_skipped = stale_skipped_->Value();
-  s.lag_epochs = lag_epochs_->Value();
-  s.lag_bytes = lag_bytes_->Value();
-  s.lag_ms = lag_ms_->Value();
-  return s;
-}
 
 Status Follower::status() const {
   std::lock_guard<std::mutex> lock(status_mu_);

@@ -65,16 +65,6 @@ struct ReplicationSourceOptions {
   uint64_t max_batch_bytes = 4u << 20;
 };
 
-/// Per-source counters (registry views; scrape-friendly).
-struct ReplicationSourceStats {
-  uint64_t subscribers = 0;         ///< currently connected
-  uint64_t snapshots_shipped = 0;   ///< bootstrap kReplSnapshot frames
-  uint64_t records_shipped = 0;     ///< WAL records sent (sum over batches)
-  uint64_t bytes_shipped = 0;       ///< payload bytes of those records
-  uint64_t acked_epoch = 0;         ///< highest epoch any subscriber acked
-  uint64_t protocol_errors = 0;     ///< subscriptions dropped for bad frames
-};
-
 /// \brief Primary-side replication feed: accepts subscribers, streams WAL.
 class ReplicationSource {
  public:
@@ -90,7 +80,6 @@ class ReplicationSource {
   ReplicationSource& operator=(const ReplicationSource&) = delete;
 
   uint16_t port() const { return port_; }
-  ReplicationSourceStats stats() const;
 
   /// Stops accepting, severs every subscriber, joins all threads.
   /// Idempotent; also the destructor's path.
@@ -124,12 +113,13 @@ class ReplicationSource {
   std::mutex subs_mu_;
   std::vector<std::unique_ptr<Subscriber>> subs_;
 
-  obs::Gauge* subscribers_;
-  obs::Counter* snapshots_shipped_;
-  obs::Counter* records_shipped_;
-  obs::Counter* bytes_shipped_;
-  obs::Gauge* acked_epoch_;
-  obs::Counter* protocol_errors_;
+  // Registered in the registry given to Start, under repl_<name>.
+  obs::Gauge* subscribers_;            ///< currently connected
+  obs::Counter* snapshots_shipped_;    ///< bootstrap kReplSnapshot frames
+  obs::Counter* records_shipped_;      ///< WAL records sent (all batches)
+  obs::Counter* bytes_shipped_;        ///< payload bytes of those records
+  obs::Gauge* acked_epoch_;            ///< highest epoch any subscriber acked
+  obs::Counter* protocol_errors_;      ///< subscriptions dropped, bad frames
 };
 
 struct FollowerOptions {
@@ -154,20 +144,6 @@ struct FollowerOptions {
   std::string checkpoint_path;
 };
 
-/// Follower-side counters (registry views).
-struct FollowerStats {
-  uint64_t connects = 0;           ///< successful subscriptions (1 = never
-                                   ///< reconnected)
-  uint64_t snapshots_loaded = 0;   ///< wire bootstraps applied
-  uint64_t records_applied = 0;    ///< epochs applied (idempotent skips
-                                   ///< counted separately)
-  uint64_t bytes_applied = 0;      ///< payload bytes of applied records
-  uint64_t stale_skipped = 0;      ///< resume duplicates (epoch <= local)
-  uint64_t lag_epochs = 0;
-  uint64_t lag_bytes = 0;
-  uint64_t lag_ms = 0;
-};
-
 /// \brief Replica-side subscription: applies the primary's epoch stream.
 class Follower {
  public:
@@ -189,8 +165,6 @@ class Follower {
 
   /// Blocks until applied_epoch() >= epoch or the timeout expires.
   bool WaitForEpoch(uint64_t epoch, std::chrono::milliseconds timeout) const;
-
-  FollowerStats stats() const;
 
   /// OK while the stream is healthy (reconnects are healthy); a non-OK
   /// status means an apply failed — the replica's state can no longer be
@@ -228,11 +202,14 @@ class Follower {
   mutable std::mutex status_mu_;
   Status fatal_;  ///< non-OK once an apply failed (stream stopped)
 
-  obs::Counter* connects_;
-  obs::Counter* snapshots_loaded_;
+  // Registered in the service's registry: repl_<name> for the counters,
+  // replication_lag_<unit> for the gauges.
+  obs::Counter* connects_;  ///< successful subscriptions (1 = never rebuilt)
+  obs::Counter* snapshots_loaded_;  ///< wire bootstraps applied
+  /// Epochs applied (idempotent skips counted in stale_skipped_).
   obs::Counter* records_applied_;
-  obs::Counter* bytes_applied_;
-  obs::Counter* stale_skipped_;
+  obs::Counter* bytes_applied_;  ///< payload bytes of applied records
+  obs::Counter* stale_skipped_;  ///< resume duplicates (epoch <= local)
   obs::Gauge* lag_epochs_;
   obs::Gauge* lag_bytes_;
   obs::Gauge* lag_ms_;

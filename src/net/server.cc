@@ -90,18 +90,6 @@ Server::Server(check::UFilter* filter, ServerOptions options, int listen_fd,
 
 Server::~Server() { Drain(); }
 
-ServerStats Server::stats() const {
-  ServerStats s;
-  s.connections_accepted = connections_accepted_->Value();
-  s.protocol_errors = protocol_errors_->Value();
-  s.requests = requests_->Value();
-  s.responses = responses_->Value();
-  s.admission_expired = admission_expired_->Value();
-  s.draining_rejects = draining_rejects_->Value();
-  s.redirected_applies = redirected_applies_->Value();
-  return s;
-}
-
 void Server::AcceptLoop() {
   while (!stop_accept_.load(std::memory_order_relaxed)) {
     ReapFinished();
@@ -193,26 +181,6 @@ Status Server::HandlePayload(Conn* conn, std::string payload) {
       pending->ready_payload = EncodePong(*id);
       break;
     }
-    case MsgType::kStatsRequest: {
-      service::CheckServiceStats svc = service_->Snapshot();
-      StatsMsg stats;
-      stats.submitted = svc.submitted;
-      stats.completed = svc.completed;
-      stats.fast_path = svc.fast_path;
-      stats.writer_lane = svc.writer_lane;
-      stats.shed = svc.shed;
-      stats.deadline_expired = svc.deadline_expired;
-      stats.queue_high_water = svc.queue_high_water;
-      stats.commit_epoch = svc.commit_epoch;
-      stats.wal_records = svc.wal_records;
-      stats.connections_accepted = connections_accepted_->Value();
-      stats.protocol_errors = protocol_errors_->Value();
-      stats.draining_rejects = draining_rejects_->Value();
-      stats.queue_wait_p50_ns = svc.queue_wait_p50_ns;
-      stats.queue_wait_p99_ns = svc.queue_wait_p99_ns;
-      pending->ready_payload = EncodeStatsResponse(stats);
-      break;
-    }
     case MsgType::kMetricsRequest: {
       // The full registry scrape: one Collect(), encoded sparse. This is
       // what ufilter_metrics and the parity test in
@@ -291,7 +259,6 @@ Status Server::HandlePayload(Conn* conn, std::string payload) {
     }
     case MsgType::kCheckResponse:
     case MsgType::kPong:
-    case MsgType::kStatsResponse:
     case MsgType::kMetricsResponse:
       return Status::ParseError("client sent a server-only message type");
     case MsgType::kReplSubscribe:

@@ -89,6 +89,12 @@ const MetricSample* FindSample(const RegistrySnapshot& snapshot,
   return nullptr;
 }
 
+uint64_t SampleValue(const RegistrySnapshot& snapshot,
+                     const std::string& name) {
+  const MetricSample* s = FindSample(snapshot, name);
+  return s != nullptr ? s->value : 0;
+}
+
 Counter* Registry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = metrics_.find(name);
@@ -166,7 +172,8 @@ RegistrySnapshot Registry::Collect() const {
     collectors = collectors_;
   }
   // Collectors run outside the registry lock: they read other subsystems
-  // (engine counters, plan cache) whose own locks must not nest under ours.
+  // (MVCC epochs, another registry) whose own locks must not nest under
+  // ours.
   for (const auto& fn : collectors) {
     fn(&out);
   }

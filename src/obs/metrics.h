@@ -1,10 +1,11 @@
 // The metrics registry: named counters, gauges and log-bucketed latency
-// histograms shared by every layer of the service (engine, WAL, plan cache,
-// check service, network front end). One Registry instance backs one
-// service process — the ad-hoc stats structs (CheckServiceStats,
-// ServerStats) are *views* over registry-owned counters rather than
-// separately maintained copies, so the in-process snapshot, the wire stats
-// message and the Prometheus exposition can never disagree.
+// histograms — the only way to read a counter, in process and over the
+// wire. The Database owns one registry for the engine, WAL, MVCC and
+// plan-cache series; the check service owns another for the service,
+// server and replication series and folds the database's Collect() into
+// its own, so one scrape shows the whole process. Nothing is ever reset:
+// a reader that wants the work of one run diffs two Collect() snapshots
+// (CounterWindow).
 //
 // Design constraints, in order:
 //   - recording must be cheap enough for the per-check hot path: counter
@@ -21,9 +22,10 @@
 //
 // Registration is get-or-create by name and returns stable pointers: call
 // sites hold the Counter*/Histogram* and never touch the registry map
-// again. Values computed elsewhere (engine work counters, plan-cache
-// tallies, MVCC epochs) join the exposition through collector callbacks
-// that append samples at Collect() time.
+// again. Values owned elsewhere (MVCC epochs, queue depths, slow-log
+// tallies) join the exposition through collector callbacks that append
+// samples at Collect() time; a collector only reads what the registry's
+// owner also owns, so none can outlive what it reads.
 #ifndef UFILTER_OBS_METRICS_H_
 #define UFILTER_OBS_METRICS_H_
 
@@ -159,13 +161,17 @@ struct MetricSample {
 };
 
 /// A full registry snapshot, sorted by name: the single source every
-/// exposition path (wire message, Prometheus text, stats structs) renders
-/// from.
+/// exposition path (wire message, Prometheus text, in-process readers)
+/// renders from.
 using RegistrySnapshot = std::vector<MetricSample>;
 
 /// Finds a sample by exact name; nullptr when absent.
 const MetricSample* FindSample(const RegistrySnapshot& snapshot,
                                const std::string& name);
+
+/// Counter or gauge value of `name`; 0 when the snapshot lacks it.
+uint64_t SampleValue(const RegistrySnapshot& snapshot,
+                     const std::string& name);
 
 /// \brief The named-metric registry for one service instance.
 ///
@@ -205,6 +211,31 @@ class Registry {
   mutable std::mutex mu_;
   std::map<std::string, Entry> metrics_;
   std::vector<std::function<void(RegistrySnapshot*)>> collectors_;
+};
+
+/// \brief How far a registry's counters moved since a baseline Collect().
+///
+/// Counters only grow, so a reader scopes them to one run by diffing two
+/// snapshots instead of resetting them. The registry must outlive the
+/// window.
+class CounterWindow {
+ public:
+  explicit CounterWindow(const Registry& registry)
+      : registry_(&registry), baseline_(registry.Collect()) {}
+
+  /// `name` now minus `name` at the baseline, for a counter or a
+  /// monotonic gauge (db_commit_epoch); absent series read as 0.
+  uint64_t Delta(const std::string& name) const {
+    return SampleValue(registry_->Collect(), name) -
+           SampleValue(baseline_, name);
+  }
+
+  /// Starts a new window at the current values.
+  void Rebase() { baseline_ = registry_->Collect(); }
+
+ private:
+  const Registry* registry_;
+  RegistrySnapshot baseline_;
 };
 
 }  // namespace ufilter::obs

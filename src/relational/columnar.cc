@@ -8,11 +8,11 @@ namespace ufilter::relational {
 // Table::columnar lives here rather than database.cc so the row-store layer
 // keeps no compile-time dependency on the columnar module.
 std::shared_ptr<const ColumnarTable> Table::columnar(
-    AtomicEngineStats* stats) const {
+    const EngineCounters* counters) const {
   std::lock_guard<std::mutex> lock(columnar_mu_);
   if (columnar_ == nullptr) {
     columnar_ = ColumnarTable::Build(*this);
-    if (stats != nullptr) stats->columnar_builds += 1;
+    if (counters != nullptr) counters->columnar_builds->Inc();
   }
   return columnar_;
 }

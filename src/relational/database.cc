@@ -140,10 +140,10 @@ double Table::EstimateEqMatches(int column_idx, const Value& literal) const {
 
 void Table::ProbeIndexEq(int column_idx, const Value& v,
                          std::vector<RowId>* out,
-                         AtomicEngineStats* stats) const {
+                         const EngineCounters* counters) const {
   const Index* idx = FindIndexForColumn(column_idx);
   if (idx == nullptr) return;
-  if (stats != nullptr) stats->index_lookups++;
+  if (counters != nullptr) counters->index_lookups->Inc();
   auto range = idx->map.equal_range(HashOneValue(v));
   for (auto it = range.first; it != range.second; ++it) {
     const Row* row = GetRow(it->second);
@@ -154,7 +154,7 @@ void Table::ProbeIndexEq(int column_idx, const Value& v,
 }
 
 std::vector<RowId> Table::Find(const std::vector<ColumnPredicate>& preds,
-                               AtomicEngineStats* stats) const {
+                               const EngineCounters* counters) const {
   // Drive with a single-column index on an equality predicate, preferring a
   // unique index (most selective: at most one candidate) over the first
   // non-unique hit.
@@ -173,7 +173,7 @@ std::vector<RowId> Table::Find(const std::vector<ColumnPredicate>& preds,
 
   std::vector<RowId> candidates;
   if (driver != nullptr) {
-    if (stats != nullptr) stats->index_lookups++;
+    if (counters != nullptr) counters->index_lookups->Inc();
     // Single-column driver: hash the literal directly, no probe-row alloc.
     const size_t col = static_cast<size_t>(driver->column_idx[0]);
     auto range = driver->map.equal_range(HashOneValue(driver_pred->literal));
@@ -185,7 +185,7 @@ std::vector<RowId> Table::Find(const std::vector<ColumnPredicate>& preds,
     }
   } else {
     candidates = AllRowIds();
-    if (stats != nullptr) stats->rows_scanned += candidates.size();
+    if (counters != nullptr) counters->rows_scanned->Add(candidates.size());
   }
 
   std::vector<RowId> out;
@@ -305,7 +305,46 @@ RowId Table::FindUniqueConflict(const Row& row, RowId self) const {
 
 // ------------------------------------------------------------- Database ---
 
-Database::Database(DatabaseSchema schema) : schema_(std::move(schema)) {
+EngineCounters EngineCounters::Bind(obs::Registry* registry) {
+  EngineCounters c;
+  c.rows_scanned = registry->GetCounter("engine_rows_scanned");
+  c.index_lookups = registry->GetCounter("engine_index_lookups");
+  c.plans_compiled = registry->GetCounter("engine_plans_compiled");
+  c.plan_replays = registry->GetCounter("engine_plan_replays");
+  c.hash_join_builds = registry->GetCounter("engine_hash_join_builds");
+  c.hash_join_probes = registry->GetCounter("engine_hash_join_probes");
+  c.columnar_builds = registry->GetCounter("columnar_builds");
+  c.columnar_scan_rows = registry->GetCounter("columnar_scan_rows");
+  c.selection_vector_rows = registry->GetCounter("selection_vector_rows");
+  c.rows_inserted = registry->GetCounter("engine_rows_inserted");
+  c.rows_deleted = registry->GetCounter("engine_rows_deleted");
+  c.rows_updated = registry->GetCounter("engine_rows_updated");
+  c.undo_records = registry->GetCounter("engine_undo_records");
+  c.queries_executed = registry->GetCounter("engine_queries_executed");
+  c.batch_queries_executed =
+      registry->GetCounter("engine_batch_queries_executed");
+  c.batch_branches_merged =
+      registry->GetCounter("engine_batch_branches_merged");
+  c.updates_compiled = registry->GetCounter("engine_updates_compiled");
+  c.star_checks = registry->GetCounter("engine_star_checks");
+  c.snapshots_opened = registry->GetCounter("mvcc_snapshots_opened");
+  c.versions_retired = registry->GetCounter("mvcc_versions_retired");
+  c.wal_records = registry->GetCounter("wal_records");
+  c.wal_fsyncs = registry->GetCounter("wal_fsyncs");
+  c.wal_bytes = registry->GetCounter("wal_bytes");
+  return c;
+}
+
+Database::Database(DatabaseSchema schema)
+    : counters_(EngineCounters::Bind(&registry_)), schema_(std::move(schema)) {
+  // The epochs live under snapshot_mu_; they join a scrape at Collect()
+  // time rather than costing a gauge store per snapshot open and close.
+  registry_.AddCollector([this](obs::RegistrySnapshot* out) {
+    out->push_back({"db_commit_epoch", obs::MetricKind::kGauge,
+                    commit_epoch(), {}});
+    out->push_back({"db_oldest_pinned_epoch", obs::MetricKind::kGauge,
+                    oldest_pinned_epoch(), {}});
+  });
   root_context_ = std::make_unique<ExecutionContext>(this);
   tables_.reserve(schema_.tables().size());
   for (size_t i = 0; i < schema_.tables().size(); ++i) {
@@ -381,7 +420,7 @@ void Database::CollectRetiredLocked(Graveyard* graveyard) {
     // versions superseded after E would otherwise accumulate unboundedly
     // while that pin stays open.
     if (retired.table.use_count() == 1) {
-      stats_.versions_retired++;
+      counters_.versions_retired->Inc();
       graveyard->push_back(std::move(retired.table));
       continue;
     }
@@ -422,7 +461,7 @@ std::shared_ptr<const Snapshot> Database::OpenSnapshot() {
     flush = (!had_published || commit_epoch_ != epoch_before) &&
             WalFlushNeededLocked();
     pinned_epochs_.insert(published_->epoch);
-    stats_.snapshots_opened++;
+    counters_.snapshots_opened->Inc();
     snapshot = std::shared_ptr<const Snapshot>(new Snapshot(this, published_));
   }
   if (flush) FlushWalPending();
@@ -652,7 +691,7 @@ Status Database::CheckForeignKeysExist(const TableSchema& schema,
     }
     if (any_null) continue;  // NULL FKs reference nothing
     UFILTER_ASSIGN_OR_RETURN(const Table* ref, GetTable(fk.ref_table));
-    if (ref->Find(preds, &stats_).empty()) {
+    if (ref->Find(preds, &counters_).empty()) {
       std::vector<std::string> vals;
       for (const auto& p : preds) vals.push_back(p.literal.ToSqlLiteral());
       return Status::ConstraintViolation(
@@ -684,8 +723,8 @@ Result<RowId> Database::Insert(ExecutionContext* ctx,
   RowId id = t->AppendRow(std::move(row));
   ctx->undo_log_.push_back(
       {ExecutionContext::UndoKind::kInsert, table, id, {}});
-  stats_.rows_inserted++;
-  stats_.undo_records++;
+  counters_.rows_inserted->Inc();
+  counters_.undo_records->Inc();
   if (!ctx->IsTempTable(table)) {
     CaptureRedo(ctx, RedoOp::Kind::kInsert, table, id, t->GetRow(id));
   }
@@ -743,7 +782,7 @@ Status Database::DeleteRowInternal(
       // the kRestrict rejection must not copy-on-write anything.
       UFILTER_ASSIGN_OR_RETURN(Table * probe_table,
                                GetTable(ctx, other.name()));
-      std::vector<RowId> referencing = probe_table->Find(preds, &stats_);
+      std::vector<RowId> referencing = probe_table->Find(preds, &counters_);
       if (referencing.empty()) continue;
       switch (fk.on_delete) {
         case DeletePolicy::kRestrict:
@@ -784,9 +823,9 @@ Status Database::DeleteRowInternal(
             ctx->undo_log_.push_back(
                 {ExecutionContext::UndoKind::kUpdate, other.name(), rid,
                  *old});
-            stats_.undo_records++;
+            counters_.undo_records->Inc();
             ref_table->OverwriteRow(rid, std::move(updated));
-            stats_.rows_updated++;
+            counters_.rows_updated->Inc();
             outcome->nulled_rows++;
             // Referencing tables are always base tables (schema-declared
             // FKs), so every SET NULL rewrite is redo-logged.
@@ -803,12 +842,12 @@ Status Database::DeleteRowInternal(
   if (table->GetRow(id) == nullptr) return Status::OK();
   ctx->undo_log_.push_back(
       {ExecutionContext::UndoKind::kDelete, table_name, id, row});
-  stats_.undo_records++;
+  counters_.undo_records->Inc();
   if (!ctx->IsTempTable(table_name)) {
     CaptureRedo(ctx, RedoOp::Kind::kDelete, table_name, id, nullptr);
   }
   table->EraseRow(id);
-  stats_.rows_deleted++;
+  counters_.rows_deleted->Inc();
   outcome->deleted_rows++;
   outcome->affected.push_back({table_name, id});
   return Status::OK();
@@ -822,7 +861,7 @@ Result<DeleteOutcome> Database::DeleteWhere(
   // Match against the live table first: a delete that hits nothing must
   // not copy-on-write anything (RowIds survive the clone below).
   UFILTER_ASSIGN_OR_RETURN(const Table* probe, GetTable(ctx, table));
-  std::vector<RowId> matches = probe->Find(preds, &stats_);
+  std::vector<RowId> matches = probe->Find(preds, &counters_);
   DeleteOutcome outcome;
   if (matches.empty()) return outcome;
   UFILTER_ASSIGN_OR_RETURN(Table * t, WritableTable(ctx, table));
@@ -873,7 +912,7 @@ Result<int64_t> Database::UpdateWhere(
     }
   }
   // Zero-match updates clone nothing (RowIds survive the clone below).
-  std::vector<RowId> matches = probe->Find(preds, &stats_);
+  std::vector<RowId> matches = probe->Find(preds, &counters_);
   if (matches.empty()) return 0;
   UFILTER_ASSIGN_OR_RETURN(Table * t, WritableTable(ctx, table));
   int64_t updated = 0;
@@ -902,9 +941,9 @@ Result<int64_t> Database::UpdateWhere(
     }
     ctx->undo_log_.push_back(
         {ExecutionContext::UndoKind::kUpdate, table, id, *old});
-    stats_.undo_records++;
+    counters_.undo_records->Inc();
     t->OverwriteRow(id, std::move(next));
-    stats_.rows_updated++;
+    counters_.rows_updated->Inc();
     if (!ctx->IsTempTable(table)) {
       CaptureRedo(ctx, RedoOp::Kind::kUpdate, table, id, t->GetRow(id));
     }
@@ -1044,8 +1083,8 @@ Status ExecutionContext::BulkLoadTemp(const std::string& name,
   for (RowId id : ids) {
     undo_log_.push_back({UndoKind::kInsert, name, id, {}});
   }
-  db_->stats_.rows_inserted += ids.size();
-  db_->stats_.undo_records += ids.size();
+  db_->counters_.rows_inserted->Add(ids.size());
+  db_->counters_.undo_records->Add(ids.size());
   return Status::OK();
 }
 

@@ -16,9 +16,10 @@
 // it. Superseded table versions are retired by epoch-based GC once no
 // snapshot pins an epoch that could still see them. All *mutable scratch* —
 // temp tables and the undo log — lives in an ExecutionContext, one per
-// client session. Work counters are relaxed atomics, safe to bump from any
-// thread. Writers must still be mutually exclusive with each other (the
-// service layer's writer lane); snapshot readers need no exclusion at all.
+// client session. Work counters are registry-owned relaxed atomics, safe
+// to bump from any thread. Writers must still be mutually exclusive with
+// each other (the service layer's writer lane); snapshot readers need no
+// exclusion at all.
 #ifndef UFILTER_RELATIONAL_DATABASE_H_
 #define UFILTER_RELATIONAL_DATABASE_H_
 
@@ -38,6 +39,7 @@
 
 #include "common/result.h"
 #include "common/value.h"
+#include "obs/metrics.h"
 #include "relational/schema.h"
 
 namespace ufilter::relational {
@@ -61,221 +63,65 @@ struct ColumnPredicate {
   }
 };
 
-/// A monotonically increasing work counter bumped from concurrent check
-/// workers. All operations are relaxed: the counters are statistics, not
-/// synchronization — the only guarantee needed is that concurrent `++` /
-/// `+=` never lose increments (the read-modify-write races the old plain
-/// uint64_t fields had).
-class RelaxedCounter {
- public:
-  RelaxedCounter() = default;
-  RelaxedCounter(uint64_t v) : v_(v) {}  // NOLINT: implicit by design
-
-  uint64_t load() const { return v_.load(std::memory_order_relaxed); }
-  operator uint64_t() const { return load(); }
-
-  RelaxedCounter& operator++() {
-    v_.fetch_add(1, std::memory_order_relaxed);
-    return *this;
-  }
-  uint64_t operator++(int) { return v_.fetch_add(1, std::memory_order_relaxed); }
-  RelaxedCounter& operator+=(uint64_t d) {
-    v_.fetch_add(d, std::memory_order_relaxed);
-    return *this;
-  }
-  /// Undoes a premature increment (e.g. a submission counted before an
-  /// admission-queue push that was then refused).
-  RelaxedCounter& operator-=(uint64_t d) {
-    v_.fetch_sub(d, std::memory_order_relaxed);
-    return *this;
-  }
-  void Reset() { v_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> v_{0};
-};
-
-/// Cumulative work counters; benchmarks and tests read these to observe the
-/// cost asymmetries the paper's figures rely on (index lookups vs. scans).
-///
-/// This plain struct is the *snapshot* type of the work-counter mechanism:
-/// `Database::SnapshotWorkCounters()` returns one, `DiffSince` subtracts a
-/// baseline. The live counters are an AtomicEngineStats (below) so that
-/// concurrent check workers can bump them without data races.
-struct EngineStats {
-  uint64_t rows_scanned = 0;
-  uint64_t index_lookups = 0;
+/// The engine's work counters; benchmarks and tests read them to observe
+/// the cost asymmetries the paper's figures rely on (index lookups vs.
+/// scans). Each points at a counter owned by the Database's registry and
+/// is bound once at construction, so a bump is one relaxed atomic add and
+/// the registry is the only place the values live. Bind() names the
+/// series: engine_<field>, except the columnar_*, selection_vector_rows,
+/// wal_* and mvcc_* (snapshots_opened, versions_retired) families.
+struct EngineCounters {
+  obs::Counter* rows_scanned;
+  obs::Counter* index_lookups;
   /// Physical plans compiled by the cost-based planner (one per ad-hoc
   /// Execute; prepared probes compile once and then only replay).
-  uint64_t plans_compiled = 0;
+  obs::Counter* plans_compiled;
   /// Executions of an already-compiled plan (zero name resolution).
-  uint64_t plan_replays = 0;
+  obs::Counter* plan_replays;
   /// One-shot hash tables built for unindexed equi-join sides.
-  uint64_t hash_join_builds = 0;
+  obs::Counter* hash_join_builds;
   /// Probes served by those hash tables (replaces per-outer-row scans).
-  uint64_t hash_join_probes = 0;
+  obs::Counter* hash_join_probes;
   /// Columnar caches built (one per table version, on its first
   /// snapshot-pinned scan or hash-join build; see relational/columnar.h).
-  uint64_t columnar_builds = 0;
+  obs::Counter* columnar_builds;
   /// Rows fed through vectorized predicate loops or typed hash builds (the
   /// columnar counterpart of rows_scanned).
-  uint64_t columnar_scan_rows = 0;
+  obs::Counter* columnar_scan_rows;
   /// Selection-vector entries surviving every fused scan predicate (the
   /// rows a vectorized scan actually hands to the join pipeline).
-  uint64_t selection_vector_rows = 0;
-  uint64_t rows_inserted = 0;
-  uint64_t rows_deleted = 0;
-  uint64_t rows_updated = 0;
-  uint64_t undo_records = 0;
+  obs::Counter* selection_vector_rows;
+  obs::Counter* rows_inserted;
+  obs::Counter* rows_deleted;
+  obs::Counter* rows_updated;
+  obs::Counter* undo_records;
   /// SELECT evaluations issued against the engine (probe queries included).
-  uint64_t queries_executed = 0;
+  obs::Counter* queries_executed;
   /// Merged OR-of-predicates probes evaluated (each counts once in
   /// queries_executed too).
-  uint64_t batch_queries_executed = 0;
+  obs::Counter* batch_queries_executed;
   /// Individual probe branches served by merged queries (savings =
   /// batch_branches_merged - batch_queries_executed).
-  uint64_t batch_branches_merged = 0;
-  /// U-Filter plan cache: Prepare calls answered from / missing the cache.
-  uint64_t plan_cache_hits = 0;
-  uint64_t plan_cache_misses = 0;
+  obs::Counter* batch_branches_merged;
   /// Full compiles (parse + bind + validate) actually performed.
-  uint64_t updates_compiled = 0;
+  obs::Counter* updates_compiled;
   /// STAR dynamic-checking runs actually performed.
-  uint64_t star_checks = 0;
+  obs::Counter* star_checks;
   /// MVCC snapshots pinned via Database::OpenSnapshot.
-  uint64_t snapshots_opened = 0;
+  obs::Counter* snapshots_opened;
   /// Superseded table versions released by epoch-based GC (each one was a
   /// copy-on-write clone source that no pinned snapshot can still see).
-  uint64_t versions_retired = 0;
+  obs::Counter* versions_retired;
   /// WAL records appended (one per published commit epoch while durable).
-  uint64_t wal_records = 0;
+  obs::Counter* wal_records;
   /// fsync(2) calls issued by the WAL writer; with the group-commit policy
   /// wal_records / wal_fsyncs is the achieved batching factor.
-  uint64_t wal_fsyncs = 0;
+  obs::Counter* wal_fsyncs;
   /// Bytes appended to the WAL (framing included).
-  uint64_t wal_bytes = 0;
+  obs::Counter* wal_bytes;
 
-  void Reset() { *this = EngineStats(); }
-
-  /// Field-wise `*this - baseline` (counters are monotonic between resets).
-  EngineStats DiffSince(const EngineStats& baseline) const {
-    EngineStats d = *this;
-    d.rows_scanned -= baseline.rows_scanned;
-    d.index_lookups -= baseline.index_lookups;
-    d.plans_compiled -= baseline.plans_compiled;
-    d.plan_replays -= baseline.plan_replays;
-    d.hash_join_builds -= baseline.hash_join_builds;
-    d.hash_join_probes -= baseline.hash_join_probes;
-    d.columnar_builds -= baseline.columnar_builds;
-    d.columnar_scan_rows -= baseline.columnar_scan_rows;
-    d.selection_vector_rows -= baseline.selection_vector_rows;
-    d.rows_inserted -= baseline.rows_inserted;
-    d.rows_deleted -= baseline.rows_deleted;
-    d.rows_updated -= baseline.rows_updated;
-    d.undo_records -= baseline.undo_records;
-    d.queries_executed -= baseline.queries_executed;
-    d.batch_queries_executed -= baseline.batch_queries_executed;
-    d.batch_branches_merged -= baseline.batch_branches_merged;
-    d.plan_cache_hits -= baseline.plan_cache_hits;
-    d.plan_cache_misses -= baseline.plan_cache_misses;
-    d.updates_compiled -= baseline.updates_compiled;
-    d.star_checks -= baseline.star_checks;
-    d.snapshots_opened -= baseline.snapshots_opened;
-    d.versions_retired -= baseline.versions_retired;
-    d.wal_records -= baseline.wal_records;
-    d.wal_fsyncs -= baseline.wal_fsyncs;
-    d.wal_bytes -= baseline.wal_bytes;
-    return d;
-  }
-};
-
-/// The live counters: same fields as EngineStats but each one a relaxed
-/// atomic. Every `stats.field++` / `+= n` call site compiles unchanged; a
-/// consistent plain-value copy is taken with Snapshot().
-struct AtomicEngineStats {
-  RelaxedCounter rows_scanned;
-  RelaxedCounter index_lookups;
-  RelaxedCounter plans_compiled;
-  RelaxedCounter plan_replays;
-  RelaxedCounter hash_join_builds;
-  RelaxedCounter hash_join_probes;
-  RelaxedCounter columnar_builds;
-  RelaxedCounter columnar_scan_rows;
-  RelaxedCounter selection_vector_rows;
-  RelaxedCounter rows_inserted;
-  RelaxedCounter rows_deleted;
-  RelaxedCounter rows_updated;
-  RelaxedCounter undo_records;
-  RelaxedCounter queries_executed;
-  RelaxedCounter batch_queries_executed;
-  RelaxedCounter batch_branches_merged;
-  RelaxedCounter plan_cache_hits;
-  RelaxedCounter plan_cache_misses;
-  RelaxedCounter updates_compiled;
-  RelaxedCounter star_checks;
-  RelaxedCounter snapshots_opened;
-  RelaxedCounter versions_retired;
-  RelaxedCounter wal_records;
-  RelaxedCounter wal_fsyncs;
-  RelaxedCounter wal_bytes;
-
-  EngineStats Snapshot() const {
-    EngineStats s;
-    s.rows_scanned = rows_scanned;
-    s.index_lookups = index_lookups;
-    s.plans_compiled = plans_compiled;
-    s.plan_replays = plan_replays;
-    s.hash_join_builds = hash_join_builds;
-    s.hash_join_probes = hash_join_probes;
-    s.columnar_builds = columnar_builds;
-    s.columnar_scan_rows = columnar_scan_rows;
-    s.selection_vector_rows = selection_vector_rows;
-    s.rows_inserted = rows_inserted;
-    s.rows_deleted = rows_deleted;
-    s.rows_updated = rows_updated;
-    s.undo_records = undo_records;
-    s.queries_executed = queries_executed;
-    s.batch_queries_executed = batch_queries_executed;
-    s.batch_branches_merged = batch_branches_merged;
-    s.plan_cache_hits = plan_cache_hits;
-    s.plan_cache_misses = plan_cache_misses;
-    s.updates_compiled = updates_compiled;
-    s.star_checks = star_checks;
-    s.snapshots_opened = snapshots_opened;
-    s.versions_retired = versions_retired;
-    s.wal_records = wal_records;
-    s.wal_fsyncs = wal_fsyncs;
-    s.wal_bytes = wal_bytes;
-    return s;
-  }
-
-  void Reset() {
-    rows_scanned.Reset();
-    index_lookups.Reset();
-    plans_compiled.Reset();
-    plan_replays.Reset();
-    hash_join_builds.Reset();
-    hash_join_probes.Reset();
-    columnar_builds.Reset();
-    columnar_scan_rows.Reset();
-    selection_vector_rows.Reset();
-    rows_inserted.Reset();
-    rows_deleted.Reset();
-    rows_updated.Reset();
-    undo_records.Reset();
-    queries_executed.Reset();
-    batch_queries_executed.Reset();
-    batch_branches_merged.Reset();
-    plan_cache_hits.Reset();
-    plan_cache_misses.Reset();
-    updates_compiled.Reset();
-    star_checks.Reset();
-    snapshots_opened.Reset();
-    versions_retired.Reset();
-    wal_records.Reset();
-    wal_fsyncs.Reset();
-    wal_bytes.Reset();
-  }
+  /// Registers every series above in `registry`.
+  static EngineCounters Bind(obs::Registry* registry);
 };
 
 /// \brief One table's storage: tombstoned row slots plus hash indexes.
@@ -318,7 +164,7 @@ class Table {
   /// most selective); otherwise scans. Results are sorted, except that the
   /// sort is skipped when a unique index yields at most one candidate.
   std::vector<RowId> Find(const std::vector<ColumnPredicate>& preds,
-                          AtomicEngineStats* stats) const;
+                          const EngineCounters* counters) const;
 
   /// True if an index exists whose leading column is `column`.
   bool HasIndexOn(const std::string& column) const;
@@ -341,7 +187,7 @@ class Table {
   /// matches to `out` *unsorted* (the plan executor orders final results
   /// itself) and allocates no probe row. Requires HasIndexOnColumn.
   void ProbeIndexEq(int column_idx, const Value& v, std::vector<RowId>* out,
-                    AtomicEngineStats* stats) const;
+                    const EngineCounters* counters) const;
 
   /// Appends `rows` without per-row constraint machinery (storage +
   /// index maintenance only) after one up-front reserve. Callers are
@@ -354,9 +200,10 @@ class Table {
   /// executor calls it solely for base tables resolved through a pinned
   /// snapshot, which copy-on-write protection guarantees will never change
   /// underneath the cache. Thread-safe: concurrent readers of the same
-  /// version build once and share; `stats` (nullable) counts the build.
-  /// Implemented in columnar.cc.
-  std::shared_ptr<const ColumnarTable> columnar(AtomicEngineStats* stats) const;
+  /// version build once and share; `counters` (nullable) counts the
+  /// build. Implemented in columnar.cc.
+  std::shared_ptr<const ColumnarTable> columnar(
+      const EngineCounters* counters) const;
 
  private:
   friend class Database;
@@ -613,12 +460,15 @@ class Database {
   ~Database();
 
   const DatabaseSchema& schema() const { return schema_; }
-  AtomicEngineStats& stats() const { return stats_; }
 
-  /// Copy of the live work counters (see EngineStats for diffing).
-  EngineStats SnapshotWorkCounters() const { return stats_.Snapshot(); }
-  /// Zeroes all work counters; benchmarks call this between scenarios.
-  void ResetWorkCounters() { stats_.Reset(); }
+  /// The engine's metric registry: the work counters below, the
+  /// db_commit_epoch / db_oldest_pinned_epoch gauges, and the series
+  /// other layers over this database register (the plan cache's).
+  /// Readers diff two Collect() snapshots (obs::CounterWindow).
+  obs::Registry& registry() { return registry_; }
+  const obs::Registry& registry() const { return registry_; }
+  /// The work counters, for the sites that bump them.
+  const EngineCounters& counters() const { return counters_; }
 
   /// The built-in context the single-session convenience API runs against.
   ExecutionContext* root_context() { return root_context_.get(); }
@@ -932,6 +782,10 @@ class Database {
   /// behind the disk.
   void FlushWalPending();
 
+  /// Declared first so it is destroyed last: everything below (the WAL
+  /// writer included) may bump its counters until then.
+  obs::Registry registry_;
+  EngineCounters counters_;
   DatabaseSchema schema_;
   /// Live (newest) table versions, aligned with schema_. shared_ptr so a
   /// published DatabaseVersion can share a table with the live state until
@@ -941,9 +795,6 @@ class Database {
   // GetTable sits on every probe's hot path: hashed lookups, not tree walks.
   std::unordered_map<std::string, size_t> table_index_;
   std::unique_ptr<ExecutionContext> root_context_;
-  /// Bumped from concurrent workers; mutable so the whole read path stays
-  /// const while still accounting its work.
-  mutable AtomicEngineStats stats_;
 
   /// Guards the version state below: snapshot open/close, publish, the
   /// copy-on-write check-and-swap, and GC. Never held during probe

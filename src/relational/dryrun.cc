@@ -118,7 +118,7 @@ class OpDryRunner {
       return {};
     }
     std::vector<RowId> out;
-    for (RowId id : t.Find(preds, &db_.stats_)) {
+    for (RowId id : t.Find(preds, &db_.counters_)) {
       const Row* row = EffectiveRow(t, table, id);
       if (row != nullptr && RowMatches(*row, t.schema(), preds)) {
         out.push_back(id);
@@ -181,7 +181,7 @@ class OpDryRunner {
       auto ref = ResolveTable(fk.ref_table);
       if (!ref.ok()) return ref.status();
       bool exists = false;
-      for (RowId id : (*ref)->Find(preds, &db_.stats_)) {
+      for (RowId id : (*ref)->Find(preds, &db_.counters_)) {
         const Row* r = EffectiveRow(**ref, fk.ref_table, id);
         if (r != nullptr && RowMatches(*r, (*ref)->schema(), preds)) {
           exists = true;

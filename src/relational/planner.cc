@@ -290,7 +290,7 @@ Result<PhysicalPlan> Planner::CompileDisjunctive(
     plan.levels.push_back(std::move(level));
   }
 
-  db_->stats().plans_compiled += 1;
+  db_->counters().plans_compiled->Inc();
   return plan;
 }
 

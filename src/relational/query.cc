@@ -87,7 +87,7 @@ Result<DisjunctiveResult> QueryEvaluator::ExecuteImpl(
 
 Result<DisjunctiveResult> QueryEvaluator::ExecutePlan(
     const PhysicalPlan& plan) {
-  db_->stats().plan_replays += 1;
+  db_->counters().plan_replays->Inc();
   return RunPlan(plan);
 }
 
@@ -96,11 +96,11 @@ Result<DisjunctiveResult> QueryEvaluator::ExecutePlan(
 // ---------------------------------------------------------------------------
 
 Result<DisjunctiveResult> QueryEvaluator::RunPlan(const PhysicalPlan& plan) {
-  AtomicEngineStats* stats = &db_->stats();
-  stats->queries_executed += 1;
+  const EngineCounters* counters = &db_->counters();
+  counters->queries_executed->Inc();
   if (plan.branch_count > 0) {
-    stats->batch_queries_executed += 1;
-    stats->batch_branches_merged += plan.branch_count;
+    counters->batch_queries_executed->Inc();
+    counters->batch_branches_merged->Add(plan.branch_count);
   }
 
   DisjunctiveResult out;
@@ -162,7 +162,7 @@ Result<DisjunctiveResult> QueryEvaluator::RunPlan(const PhysicalPlan& plan) {
           plan.table_names[static_cast<size_t>(spec.table_pos)];
       if (ctx_->IsTempTable(name)) continue;
       rt[lvl].columnar =
-          tables[static_cast<size_t>(spec.table_pos)]->columnar(stats);
+          tables[static_cast<size_t>(spec.table_pos)]->columnar(counters);
     }
   }
 
@@ -193,8 +193,8 @@ Result<DisjunctiveResult> QueryEvaluator::RunPlan(const PhysicalPlan& plan) {
           if (sel.empty()) break;
           col.FilterColumn(f.column, f.op, f.literal, &sel);
         }
-        stats->columnar_scan_rows += col.row_count();
-        stats->selection_vector_rows += sel.size();
+        counters->columnar_scan_rows->Add(col.row_count());
+        counters->selection_vector_rows->Add(sel.size());
         const std::vector<RowId>& ids = col.row_ids();
         level.candidates.reserve(sel.size());
         for (uint32_t pos : sel) level.candidates.push_back(ids[pos]);
@@ -206,7 +206,7 @@ Result<DisjunctiveResult> QueryEvaluator::RunPlan(const PhysicalPlan& plan) {
     switch (spec.path) {
       case AccessPath::kScan:
         level.candidates = table->AllRowIds();
-        stats->rows_scanned += level.candidates.size();
+        counters->rows_scanned->Add(level.candidates.size());
         break;
       case AccessPath::kUniqueLookup:
       case AccessPath::kIndexLookup: {
@@ -216,7 +216,8 @@ Result<DisjunctiveResult> QueryEvaluator::RunPlan(const PhysicalPlan& plan) {
                 : (*rows[static_cast<size_t>(spec.key_src_table)])
                       [static_cast<size_t>(spec.key_src_column)];
         if (!key.is_null()) {  // NULL never joins or matches
-          table->ProbeIndexEq(spec.key_column, key, &level.candidates, stats);
+          table->ProbeIndexEq(spec.key_column, key, &level.candidates,
+                              counters);
         }
         break;
       }
@@ -226,7 +227,7 @@ Result<DisjunctiveResult> QueryEvaluator::RunPlan(const PhysicalPlan& plan) {
           const CompiledFilter& pin = spec.branch_pins[b];
           if (pin.literal.is_null()) continue;
           table->ProbeIndexEq(pin.column, pin.literal, &level.candidates,
-                              stats);
+                              counters);
         }
         // Union, not concatenation: a row matching several branches must
         // appear once.
@@ -239,14 +240,15 @@ Result<DisjunctiveResult> QueryEvaluator::RunPlan(const PhysicalPlan& plan) {
       case AccessPath::kHashJoin: {
         if (!level.hash_built) {
           level.hash_built = true;
-          stats->hash_join_builds += 1;
+          counters->hash_join_builds->Inc();
           level.hash.reserve(table->live_row_count());
           if (level.columnar != nullptr) {
             // Typed-array build: no GetRow, no Value dispatch per row.
-            stats->columnar_scan_rows += level.columnar->row_count();
+            counters->columnar_scan_rows->Add(level.columnar->row_count());
             level.columnar->HashJoinBuild(spec.key_column, &level.hash);
           } else {
-            stats->rows_scanned += table->live_row_count();  // the build pass
+            // The build pass.
+            counters->rows_scanned->Add(table->live_row_count());
             for (RowId id : table->AllRowIds()) {
               const Row* r = table->GetRow(id);
               if (r == nullptr) continue;
@@ -259,7 +261,7 @@ Result<DisjunctiveResult> QueryEvaluator::RunPlan(const PhysicalPlan& plan) {
         const Value& probe = (*rows[static_cast<size_t>(spec.key_src_table)])
                                  [static_cast<size_t>(spec.key_src_column)];
         if (!probe.is_null()) {
-          stats->hash_join_probes += 1;
+          counters->hash_join_probes->Inc();
           auto range = level.hash.equal_range(probe.Hash());
           for (auto it = range.first; it != range.second; ++it) {
             level.candidates.push_back(it->second);
@@ -466,11 +468,11 @@ Result<DisjunctiveResult> QueryEvaluator::ExecuteReference(
     result.column_names.push_back(s.ToString());
   }
 
-  AtomicEngineStats* stats = &db_->stats();
-  stats->queries_executed += 1;
+  const EngineCounters* counters = &db_->counters();
+  counters->queries_executed->Inc();
   if (!branches.empty()) {
-    stats->batch_queries_executed += 1;
-    stats->batch_branches_merged += branches.size();
+    counters->batch_queries_executed->Inc();
+    counters->batch_branches_merged->Add(branches.size());
   }
   // Left-deep recursive join over tables in FROM order.
   std::vector<RowId> current(bound.size(), -1);
@@ -544,7 +546,8 @@ Result<DisjunctiveResult> QueryEvaluator::ExecuteReference(
       const std::string& col_name =
           table->schema().columns()[static_cast<size_t>(f.c)].name;
       if (!table->HasIndexOn(col_name)) continue;
-      candidates = table->Find({{col_name, CompareOp::kEq, f.literal}}, stats);
+      candidates =
+          table->Find({{col_name, CompareOp::kEq, f.literal}}, counters);
       used_index = true;
       break;
     }
@@ -570,7 +573,7 @@ Result<DisjunctiveResult> QueryEvaluator::ExecuteReference(
         const Value& v =
             (*rows[static_cast<size_t>(other)])[static_cast<size_t>(other_col)];
         if (v.is_null()) return;  // NULL joins nothing
-        candidates = table->Find({{col_name, CompareOp::kEq, v}}, stats);
+        candidates = table->Find({{col_name, CompareOp::kEq, v}}, counters);
         used_index = true;
         break;
       }
@@ -605,7 +608,7 @@ Result<DisjunctiveResult> QueryEvaluator::ExecuteReference(
           const std::string& col_name =
               table->schema().columns()[static_cast<size_t>(pins[b]->c)].name;
           for (RowId id : table->Find(
-                   {{col_name, CompareOp::kEq, pins[b]->literal}}, stats)) {
+                   {{col_name, CompareOp::kEq, pins[b]->literal}}, counters)) {
             merged_candidates.push_back(id);
           }
         }
@@ -619,7 +622,7 @@ Result<DisjunctiveResult> QueryEvaluator::ExecuteReference(
     }
     if (!used_index) {
       candidates = table->AllRowIds();
-      stats->rows_scanned += candidates.size();
+      counters->rows_scanned->Add(candidates.size());
     }
 
     std::vector<char> next_alive(branches.size());

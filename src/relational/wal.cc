@@ -266,10 +266,9 @@ Result<WalRecord> DecodeWalPayload(const std::string& payload) {
 
 // ---------------------------------------------------------- WalWriter ---
 
-Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,
-                                                   FsyncPolicy policy,
-                                                   size_t group_commit_size,
-                                                   AtomicEngineStats* stats) {
+Result<std::unique_ptr<WalWriter>> WalWriter::Open(
+    const std::string& path, FsyncPolicy policy, size_t group_commit_size,
+    const EngineCounters* counters) {
   if (policy == FsyncPolicy::kGroup && group_commit_size == 0) {
     return Status::InvalidArgument("group_commit_size must be >= 1");
   }
@@ -281,7 +280,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,
     return ErrnoStatus("fstat wal '" + path + "'");
   }
   std::unique_ptr<WalWriter> writer(
-      new WalWriter(fd, policy, group_commit_size, stats));
+      new WalWriter(fd, policy, group_commit_size, counters));
   if (st.st_size == 0) {
     UFILTER_RETURN_NOT_OK(writer->WriteRaw(kWalMagic, kMagicLen));
   } else {
@@ -370,9 +369,9 @@ Status WalWriter::Append(const WalRecord& record) {
   }
   ++records_;
   ++unsynced_records_;
-  if (stats_ != nullptr) {
-    stats_->wal_records++;
-    stats_->wal_bytes += frame.size();
+  if (counters_ != nullptr) {
+    counters_->wal_records->Inc();
+    counters_->wal_bytes->Add(frame.size());
   }
   if (policy_ == FsyncPolicy::kAlways ||
       (policy_ == FsyncPolicy::kGroup && unsynced_records_ >= group_size_)) {
@@ -390,7 +389,7 @@ Status WalWriter::Sync() {
   if (::fsync(fd_) != 0) return ErrnoStatus("fsync wal");
   unsynced_records_ = 0;
   ++fsyncs_;
-  if (stats_ != nullptr) stats_->wal_fsyncs++;
+  if (counters_ != nullptr) counters_->wal_fsyncs->Inc();
   return Status::OK();
 }
 
@@ -675,7 +674,7 @@ Status Database::EnableDurability(const DurabilityOptions& opts) {
   }
   UFILTER_ASSIGN_OR_RETURN(
       wal_writer_, WalWriter::Open(opts.wal_path, opts.fsync_policy,
-                                   opts.group_commit_size, &stats_));
+                                   opts.group_commit_size, &counters_));
   wal_status_ = Status::OK();
   wal_enabled_.store(true, std::memory_order_release);
   return Status::OK();

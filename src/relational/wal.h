@@ -77,11 +77,10 @@ class WalWriter {
  public:
   /// Opens `path` for appending, writing the file magic when the file is
   /// new and validating it when it already exists (e.g. after recovery).
-  /// `stats`, when non-null, receives wal_records/wal_fsyncs/wal_bytes.
-  static Result<std::unique_ptr<WalWriter>> Open(const std::string& path,
-                                                 FsyncPolicy policy,
-                                                 size_t group_commit_size,
-                                                 AtomicEngineStats* stats);
+  /// `counters`, when non-null, receives wal_records/wal_fsyncs/wal_bytes.
+  static Result<std::unique_ptr<WalWriter>> Open(
+      const std::string& path, FsyncPolicy policy, size_t group_commit_size,
+      const EngineCounters* counters);
   ~WalWriter();
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
@@ -116,16 +115,16 @@ class WalWriter {
 
  private:
   WalWriter(int fd, FsyncPolicy policy, size_t group_commit_size,
-            AtomicEngineStats* stats)
+            const EngineCounters* counters)
       : fd_(fd), policy_(policy), group_size_(group_commit_size),
-        stats_(stats) {}
+        counters_(counters) {}
 
   Status WriteRaw(const char* data, size_t n);
 
   int fd_ = -1;
   FsyncPolicy policy_ = FsyncPolicy::kGroup;
   size_t group_size_ = 8;
-  AtomicEngineStats* stats_ = nullptr;
+  const EngineCounters* counters_ = nullptr;
   uint64_t records_ = 0;
   uint64_t fsyncs_ = 0;
   uint64_t total_bytes_ = 0;

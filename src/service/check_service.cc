@@ -47,9 +47,8 @@ CheckService::CheckService(check::UFilter* filter, CheckServiceOptions options)
       options_(options),
       queue_(options.queue_capacity),
       tracer_(options.trace) {
-  // Service-owned metrics. The named counters below ARE the
-  // CheckServiceStats fields: Snapshot() reads them back out of the
-  // registry objects, and Collect() exposes the same objects remotely.
+  // Service-owned metrics: the service counters and histograms here, the
+  // server's and replication's where those register.
   submitted_ = registry_.GetCounter("service_submitted");
   completed_ = registry_.GetCounter("service_completed");
   fast_path_ = registry_.GetCounter("service_fast_path");
@@ -66,48 +65,18 @@ CheckService::CheckService(check::UFilter* filter, CheckServiceOptions options)
         "_ns");
   }
   queue_wait_ = stage_hist_[static_cast<size_t>(obs::Stage::kQueueWait)];
-  // Everything computed outside the service — engine work counters, WAL
-  // and columnar tallies, MVCC epochs, plan-cache counters, queue gauges —
-  // joins the registry through one collector, so a single Collect() is the
-  // full observable state of the process.
+  // One Collect() is the full observable state of the process: the
+  // database registry's series (engine, WAL, columnar, MVCC, plan cache)
+  // plus the values owned by the service's own queue, slow log and tracer.
   registry_.AddCollector([this](obs::RegistrySnapshot* out) {
+    obs::RegistrySnapshot db = db_->registry().Collect();
+    out->insert(out->end(), std::make_move_iterator(db.begin()),
+                std::make_move_iterator(db.end()));
     auto add = [out](const char* name, obs::MetricKind kind, uint64_t v) {
-      obs::MetricSample s;
-      s.name = name;
-      s.kind = kind;
-      s.value = v;
-      out->push_back(std::move(s));
+      out->push_back({name, kind, v, {}});
     };
     const auto kCounter = obs::MetricKind::kCounter;
     const auto kGauge = obs::MetricKind::kGauge;
-    relational::EngineStats e = db_->SnapshotWorkCounters();
-    add("engine_rows_scanned", kCounter, e.rows_scanned);
-    add("engine_rows_inserted", kCounter, e.rows_inserted);
-    add("engine_rows_deleted", kCounter, e.rows_deleted);
-    add("engine_rows_updated", kCounter, e.rows_updated);
-    add("engine_index_lookups", kCounter, e.index_lookups);
-    add("engine_plans_compiled", kCounter, e.plans_compiled);
-    add("engine_plan_replays", kCounter, e.plan_replays);
-    add("engine_hash_join_builds", kCounter, e.hash_join_builds);
-    add("engine_hash_join_probes", kCounter, e.hash_join_probes);
-    add("engine_queries_executed", kCounter, e.queries_executed);
-    add("engine_updates_compiled", kCounter, e.updates_compiled);
-    add("engine_star_checks", kCounter, e.star_checks);
-    add("columnar_builds", kCounter, e.columnar_builds);
-    add("columnar_scan_rows", kCounter, e.columnar_scan_rows);
-    add("selection_vector_rows", kCounter, e.selection_vector_rows);
-    add("wal_records", kCounter, e.wal_records);
-    add("wal_fsyncs", kCounter, e.wal_fsyncs);
-    add("wal_bytes", kCounter, e.wal_bytes);
-    add("mvcc_snapshots_opened", kCounter, e.snapshots_opened);
-    add("mvcc_versions_retired", kCounter, e.versions_retired);
-    add("db_commit_epoch", kGauge, db_->commit_epoch());
-    add("db_oldest_pinned_epoch", kGauge, db_->oldest_pinned_epoch());
-    check::PlanCacheCounters pc = filter_->plan_cache().counters();
-    add("plan_cache_hits", kCounter, pc.hits);
-    add("plan_cache_misses", kCounter, pc.misses);
-    add("plan_cache_insertions", kCounter, pc.insertions);
-    add("plan_cache_evictions", kCounter, pc.evictions);
     add("queue_depth", kGauge, queue_.size());
     add("queue_high_water", kGauge, queue_.high_water());
     add("queue_capacity", kGauge, queue_.capacity());
@@ -189,17 +158,12 @@ std::unique_ptr<CheckService::Request> CheckService::MakeRequest(
 std::future<CheckReport> CheckService::Submit(std::shared_ptr<Session> session,
                                               std::string update_text,
                                               CheckOptions options) {
-  // Keep a reference across the Push: once the queue owns the request, a
-  // worker may finish it (and drop the request's Session reference) at any
-  // moment.
-  std::shared_ptr<Session> s = session;
   auto req = MakeRequest(std::move(session), std::move(update_text), options,
                          nullptr);
   std::future<CheckReport> future = req->promise.get_future();
   // Counted only once actually admitted, so submitted == completed holds
   // after a drain (a rejected push below is neither).
   submitted_->Inc();
-  s->counters().submitted++;
   if (!queue_.Push(std::move(req))) {
     // Shut down: resolve immediately instead of hanging the caller. (Push
     // moved the request out; rebuild the rejection inline.)
@@ -210,7 +174,6 @@ std::future<CheckReport> CheckService::Submit(std::shared_ptr<Session> session,
     report.error =
         Status::InvalidArgument("check service is shut down");
     rejected.set_value(std::move(report));
-    s->counters().rejected++;
     return rejected.get_future();
   }
   return future;
@@ -219,17 +182,14 @@ std::future<CheckReport> CheckService::Submit(std::shared_ptr<Session> session,
 bool CheckService::TrySubmit(std::shared_ptr<Session> session,
                              std::string update_text, CheckOptions options,
                              std::future<CheckReport>* out) {
-  std::shared_ptr<Session> s = session;  // see Submit
   auto req = MakeRequest(std::move(session), std::move(update_text), options,
                          nullptr);
   std::future<CheckReport> future = req->promise.get_future();
   // Count before the push: once the queue owns the request a worker may
   // finish it immediately, and completed must never overtake submitted.
   submitted_->Inc();
-  s->counters().submitted++;
   if (!queue_.TryPush(std::move(req))) {
     submitted_->Sub(1);
-    s->counters().submitted -= 1;
     shed_->Inc();
     return false;
   }
@@ -246,7 +206,6 @@ AdmitResult CheckService::SubmitWithDeadline(
     deadline_expired_->Inc();
     return AdmitResult::kExpired;
   }
-  std::shared_ptr<Session> s = session;  // see Submit
   auto req = MakeRequest(std::move(session), std::move(update_text), options,
                          std::move(trace));
   req->deadline = deadline;
@@ -254,7 +213,6 @@ AdmitResult CheckService::SubmitWithDeadline(
   // Count before the push: once the queue owns the request a worker may
   // finish it immediately, and completed must never overtake submitted.
   submitted_->Inc();
-  s->counters().submitted++;
   // With a deadline, wait for queue room only until it expires — the
   // caller is a socket handler that must answer the client either way.
   // Without one, this is plain TryPush admission.
@@ -265,7 +223,6 @@ AdmitResult CheckService::SubmitWithDeadline(
                                             : QueueWaitResult::kTimedOut);
   if (pushed != QueueWaitResult::kOk) {
     submitted_->Sub(1);
-    s->counters().submitted -= 1;
     if (pushed == QueueWaitResult::kClosed) return AdmitResult::kClosed;
     shed_->Inc();
     return AdmitResult::kShed;
@@ -308,18 +265,6 @@ void CheckService::WorkerLoop() {
 void CheckService::FinishRequest(Request* req, CheckReport report) {
   if (report.outcome == CheckOutcome::kDeadlineExceeded) {
     deadline_expired_->Inc();
-  }
-  SessionCounters& counters = req->session->counters();
-  switch (report.outcome) {
-    case CheckOutcome::kExecuted:
-      counters.executed++;
-      break;
-    case CheckOutcome::kDataConflict:
-      counters.data_conflicts++;
-      break;
-    default:
-      counters.rejected++;
-      break;
   }
   completed_->Inc();
   obs::TraceContext* trace = req->trace.get();
@@ -443,38 +388,6 @@ CheckReport CheckService::Process(Request* req) {
                       obs::TraceClock::now());
   }
   return report;
-}
-
-CheckServiceStats CheckService::Snapshot() const {
-  CheckServiceStats s;
-  s.submitted = submitted_->Value();
-  s.completed = completed_->Value();
-  s.fast_path = fast_path_->Value();
-  s.writer_lane = writer_lane_->Value();
-  s.escalations = escalations_->Value();
-  s.shed = shed_->Value();
-  s.deadline_expired = deadline_expired_->Value();
-  s.queue_high_water = queue_.high_water();
-  s.reader_wait_ns = reader_wait_ns_->Value();
-  s.writer_wait_ns = writer_wait_ns_->Value();
-  relational::EngineStats engine = db_->SnapshotWorkCounters();
-  s.snapshots_opened = engine.snapshots_opened;
-  s.versions_retired = engine.versions_retired;
-  s.commit_epoch = db_->commit_epoch();
-  s.oldest_pinned_epoch = db_->oldest_pinned_epoch();
-  s.columnar_builds = engine.columnar_builds;
-  s.columnar_scan_rows = engine.columnar_scan_rows;
-  s.selection_vector_rows = engine.selection_vector_rows;
-  s.wal_records = engine.wal_records;
-  s.wal_fsyncs = engine.wal_fsyncs;
-  s.wal_bytes = engine.wal_bytes;
-  s.wal_group_commit_size =
-      engine.wal_fsyncs > 0 ? engine.wal_records / engine.wal_fsyncs : 0;
-  s.plan_cache = filter_->plan_cache().counters();
-  obs::HistogramSnapshot queue_wait = queue_wait_->Snapshot();
-  s.queue_wait_p50_ns = queue_wait.Percentile(50);
-  s.queue_wait_p99_ns = queue_wait.Percentile(99);
-  return s;
 }
 
 }  // namespace ufilter::service

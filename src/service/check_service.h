@@ -23,12 +23,13 @@
 //
 // Shared vs. per-session state: the Database's base tables, the compiled
 // view and the sharded plan cache are shared; each Session owns an
-// ExecutionContext (temp tables, undo log) plus its outcome counters. Work
-// counters everywhere are relaxed atomics. See docs/ARCHITECTURE.md,
-// "Concurrency model" and "Snapshots & versioning".
+// ExecutionContext (temp tables, undo log). Every counter is a relaxed
+// atomic owned by a metric registry (see registry()). See
+// docs/ARCHITECTURE.md, "Concurrency model" and "Snapshots & versioning".
 #ifndef UFILTER_SERVICE_CHECK_SERVICE_H_
 #define UFILTER_SERVICE_CHECK_SERVICE_H_
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -45,7 +46,6 @@
 #include "service/bounded_queue.h"
 #include "service/session.h"
 #include "ufilter/checker.h"
-#include "ufilter/plan_cache.h"
 
 namespace ufilter::service {
 
@@ -77,61 +77,6 @@ struct CheckServiceOptions {
   obs::Tracer::Options trace;
   /// Slow-check log threshold / rate limit / sink (threshold 0 = off).
   obs::SlowLogOptions slow_log;
-};
-
-/// Point-in-time service counters.
-struct CheckServiceStats {
-  uint64_t submitted = 0;
-  uint64_t completed = 0;
-  /// Served read-only against a pinned snapshot (no lock held; concurrent
-  /// with each other and with the writer lane).
-  uint64_t fast_path = 0;
-  /// Serialized through the exclusive writer lane.
-  uint64_t writer_lane = 0;
-  /// Writer-lane subset that *tried* the fast path first and was punted
-  /// (read-only validator undecided / multi-action / wrong strategy).
-  uint64_t escalations = 0;
-  /// TrySubmit refusals (queue full).
-  uint64_t shed = 0;
-  /// Requests whose deadline expired before execution: rejected at
-  /// admission or purged from the queue by a worker (answered with a
-  /// kDeadlineExceeded verdict — the request never executed).
-  uint64_t deadline_expired = 0;
-  /// Deepest the admission queue has been.
-  uint64_t queue_high_water = 0;
-  /// Total time fast-path requests spent blocked acquiring their snapshot
-  /// (the only synchronization point on the read path). Stays ~0 even while
-  /// a writer occupies the lane — the readers-never-block invariant.
-  uint64_t reader_wait_ns = 0;
-  /// Total time writer-lane requests spent waiting for the lane mutex.
-  uint64_t writer_wait_ns = 0;
-  /// MVCC gauges/counters from the database (see relational/database.h).
-  uint64_t snapshots_opened = 0;
-  uint64_t versions_retired = 0;
-  uint64_t commit_epoch = 0;
-  uint64_t oldest_pinned_epoch = 0;
-  /// Columnar read path (see relational/columnar.h): caches built for
-  /// pinned table versions, rows fed through vectorized predicate loops /
-  /// typed hash builds, and selection-vector survivors. Fast-path checks
-  /// pin a snapshot, so their scans are exactly what these count.
-  uint64_t columnar_builds = 0;
-  uint64_t columnar_scan_rows = 0;
-  uint64_t selection_vector_rows = 0;
-  /// WAL durability counters (all zero while durability is off): records
-  /// appended (one per committed epoch), fsyncs issued, bytes written, and
-  /// the achieved group-commit batching factor (records per fsync,
-  /// rounded down; 0 before the first fsync).
-  uint64_t wal_records = 0;
-  uint64_t wal_fsyncs = 0;
-  uint64_t wal_bytes = 0;
-  uint64_t wal_group_commit_size = 0;
-  /// The shared plan cache's counters (hits/misses/insertions/evictions).
-  check::PlanCacheCounters plan_cache;
-  /// Admission-queue residency percentiles (push -> worker pop), from the
-  /// queue_wait_ns histogram; 0 when metrics are disabled or nothing has
-  /// been popped yet.
-  uint64_t queue_wait_p50_ns = 0;
-  uint64_t queue_wait_p99_ns = 0;
 };
 
 /// How SubmitWithDeadline disposed of a request at admission.
@@ -203,8 +148,6 @@ class CheckService {
   /// Idempotent.
   void Shutdown();
 
-  CheckServiceStats Snapshot() const;
-
   int worker_threads() const {
     return static_cast<int>(workers_.size());
   }
@@ -214,10 +157,12 @@ class CheckService {
   /// when durability was not requested or the database already had it on).
   const Status& durability_status() const { return durability_status_; }
 
-  /// The service-wide metric registry: every service counter, the stage /
-  /// latency / queue-wait histograms, and (via collectors) the engine,
-  /// WAL, columnar, MVCC and plan-cache counters. Snapshot() and every
-  /// remote exposition path render from Collect() of this registry.
+  /// The service-wide metric registry: the service, server and
+  /// replication series, the stage / latency / queue-wait histograms, and
+  /// at Collect() time the database registry's series (engine, WAL,
+  /// columnar, MVCC, plan cache) plus the queue, slow-log and trace
+  /// values. Every exposition path, in process or remote, renders from
+  /// Collect() of this registry.
   obs::Registry& registry() { return registry_; }
   const obs::Registry& registry() const { return registry_; }
   obs::Tracer& tracer() { return tracer_; }
@@ -270,21 +215,33 @@ class CheckService {
   /// never touch it — they read a pinned MVCC snapshot instead.
   std::mutex writer_mu_;
 
-  relational::RelaxedCounter next_session_id_{1};
-  relational::RelaxedCounter next_request_id_{1};
+  std::atomic<uint64_t> next_session_id_{1};
+  std::atomic<uint64_t> next_request_id_{1};
 
   // All owned by registry_ (declared before the pointers so destruction
-  // order is safe); the named counters double as the CheckServiceStats
-  // fields — Snapshot() is a view, not a second set of books.
+  // order is safe), under service_<name> for the counters.
   obs::Registry registry_;
   obs::Counter* submitted_;
   obs::Counter* completed_;
+  /// Served read-only against a pinned snapshot (no lock held; concurrent
+  /// with each other and with the writer lane).
   obs::Counter* fast_path_;
+  /// Serialized through the exclusive writer lane.
   obs::Counter* writer_lane_;
+  /// Writer-lane subset that *tried* the fast path first and was punted
+  /// (read-only validator undecided / multi-action / wrong strategy).
   obs::Counter* escalations_;
+  /// Admissions refused because the queue stayed full.
   obs::Counter* shed_;
+  /// Requests whose deadline expired before execution: rejected at
+  /// admission or purged from the queue by a worker (answered with a
+  /// kDeadlineExceeded verdict — the request never executed).
   obs::Counter* deadline_expired_;
+  /// Total time fast-path requests spent blocked acquiring their snapshot
+  /// (the only synchronization point on the read path). Stays ~0 even
+  /// while a writer occupies the lane — the readers-never-block invariant.
   obs::Counter* reader_wait_ns_;
+  /// Total time writer-lane requests spent waiting for the lane mutex.
   obs::Counter* writer_wait_ns_;
   obs::Histogram* check_latency_;
   obs::Histogram* queue_wait_;

@@ -1,8 +1,8 @@
 // One client of the check service. A session owns the per-client mutable
-// scratch — its relational::ExecutionContext (temp tables, undo log) — plus
-// its own outcome counters. Everything heavyweight (the compiled view, the
-// plan cache, the base tables) is shared across sessions; a session is
-// cheap enough to open per connection.
+// scratch — its relational::ExecutionContext (temp tables, undo log).
+// Everything heavyweight (the compiled view, the plan cache, the base
+// tables) is shared across sessions; a session is cheap enough to open per
+// connection.
 #ifndef UFILTER_SERVICE_SESSION_H_
 #define UFILTER_SERVICE_SESSION_H_
 
@@ -15,15 +15,6 @@
 #include "relational/database.h"
 
 namespace ufilter::service {
-
-/// Per-session outcome tallies (relaxed atomics: any thread may read them
-/// while the service runs).
-struct SessionCounters {
-  relational::RelaxedCounter submitted;
-  relational::RelaxedCounter executed;        ///< outcome kExecuted
-  relational::RelaxedCounter rejected;        ///< invalid / untranslatable
-  relational::RelaxedCounter data_conflicts;  ///< outcome kDataConflict
-};
 
 class Session {
  public:
@@ -45,15 +36,11 @@ class Session {
   /// requests. Requests of *different* sessions stay fully concurrent.
   std::mutex& processing_mutex() { return processing_mu_; }
 
-  SessionCounters& counters() { return counters_; }
-  const SessionCounters& counters() const { return counters_; }
-
  private:
   const uint64_t id_;
   const std::string name_;
   std::unique_ptr<relational::ExecutionContext> ctx_;
   std::mutex processing_mu_;
-  SessionCounters counters_;
 };
 
 }  // namespace ufilter::service

@@ -69,8 +69,7 @@ std::string CheckReport::Describe() const {
 
 Result<std::unique_ptr<UFilter>> UFilter::Create(
     relational::Database* db, const std::string& view_query) {
-  auto uf = std::unique_ptr<UFilter>(new UFilter());
-  uf->db_ = db;
+  auto uf = std::unique_ptr<UFilter>(new UFilter(db));
   UFILTER_ASSIGN_OR_RETURN(uf->query_, xq::ParseViewQuery(view_query));
   UFILTER_ASSIGN_OR_RETURN(
       uf->view_, view::AnalyzedView::Analyze(uf->query_, &db->schema()));
@@ -91,7 +90,7 @@ void UFilter::CompileActions(const xq::UpdateStmt& stmt, bool compute_star,
                              std::vector<PreparedAction>* actions,
                              double* step1_seconds, double* step2_seconds,
                              relational::ExecutionContext* ctx) {
-  db_->stats().updates_compiled += 1;
+  db_->counters().updates_compiled->Inc();
   // Probe composition is schema-only, but probe *planning* reads table
   // statistics — scope both to `ctx` so a snapshot-pinned compile touches
   // no live table state.
@@ -141,7 +140,7 @@ void UFilter::CompileActions(const xq::UpdateStmt& stmt, bool compute_star,
       t0 = Now();
       pa.star = CheckStar(*gv_, pa.bound.target_node, pa.bound.op);
       pa.star_computed = true;
-      db_->stats().star_checks += 1;
+      db_->counters().star_checks->Inc();
       *step2_seconds += Now() - t0;
     }
 
@@ -194,11 +193,9 @@ std::shared_ptr<const PreparedUpdate> UFilter::Prepare(
     hit = plan_cache_.Lookup(normalized);
   }
   if (hit != nullptr) {
-    db_->stats().plan_cache_hits += 1;
     if (cache_hit != nullptr) *cache_hit = true;
     return hit;
   }
-  db_->stats().plan_cache_misses += 1;
   if (cache_hit != nullptr) *cache_hit = false;
   // Cached plans always carry STAR: a later Execute with run_star=true must
   // be able to consume this plan.
@@ -349,7 +346,7 @@ CheckReport UFilter::ExecuteAction(const PreparedAction& action,
     } else {
       double t0 = Now();
       verdict = CheckStar(*gv_, action.bound.target_node, action.bound.op);
-      db_->stats().star_checks += 1;
+      db_->counters().star_checks->Inc();
       report.step2_seconds += Now() - t0;
     }
     report.star_class = verdict.result;

@@ -197,7 +197,8 @@ class UFilter {
   const PlanCache& plan_cache() const { return plan_cache_; }
 
  private:
-  UFilter() = default;
+  explicit UFilter(relational::Database* db)
+      : db_(db), plan_cache_(&db->registry()) {}
 
   /// Compiles all actions of `stmt` (steps 1-2); fills per-action verdicts
   /// and the step-1/2 compile timings. With `compute_star` false step 2 is

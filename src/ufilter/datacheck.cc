@@ -195,7 +195,7 @@ Status DataChecker::ProbeInsertConflicts(const std::vector<UpdateOp>& ops,
       probe.selects.push_back(relational::ColRef{op.table, p.column});
     }
     report->probes.push_back(probe.ToSql());
-    if (!table->Find(preds, &db_->stats()).empty()) {
+    if (!table->Find(preds, &db_->counters()).empty()) {
       return Status::DataConflict("data conflict: key already exists in '" +
                                   op.table + "' (outside-strategy probe)");
     }

@@ -8,9 +8,10 @@
 // workers preparing different templates rarely contend. Recency and
 // eviction are therefore *per shard*; construct with `shards = 1` to get
 // the classic single-list LRU (deterministic global eviction order, used by
-// the LRU-order tests). Hit/miss/eviction totals are relaxed atomics,
-// readable while workers run; UFilter additionally mirrors hits/misses into
-// the database's EngineStats.
+// the LRU-order tests). Hit/miss/insertion/eviction totals are counters
+// in the registry given at construction (the database's, for a UFilter):
+// plan_cache_hits, plan_cache_misses, plan_cache_insertions and
+// plan_cache_evictions.
 #ifndef UFILTER_UFILTER_PLAN_CACHE_H_
 #define UFILTER_UFILTER_PLAN_CACHE_H_
 
@@ -25,18 +26,10 @@
 #include <utility>
 #include <vector>
 
-#include "relational/database.h"
+#include "obs/metrics.h"
 #include "ufilter/prepared.h"
 
 namespace ufilter::check {
-
-/// Point-in-time copy of the cache's work counters.
-struct PlanCacheCounters {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t insertions = 0;
-  uint64_t evictions = 0;
-};
 
 /// \brief Bounded sharded LRU map: normalized template -> shared plan.
 class PlanCache {
@@ -44,8 +37,15 @@ class PlanCache {
   static constexpr size_t kDefaultCapacity = 128;
   static constexpr size_t kDefaultShards = 8;
 
-  explicit PlanCache(size_t capacity = kDefaultCapacity,
-                     size_t shards = kDefaultShards) {
+  /// Registers the cache's four counters in `registry`, which must
+  /// outlive the cache. Caches sharing a registry share the counters.
+  explicit PlanCache(obs::Registry* registry,
+                     size_t capacity = kDefaultCapacity,
+                     size_t shards = kDefaultShards)
+      : hits_(registry->GetCounter("plan_cache_hits")),
+        misses_(registry->GetCounter("plan_cache_misses")),
+        insertions_(registry->GetCounter("plan_cache_insertions")),
+        evictions_(registry->GetCounter("plan_cache_evictions")) {
     Configure(capacity, shards);
   }
 
@@ -74,10 +74,10 @@ class PlanCache {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(key);
     if (it == shard.index.end()) {
-      ++misses_;
+      misses_->Inc();
       return nullptr;
     }
-    ++hits_;
+    hits_->Inc();
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return it->second->second;
   }
@@ -90,7 +90,7 @@ class PlanCache {
     std::shared_lock<std::shared_mutex> reshape(reshape_mu_);
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
-    ++insertions_;
+    insertions_->Inc();
     auto it = shard.index.find(key);
     if (it != shard.index.end()) {
       it->second->second = std::move(plan);
@@ -150,23 +150,6 @@ class PlanCache {
     return keys;
   }
 
-  /// Cumulative hit/miss/insertion/eviction counts (relaxed reads; exact
-  /// once workers are quiesced).
-  PlanCacheCounters counters() const {
-    PlanCacheCounters c;
-    c.hits = hits_;
-    c.misses = misses_;
-    c.insertions = insertions_;
-    c.evictions = evictions_;
-    return c;
-  }
-  void ResetCounters() {
-    hits_.Reset();
-    misses_.Reset();
-    insertions_.Reset();
-    evictions_.Reset();
-  }
-
  private:
   struct Shard {
     mutable std::mutex mu;
@@ -201,7 +184,7 @@ class PlanCache {
     while (shard->lru.size() > shard->capacity) {
       shard->index.erase(shard->lru.back().first);
       shard->lru.pop_back();
-      ++evictions_;
+      evictions_->Inc();
     }
   }
 
@@ -211,10 +194,10 @@ class PlanCache {
   mutable std::shared_mutex reshape_mu_;
   size_t capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  relational::RelaxedCounter hits_;
-  relational::RelaxedCounter misses_;
-  relational::RelaxedCounter insertions_;
-  relational::RelaxedCounter evictions_;
+  obs::Counter* hits_;
+  obs::Counter* misses_;
+  obs::Counter* insertions_;
+  obs::Counter* evictions_;
 };
 
 }  // namespace ufilter::check

@@ -609,7 +609,7 @@ Status Translator::EnforceDuplicationConsistency(
       kept.push_back(std::move(op));
       continue;
     }
-    std::vector<RowId> existing = table->Find(key_preds, &db_->stats());
+    std::vector<RowId> existing = table->Find(key_preds, &db_->counters());
     if (existing.empty()) {
       kept.push_back(std::move(op));
       continue;

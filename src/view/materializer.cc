@@ -126,7 +126,7 @@ class Emitter {
       }
     }
 
-    for (RowId id : table->Find(preds, &db_->stats())) {
+    for (RowId id : table->Find(preds, &db_->counters())) {
       const Row* row = table->GetRow(id);
       if (row == nullptr) continue;
       (*env)[var] = BoundVar{table, row};

@@ -233,6 +233,26 @@ TEST(RegistryTest, CollectSortedWithCollectors) {
   EXPECT_EQ(FindSample(snap, "missing"), nullptr);
 }
 
+TEST(RegistryTest, CounterWindowReadsMovementSinceItsBaseline) {
+  Registry r;
+  Counter* c = r.GetCounter("work");
+  Gauge* epoch = r.GetGauge("epoch");
+  c->Add(5);
+  epoch->Set(10);
+  CounterWindow window(r);
+  EXPECT_EQ(window.Delta("work"), 0u);
+  c->Add(3);
+  epoch->Set(12);
+  EXPECT_EQ(window.Delta("work"), 3u);
+  EXPECT_EQ(window.Delta("epoch"), 2u);  // a monotonic gauge diffs too
+  EXPECT_EQ(window.Delta("missing"), 0u);
+  window.Rebase();
+  EXPECT_EQ(window.Delta("work"), 0u);
+  // Nothing was reset: the registry still holds the totals.
+  EXPECT_EQ(SampleValue(r.Collect(), "work"), 8u);
+  EXPECT_EQ(SampleValue(r.Collect(), "missing"), 0u);
+}
+
 // --- Prometheus exposition -------------------------------------------------
 
 TEST(PrometheusTest, RendersCountersGaugesHistograms) {

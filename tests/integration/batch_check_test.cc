@@ -10,6 +10,7 @@
 
 #include "fixtures/bookdb.h"
 #include "fixtures/synthetic.h"
+#include "obs/metrics.h"
 #include "relational/sqlgen.h"
 #include "ufilter/checker.h"
 
@@ -20,7 +21,6 @@ using check::CheckOptions;
 using check::CheckOutcome;
 using check::CheckReport;
 using check::UFilter;
-using relational::EngineStats;
 
 constexpr int kDepth = 3;
 constexpr int kRows = 40;
@@ -82,26 +82,26 @@ TEST(BatchCheckTest, IssuesFewerProbeQueriesThanIndividualChecks) {
   CheckOptions dry;
   dry.apply = false;
 
-  individual.db->ResetWorkCounters();
+  obs::CounterWindow individual_counters(individual.db->registry());
   for (const std::string& u : updates) {
     CheckReport r = individual.uf->Check(u, dry);
     ASSERT_EQ(r.outcome, CheckOutcome::kExecuted) << r.Describe();
   }
   uint64_t individual_queries =
-      individual.db->SnapshotWorkCounters().queries_executed;
+      individual_counters.Delta("engine_queries_executed");
 
-  batched.db->ResetWorkCounters();
+  obs::CounterWindow batch_counters(batched.db->registry());
   std::vector<CheckReport> reports = batched.uf->CheckBatch(updates, dry);
-  EngineStats batch_stats = batched.db->SnapshotWorkCounters();
   for (const CheckReport& r : reports) {
     ASSERT_EQ(r.outcome, CheckOutcome::kExecuted) << r.Describe();
   }
 
-  EXPECT_LT(batch_stats.queries_executed, individual_queries)
+  EXPECT_LT(batch_counters.Delta("engine_queries_executed"),
+            individual_queries)
       << "batching did not reduce probe queries";
   // All 8 updates share one anchor shape and one victim shape.
-  EXPECT_EQ(batch_stats.batch_queries_executed, 2u);
-  EXPECT_EQ(batch_stats.batch_branches_merged, 16u);
+  EXPECT_EQ(batch_counters.Delta("engine_batch_queries_executed"), 2u);
+  EXPECT_EQ(batch_counters.Delta("engine_batch_branches_merged"), 16u);
   // The merged SQL is recorded per report.
   ASSERT_FALSE(reports[0].probes.empty());
   EXPECT_NE(reports[0].probes[0].find(" OR "), std::string::npos)
@@ -182,11 +182,10 @@ TEST(BatchCheckTest, BatchUsesThePlanCache) {
   CheckOptions dry;
   dry.apply = false;
   (void)inst.uf->CheckBatch(updates, dry);
-  inst.db->ResetWorkCounters();
+  obs::CounterWindow counters(inst.db->registry());
   std::vector<CheckReport> reports = inst.uf->CheckBatch(updates, dry);
-  EngineStats stats = inst.db->SnapshotWorkCounters();
-  EXPECT_EQ(stats.plan_cache_hits, 4u);
-  EXPECT_EQ(stats.updates_compiled, 0u);
+  EXPECT_EQ(counters.Delta("plan_cache_hits"), 4u);
+  EXPECT_EQ(counters.Delta("engine_updates_compiled"), 0u);
   for (const CheckReport& r : reports) {
     EXPECT_TRUE(r.from_plan_cache);
   }

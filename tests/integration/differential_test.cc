@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "fixtures/bookdb.h"
+#include "obs/metrics.h"
 #include "relational/query.h"
 #include "relational/tpch.h"
 
@@ -204,9 +205,9 @@ TEST(DifferentialTest, RandomizedBookDbQueries) {
   // The pinned third run must actually have exercised the columnar path
   // (scans of unindexed columns / cross products are all but guaranteed
   // across 300 fuzzed shapes).
-  EngineStats stats = (*db)->SnapshotWorkCounters();
-  EXPECT_GT(stats.columnar_builds, 0u);
-  EXPECT_GT(stats.columnar_scan_rows, 0u);
+  obs::RegistrySnapshot counters = (*db)->registry().Collect();
+  EXPECT_GT(obs::SampleValue(counters, "columnar_builds"), 0u);
+  EXPECT_GT(obs::SampleValue(counters, "columnar_scan_rows"), 0u);
 }
 
 TEST(DifferentialTest, RandomizedTpchQueries) {

@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "fixtures/bookdb.h"
+#include "obs/metrics.h"
 #include "relational/sqlgen.h"
 #include "ufilter/checker.h"
 #include "xquery/parser.h"
@@ -108,10 +109,10 @@ TEST(PreparedEquivalenceTest, RunStarFalseColdPathPaysNoStarAnywhere) {
   options.run_star = false;
   options.apply = false;
   options.use_plan_cache = false;
-  inst.db->ResetWorkCounters();
+  obs::CounterWindow counters(inst.db->registry());
   CheckReport r = inst.uf->Check(fixtures::PaperUpdate(8), options);
   EXPECT_EQ(r.outcome, CheckOutcome::kExecuted) << r.Describe();
-  EXPECT_EQ(inst.db->SnapshotWorkCounters().star_checks, 0u);
+  EXPECT_EQ(counters.Delta("engine_star_checks"), 0u);
 }
 
 TEST(PreparedEquivalenceTest, CachedPlanServesLaterRunStarTrueCalls) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "fixtures/synthetic.h"
+#include "obs/metrics.h"
 #include "relational/sqlgen.h"
 #include "relational/wal.h"
 #include "ufilter/checker.h"
@@ -174,10 +175,10 @@ TEST(SnapshotFuzzTest, PinnedVerdictsMatchSingleThreadedReplayAtEpoch) {
 
   // With every pin dropped, epoch GC must have caught up: nothing retained,
   // and the copy-on-write churn actually retired superseded versions.
-  relational::EngineStats engine = (*db)->SnapshotWorkCounters();
+  obs::RegistrySnapshot engine = (*db)->registry().Collect();
   EXPECT_EQ((*db)->retained_version_count(), 0u);
-  EXPECT_GT(engine.versions_retired, 0u);
-  EXPECT_GE(engine.snapshots_opened,
+  EXPECT_GT(obs::SampleValue(engine, "mvcc_versions_retired"), 0u);
+  EXPECT_GE(obs::SampleValue(engine, "mvcc_snapshots_opened"),
             static_cast<uint64_t>(kReaders) * kChecksPerReader);
   EXPECT_EQ((*db)->oldest_pinned_epoch(), (*db)->commit_epoch());
 
@@ -248,9 +249,10 @@ TEST(SnapshotFuzzTest, DurableStormRecoversToExactLiveState) {
   // serial writer lane makes the exact batching timing-dependent, but the
   // bound records >= fsyncs is policy-guaranteed, and with 96+ commits at
   // group size 8 there must be real amortization.)
-  relational::EngineStats engine = db->SnapshotWorkCounters();
-  EXPECT_GT(engine.wal_records, 0u);
-  EXPECT_LT(engine.wal_fsyncs, engine.wal_records)
+  obs::RegistrySnapshot engine = db->registry().Collect();
+  EXPECT_GT(obs::SampleValue(engine, "wal_records"), 0u);
+  EXPECT_LT(obs::SampleValue(engine, "wal_fsyncs"),
+            obs::SampleValue(engine, "wal_records"))
       << "group commit never amortized an fsync";
 
   // Byte-exact crash-free recovery of the whole storm.
@@ -307,7 +309,9 @@ TEST(SnapshotFuzzTest, CheckOnlyStormLeavesDatabaseUntouched) {
   EXPECT_EQ((*db)->TotalRows(), rows_before);
   EXPECT_LE((*db)->commit_epoch(), std::max<uint64_t>(epoch_before, 1));
   EXPECT_EQ((*db)->retained_version_count(), 0u);
-  EXPECT_EQ((*db)->SnapshotWorkCounters().versions_retired, 0u);
+  EXPECT_EQ(obs::SampleValue((*db)->registry().Collect(),
+                              "mvcc_versions_retired"),
+            0u);
 }
 
 }  // namespace

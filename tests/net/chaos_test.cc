@@ -18,6 +18,7 @@
 #include "fixtures/synthetic.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 
 #include "../support/chaos_proxy.h"
 
@@ -66,7 +67,22 @@ struct Rig {
     opts.port = proxy->port();
     return opts;
   }
+
+  /// One series of the server's in-process scrape.
+  uint64_t Series(const std::string& name) {
+    return obs::SampleValue(server->service().registry().Collect(), name);
+  }
 };
+
+/// One series of a wire scrape through `client` (0, and a test failure,
+/// when the scrape or the series is missing).
+uint64_t Scraped(Client* client, const std::string& name) {
+  auto scrape = client->Metrics();
+  EXPECT_TRUE(scrape.ok()) << scrape.status().ToString();
+  const WireMetric* m = scrape.ok() ? scrape->Find(name) : nullptr;
+  EXPECT_NE(m, nullptr) << name;
+  return m != nullptr ? m->value : 0;
+}
 
 std::string CheckOnlyUpdate() {
   return fixtures::ChainReplaceUpdate(1, 1, "chaos-check");
@@ -122,7 +138,7 @@ TEST(ChaosTest, CorruptBytesDropConnectionAndCheckRetrySucceeds) {
   EXPECT_EQ(resp->verdict, Verdict::kExecuted) << resp->message;
   EXPECT_GE(client.metrics().retries, 1u);
   EXPECT_GE(client.metrics().reconnects, 2u);
-  EXPECT_GE(rig.server->stats().protocol_errors, 1u);
+  EXPECT_GE(rig.Series("server_protocol_errors"), 1u);
 }
 
 TEST(ChaosTest, FrameTornMidLengthPrefixIsQuietlyRetried) {
@@ -171,9 +187,8 @@ TEST(ChaosTest, SeveredApplyIsIndeterminateAndNeverRetried) {
   Client observer(direct);
   bool executed = false;
   for (int i = 0; i < 100 && !executed; ++i) {
-    auto stats = observer.ServerStats();
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    executed = stats->writer_lane >= 1 && stats->completed >= 1;
+    executed = Scraped(&observer, "service_writer_lane") >= 1 &&
+               Scraped(&observer, "service_completed") >= 1;
     if (!executed) std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   EXPECT_TRUE(executed);
@@ -242,9 +257,7 @@ TEST(ChaosTest, IndeterminateApplyStaysIndeterminateAcrossReconnect) {
   Client observer(direct);
   bool executed = false;
   for (int i = 0; i < 200 && !executed; ++i) {
-    auto stats = observer.ServerStats();
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    executed = stats->writer_lane >= 1;
+    executed = Scraped(&observer, "service_writer_lane") >= 1;
     if (!executed) std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   ASSERT_TRUE(executed);
@@ -259,9 +272,7 @@ TEST(ChaosTest, IndeterminateApplyStaysIndeterminateAcrossReconnect) {
   // indeterminate apply client-side, exactly one writer-lane execution
   // server-side.
   EXPECT_EQ(client.metrics().indeterminate, 1u);
-  auto stats = observer.ServerStats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->writer_lane, 1u);
+  EXPECT_EQ(Scraped(&observer, "service_writer_lane"), 1u);
 }
 
 TEST(ChaosTest, ServerSurvivesAStormOfBrokenPeers) {
@@ -286,7 +297,7 @@ TEST(ChaosTest, ServerSurvivesAStormOfBrokenPeers) {
                            << resp.status().ToString();
     EXPECT_EQ(resp->verdict, Verdict::kExecuted) << resp->message;
   }
-  EXPECT_GE(rig.server->stats().protocol_errors, 1u);
+  EXPECT_GE(rig.Series("server_protocol_errors"), 1u);
 }
 
 }  // namespace

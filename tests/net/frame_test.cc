@@ -55,37 +55,13 @@ TEST(FrameCodecTest, CheckResponseRoundTrip) {
   EXPECT_EQ(got->retry_after_ms, resp.retry_after_ms);
 }
 
-TEST(FrameCodecTest, PingPongAndStatsRoundTrip) {
+TEST(FrameCodecTest, PingPongRoundTrip) {
   auto ping = DecodePingPong(EncodePing(99));
   ASSERT_TRUE(ping.ok());
   EXPECT_EQ(*ping, 99u);
   auto pong = DecodePingPong(EncodePong(100));
   ASSERT_TRUE(pong.ok());
   EXPECT_EQ(*pong, 100u);
-
-  StatsMsg stats;
-  stats.submitted = 1;
-  stats.completed = 2;
-  stats.fast_path = 3;
-  stats.writer_lane = 4;
-  stats.shed = 5;
-  stats.deadline_expired = 6;
-  stats.queue_high_water = 7;
-  stats.commit_epoch = 8;
-  stats.wal_records = 9;
-  stats.connections_accepted = 10;
-  stats.protocol_errors = 11;
-  stats.draining_rejects = 12;
-  stats.queue_wait_p50_ns = 13;
-  stats.queue_wait_p99_ns = 14;
-  auto got = DecodeStatsResponse(EncodeStatsResponse(stats));
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(got->submitted, 1u);
-  EXPECT_EQ(got->deadline_expired, 6u);
-  EXPECT_EQ(got->queue_high_water, 7u);
-  EXPECT_EQ(got->draining_rejects, 12u);
-  EXPECT_EQ(got->queue_wait_p50_ns, 13u);
-  EXPECT_EQ(got->queue_wait_p99_ns, 14u);
 }
 
 obs::RegistrySnapshot SampleRegistry() {
@@ -182,6 +158,12 @@ TEST(FrameCodecTest, PeekTypeIdentifiesMessages) {
   EXPECT_EQ(*mresp, MsgType::kMetricsResponse);
   EXPECT_FALSE(PeekType("").ok());
   EXPECT_FALSE(PeekType(std::string(1, '\x63')).ok());  // unknown type
+  // 5 and 6 were the retired stats request/response: wire damage now.
+  for (char retired : {'\x05', '\x06'}) {
+    auto got = PeekType(std::string(1, retired) + std::string(8, '\0'));
+    ASSERT_FALSE(got.ok()) << static_cast<int>(retired);
+    EXPECT_TRUE(got.status().IsParseError()) << got.status().ToString();
+  }
 }
 
 TEST(FrameCodecTest, EveryTruncationIsParseError) {
@@ -189,7 +171,6 @@ TEST(FrameCodecTest, EveryTruncationIsParseError) {
       EncodeCheckRequest(SampleRequest()),
       EncodeCheckResponse(SampleResponse()),
       EncodePing(7),
-      EncodeStatsResponse(StatsMsg{}),
       EncodeMetricsResponse(MetricsFromSnapshot(SampleRegistry())),
   };
   for (const std::string& p : payloads) {
@@ -198,7 +179,6 @@ TEST(FrameCodecTest, EveryTruncationIsParseError) {
       EXPECT_FALSE(DecodeCheckRequest(prefix).ok());
       EXPECT_FALSE(DecodeCheckResponse(prefix).ok());
       EXPECT_FALSE(DecodePingPong(prefix).ok());
-      EXPECT_FALSE(DecodeStatsResponse(prefix).ok());
       EXPECT_FALSE(DecodeMetricsResponse(prefix).ok());
     }
   }
@@ -216,8 +196,8 @@ TEST(FrameCodecTest, TypeConfusionIsParseError) {
   // must fail on the type byte, not misparse the remaining fields.
   EXPECT_FALSE(DecodeCheckResponse(EncodeCheckRequest(SampleRequest())).ok());
   EXPECT_FALSE(DecodeCheckRequest(EncodeCheckResponse(SampleResponse())).ok());
-  EXPECT_FALSE(DecodePingPong(EncodeStatsRequest()).ok());
-  EXPECT_FALSE(DecodeStatsResponse(EncodePong(1)).ok());
+  EXPECT_FALSE(DecodePingPong(EncodeMetricsRequest()).ok());
+  EXPECT_FALSE(DecodeMetricsResponse(EncodePong(1)).ok());
 }
 
 TEST(FrameCodecTest, OutOfRangeEnumsAreParseError) {

@@ -19,6 +19,7 @@
 #include "net/frame.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 
 namespace ufilter::net {
 namespace {
@@ -96,6 +97,17 @@ struct Rig {
     return rig;
   }
 
+  /// One series of the follower's scrape (apply counters, lag gauges).
+  uint64_t FollowerSeries(const std::string& name) {
+    return obs::SampleValue(follower_server->service().registry().Collect(),
+                            name);
+  }
+  /// One series of the primary's scrape (the source's repl_* series).
+  uint64_t SourceSeries(const std::string& name) {
+    return obs::SampleValue(primary_server->service().registry().Collect(),
+                            name);
+  }
+
   Status Commit(int batch) {
     return fixtures::ApplyChainBatch(primary_db.get(), kDepth, kRows,
                                      /*seed=*/23, batch);
@@ -128,18 +140,18 @@ TEST(ReplicationChaosTest, SeveredSubscriptionReconnectsAndResumes) {
   Rig rig = Rig::Up(tmp.path("primary.wal"));
   ASSERT_TRUE(rig.Commit(0).ok());
   rig.ExpectConverged("initial catch-up");
-  const uint64_t connects_before = rig.follower->stats().connects;
-  const uint64_t applied_before = rig.follower->stats().records_applied;
+  const uint64_t connects_before = rig.FollowerSeries("repl_connects");
+  const uint64_t applied_before = rig.FollowerSeries("repl_records_applied");
 
   rig.proxy->SeverAll();
   ASSERT_TRUE(rig.Commit(1).ok());
   ASSERT_TRUE(rig.Commit(2).ok());
   rig.ExpectConverged("post-sever");
-  EXPECT_GT(rig.follower->stats().connects, connects_before)
+  EXPECT_GT(rig.FollowerSeries("repl_connects"), connects_before)
       << "convergence without a reconnect means the sever missed";
   // Exactly the two severed-era epochs applied: resume-from-epoch never
   // replays what the follower already has (idempotent skips aside).
-  EXPECT_EQ(rig.follower->stats().records_applied, applied_before + 2);
+  EXPECT_EQ(rig.FollowerSeries("repl_records_applied"), applied_before + 2);
 }
 
 TEST(ReplicationChaosTest, BlackholedStreamIsDeclaredDeadAndRebuilt) {
@@ -148,7 +160,7 @@ TEST(ReplicationChaosTest, BlackholedStreamIsDeclaredDeadAndRebuilt) {
   Rig rig = Rig::Up(tmp.path("primary.wal"));
   ASSERT_TRUE(rig.Commit(0).ok());
   rig.ExpectConverged("initial catch-up");
-  const uint64_t connects_before = rig.follower->stats().connects;
+  const uint64_t connects_before = rig.FollowerSeries("repl_connects");
 
   // Bytes vanish silently: no FIN, no RST. Only the dead_after watchdog
   // can notice. Commits continue during the outage.
@@ -158,7 +170,7 @@ TEST(ReplicationChaosTest, BlackholedStreamIsDeclaredDeadAndRebuilt) {
   rig.proxy->Blackhole(false);
   ASSERT_TRUE(rig.Commit(2).ok());
   rig.ExpectConverged("post-blackhole");
-  EXPECT_GT(rig.follower->stats().connects, connects_before);
+  EXPECT_GT(rig.FollowerSeries("repl_connects"), connects_before);
 }
 
 TEST(ReplicationChaosTest, CorruptFrameDropsSubscriptionThenResumes) {
@@ -175,7 +187,7 @@ TEST(ReplicationChaosTest, CorruptFrameDropsSubscriptionThenResumes) {
   rig.ExpectConverged("post-corruption");
   bool dropped = false;
   for (int i = 0; i < 100 && !dropped; ++i) {
-    dropped = rig.source->stats().protocol_errors >= 1;
+    dropped = rig.SourceSeries("repl_protocol_errors") >= 1;
     if (!dropped) std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_TRUE(dropped) << "the corrupt frame was never noticed";
@@ -202,8 +214,8 @@ TEST(ReplicationChaosTest, RepeatedFaultsNeverDoubleApplyAnEpoch) {
   // accounting must balance: each of the `batch` committed epochs was
   // applied at most once (the bootstrap snapshot may cover a prefix), and
   // anything a resume re-delivered was skipped, never re-applied.
-  auto stats = rig.follower->stats();
-  EXPECT_LE(stats.records_applied, static_cast<uint64_t>(batch))
+  EXPECT_LE(rig.FollowerSeries("repl_records_applied"),
+            static_cast<uint64_t>(batch))
       << "more records applied than epochs committed: an epoch ran twice";
   EXPECT_EQ(rig.follower_db->commit_epoch(), rig.primary_db->commit_epoch());
 }
@@ -216,7 +228,7 @@ TEST(ReplicationChaosTest, BadFirstFrameIsRefusedWithoutCollateral) {
   Rig rig = Rig::Up(tmp.path("primary.wal"));
   ASSERT_TRUE(rig.Commit(0).ok());
   rig.ExpectConverged("healthy subscriber up");
-  const uint64_t errors_before = rig.source->stats().protocol_errors;
+  const uint64_t errors_before = rig.SourceSeries("repl_protocol_errors");
 
   // A peer whose first frame is not kReplSubscribe (a check request on the
   // replication plane) is hung up on.
@@ -241,7 +253,7 @@ TEST(ReplicationChaosTest, BadFirstFrameIsRefusedWithoutCollateral) {
   }
   bool counted = false;
   for (int i = 0; i < 100 && !counted; ++i) {
-    counted = rig.source->stats().protocol_errors > errors_before;
+    counted = rig.SourceSeries("repl_protocol_errors") > errors_before;
     if (!counted) std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_TRUE(counted);

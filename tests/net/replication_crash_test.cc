@@ -114,9 +114,11 @@ uint64_t EpochOf(uint16_t port) {
   ClientOptions opts;
   opts.port = port;
   Client client(opts);
-  auto stats = client.ServerStats();
-  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-  return stats.ok() ? stats->commit_epoch : 0;
+  auto scrape = client.Metrics();
+  EXPECT_TRUE(scrape.ok()) << scrape.status().ToString();
+  const WireMetric* epoch =
+      scrape.ok() ? scrape->Find("db_commit_epoch") : nullptr;
+  return epoch != nullptr ? epoch->value : 0;
 }
 
 /// Polls the follower's wire-visible commit epoch until it reaches the
@@ -128,8 +130,10 @@ bool WaitForEpoch(uint16_t port, uint64_t target,
   opts.port = port;
   Client client(opts);
   while (std::chrono::steady_clock::now() < deadline) {
-    auto stats = client.ServerStats();
-    if (stats.ok() && stats->commit_epoch >= target) return true;
+    auto scrape = client.Metrics();
+    const WireMetric* epoch =
+        scrape.ok() ? scrape->Find("db_commit_epoch") : nullptr;
+    if (epoch != nullptr && epoch->value >= target) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   return false;

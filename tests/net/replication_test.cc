@@ -25,6 +25,7 @@
 #include "fixtures/synthetic.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "relational/wal.h"
 
 namespace ufilter::net {
@@ -136,6 +137,11 @@ std::string StateOf(Database* db) {
   return state.ok() ? *state : std::string();
 }
 
+/// One series of a node's scrape (its service registry).
+uint64_t Series(Server& server, const std::string& name) {
+  return obs::SampleValue(server.service().registry().Collect(), name);
+}
+
 ClientOptions ClientFor(const Server& server) {
   ClientOptions opts;
   opts.port = server.port();
@@ -188,11 +194,30 @@ TEST(ReplicationTest, FollowerConvergesAndServesIdenticalVerdicts) {
   // brought the lag gauges to zero.
   bool lag_zero = false;
   for (int i = 0; i < 200 && !lag_zero; ++i) {
-    auto stats = follower->stats();
-    lag_zero = stats.lag_epochs == 0 && stats.lag_ms == 0;
+    lag_zero = Series(*replica.server, "replication_lag_epochs") == 0 &&
+               Series(*replica.server, "replication_lag_ms") == 0;
     if (!lag_zero) std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_TRUE(lag_zero) << "lag_epochs=" << follower->stats().lag_epochs;
+  EXPECT_TRUE(lag_zero) << "lag_epochs="
+                        << Series(*replica.server, "replication_lag_epochs");
+
+  // The follower series CI's replication scrape gates on reach the wire
+  // under their names and kinds.
+  auto scrape = on_replica.Metrics();
+  ASSERT_TRUE(scrape.ok()) << scrape.status().ToString();
+  const std::pair<const char*, obs::MetricKind> follower_series[] = {
+      {"replication_lag_epochs", obs::MetricKind::kGauge},
+      {"replication_lag_bytes", obs::MetricKind::kGauge},
+      {"repl_connects", obs::MetricKind::kCounter},
+      {"repl_snapshots_loaded", obs::MetricKind::kCounter},
+      {"repl_records_applied", obs::MetricKind::kCounter},
+  };
+  for (const auto& [name, kind] : follower_series) {
+    const WireMetric* m = scrape->Find(name);
+    ASSERT_NE(m, nullptr) << name;
+    EXPECT_EQ(m->kind, static_cast<uint8_t>(kind)) << name;
+  }
+  EXPECT_GE(scrape->Find("repl_connects")->value, 1u);
 
   // Read-only contract: an apply against the follower is refused with a
   // redirect naming the primary, executes nothing, and the client hands
@@ -206,16 +231,17 @@ TEST(ReplicationTest, FollowerConvergesAndServesIdenticalVerdicts) {
             std::string::npos)
       << redirect->message;
   EXPECT_EQ(replica.db->commit_epoch(), epoch_before);
-  EXPECT_GE(replica.server->stats().redirected_applies, 1u);
+  EXPECT_GE(Series(*replica.server, "server_redirected_applies"), 1u);
   EXPECT_EQ(on_replica.metrics().retries, 0u);
 
   // The source saw our acks climb to the target epoch.
   bool acked = false;
   for (int i = 0; i < 200 && !acked; ++i) {
-    acked = source->stats().acked_epoch >= target;
+    acked = Series(*primary.server, "repl_acked_epoch") >= target;
     if (!acked) std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_TRUE(acked) << "acked_epoch=" << source->stats().acked_epoch;
+  EXPECT_TRUE(acked) << "acked_epoch="
+                     << Series(*primary.server, "repl_acked_epoch");
 
   follower->Stop();
   source->Stop();
@@ -243,8 +269,8 @@ TEST(ReplicationTest, MidStreamSubscriberBootstrapsFromSnapshot) {
       follower->WaitForEpoch(pre_subscribe_epoch, std::chrono::seconds(10)));
   // The catch-up came from one snapshot, not a record-by-record replay of
   // history the subscriber never saw.
-  EXPECT_EQ(follower->stats().snapshots_loaded, 1u);
-  EXPECT_EQ(source->stats().snapshots_shipped, 1u);
+  EXPECT_EQ(Series(*replica.server, "repl_snapshots_loaded"), 1u);
+  EXPECT_EQ(Series(*primary.server, "repl_snapshots_shipped"), 1u);
   EXPECT_EQ(StateOf(replica.db.get()), StateOf(primary.db.get()));
 
   // And the live tail continues past the bootstrap.
@@ -256,7 +282,7 @@ TEST(ReplicationTest, MidStreamSubscriberBootstrapsFromSnapshot) {
   ASSERT_TRUE(follower->WaitForEpoch(primary.db->commit_epoch(),
                                      std::chrono::seconds(10)));
   EXPECT_EQ(StateOf(replica.db.get()), StateOf(primary.db.get()));
-  EXPECT_GT(follower->stats().records_applied, 0u);
+  EXPECT_GT(Series(*replica.server, "repl_records_applied"), 0u);
 
   follower->Stop();
   source->Stop();

@@ -1,11 +1,13 @@
 // End-to-end tests of the network front end against a live TCP server:
 // verdict parity with the in-process checker, deadline admission /
 // queue-purge behavior, load shedding with retry-after, graceful drain,
-// per-connection protocol-error isolation, and stats over the wire.
+// per-connection protocol-error isolation, and the metrics scrape over the
+// wire (the series contract its readers depend on).
 #include "net/server.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -74,6 +76,11 @@ Verdict ExpectedVerdict(CheckOutcome outcome) {
       return Verdict::kDeadlineExceeded;
   }
   return Verdict::kError;
+}
+
+/// One series of the server's in-process scrape.
+uint64_t Series(Server& server, const std::string& name) {
+  return obs::SampleValue(server.service().registry().Collect(), name);
 }
 
 ClientOptions ClientFor(const Server& server) {
@@ -183,10 +190,12 @@ TEST(ServerClientTest, AppliesExecuteOverTheWire) {
   EXPECT_EQ(resp->verdict, Verdict::kExecuted) << resp->message;
   EXPECT_GT(resp->rows_affected, 0);
 
-  auto stats = client.ServerStats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_GE(stats->writer_lane, 1u);
-  EXPECT_GE(stats->commit_epoch, 1u);
+  auto scrape = client.Metrics();
+  ASSERT_TRUE(scrape.ok()) << scrape.status().ToString();
+  ASSERT_NE(scrape->Find("service_writer_lane"), nullptr);
+  ASSERT_NE(scrape->Find("db_commit_epoch"), nullptr);
+  EXPECT_GE(scrape->Find("service_writer_lane")->value, 1u);
+  EXPECT_GE(scrape->Find("db_commit_epoch")->value, 1u);
 }
 
 // --- Deadlines ------------------------------------------------------------
@@ -211,8 +220,8 @@ TEST(ServerClientTest, ExpiredDeadlineRejectedAtAdmission) {
   EXPECT_EQ(resp->request_id, 1u);
   EXPECT_EQ(resp->verdict, Verdict::kDeadlineExceeded);
 
-  EXPECT_GE((*server)->stats().admission_expired, 1u);
-  EXPECT_GE((*server)->service().Snapshot().deadline_expired, 1u);
+  EXPECT_GE(Series(**server, "server_admission_expired"), 1u);
+  EXPECT_GE(Series(**server, "service_deadline_expired"), 1u);
 }
 
 TEST(ServerClientTest, OverloadShedsAndPurgesQueuedDeadlines) {
@@ -268,8 +277,9 @@ TEST(ServerClientTest, OverloadShedsAndPurgesQueuedDeadlines) {
   EXPECT_GE(shed + expired, 1) << "shed=" << shed << " expired=" << expired;
 
   // Both forms of refusal are observable in the service counters.
-  auto stats = (*server)->service().Snapshot();
-  EXPECT_GE(stats.shed + stats.deadline_expired, 1u);
+  EXPECT_GE(Series(**server, "service_shed") +
+                Series(**server, "service_deadline_expired"),
+            1u);
 }
 
 // --- Graceful drain -------------------------------------------------------
@@ -324,7 +334,7 @@ TEST(ServerClientTest, DrainFinishesInFlightAndRejectsNewWork) {
   drainer.join();
   if (late_verdict != Verdict::kError) {
     EXPECT_EQ(late_verdict, Verdict::kDraining);
-    EXPECT_GE((*server)->stats().draining_rejects, 1u);
+    EXPECT_GE(Series(**server, "server_draining_rejects"), 1u);
   }
 
   // The listener is gone: new connections are refused.
@@ -359,37 +369,88 @@ TEST(ServerClientTest, BadMagicDropsOnlyThatConnection) {
   // Well-behaved clients are unaffected.
   Client client(ClientFor(**server));
   EXPECT_TRUE(client.Ping().ok());
-  EXPECT_GE((*server)->stats().protocol_errors, 1u);
-}
+  const uint64_t errors = Series(**server, "server_protocol_errors");
+  EXPECT_GE(errors, 1u);
 
-TEST(ServerClientTest, StatsTravelOverTheWire) {
-  Instance inst = MakeBookInstance();
-  auto server = Server::Start(inst.uf.get());
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-
-  Client client(ClientFor(**server));
-  for (int i = 0; i < 3; ++i) {
-    auto resp = client.Check(fixtures::PaperUpdate(1), /*apply=*/false);
-    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  // A retired type byte (5, the old stats request) is wire damage too:
+  // dropped without an answer, counted once, and only that connection.
+  {
+    RawConn retired = RawConn::Open((*server)->port());
+    ASSERT_TRUE(retired.Send(std::string(1, '\x05')).ok());
+    auto got = retired.Recv();
+    EXPECT_FALSE(got.ok()) << "the server answered a retired message type";
   }
-  auto stats = client.ServerStats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_GE(stats->submitted, 3u);
-  EXPECT_GE(stats->completed, 3u);
-  EXPECT_GE(stats->connections_accepted, 1u);
-  EXPECT_EQ(stats->protocol_errors, 0u);
-  // The queue-wait percentiles come from the always-on histogram: after
-  // three pops they must be real (nonzero) readings.
-  EXPECT_GT(stats->queue_wait_p99_ns, 0u);
-  EXPECT_LE(stats->queue_wait_p50_ns, stats->queue_wait_p99_ns);
+  EXPECT_EQ(Series(**server, "server_protocol_errors"), errors + 1);
+  auto resp = client.Check(fixtures::PaperUpdate(1), /*apply=*/false);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  auto scrape = client.Metrics();
+  ASSERT_TRUE(scrape.ok()) << scrape.status().ToString();
+  ASSERT_NE(scrape->Find("server_protocol_errors"), nullptr);
+  EXPECT_EQ(scrape->Find("server_protocol_errors")->value, errors + 1);
 }
 
 // --- Full registry over the wire -----------------------------------------
 
+/// The series contract: every series the benchmark (perfbench/) and CI's
+/// live scrapes read by name, with its kind, plus the undo-record and
+/// batch-probe engine counters that CI only checks for presence.
+/// Readers treat a missing series as 0, so a rename fails nowhere else.
+/// (CI's follower-only repl_* / replication_lag_* series are pinned in
+/// tests/net/replication_test.cc, where a follower exists.)
+struct SeriesContract {
+  const char* name;
+  obs::MetricKind kind;
+};
+constexpr SeriesContract kSeriesContract[] = {
+    {"columnar_builds", obs::MetricKind::kCounter},
+    {"db_commit_epoch", obs::MetricKind::kGauge},
+    {"engine_batch_branches_merged", obs::MetricKind::kCounter},
+    {"engine_batch_queries_executed", obs::MetricKind::kCounter},
+    {"engine_index_lookups", obs::MetricKind::kCounter},
+    {"engine_rows_inserted", obs::MetricKind::kCounter},
+    {"engine_rows_scanned", obs::MetricKind::kCounter},
+    {"engine_undo_records", obs::MetricKind::kCounter},
+    {"mvcc_versions_retired", obs::MetricKind::kCounter},
+    {"plan_cache_hits", obs::MetricKind::kCounter},
+    {"plan_cache_misses", obs::MetricKind::kCounter},
+    {"server_connections_accepted", obs::MetricKind::kCounter},
+    {"service_completed", obs::MetricKind::kCounter},
+    {"service_escalations", obs::MetricKind::kCounter},
+    {"service_fast_path", obs::MetricKind::kCounter},
+    {"service_writer_lane", obs::MetricKind::kCounter},
+    {"service_writer_wait_ns", obs::MetricKind::kCounter},
+    {"stage_queue_wait_ns", obs::MetricKind::kHistogram},
+    {"wal_bytes", obs::MetricKind::kCounter},
+    {"wal_fsyncs", obs::MetricKind::kCounter},
+    {"wal_records", obs::MetricKind::kCounter},
+};
+
+/// No name appears twice (Collect() sorts by name, so duplicates are
+/// adjacent).
+void ExpectUniqueNames(const obs::RegistrySnapshot& snap, const char* where) {
+  auto dup = std::adjacent_find(
+      snap.begin(), snap.end(),
+      [](const obs::MetricSample& a, const obs::MetricSample& b) {
+        return a.name == b.name;
+      });
+  EXPECT_TRUE(dup == snap.end()) << where << ": " << dup->name << " twice";
+}
+
+/// Every contract series is present with its kind, each name once.
+void ExpectSeriesContract(const obs::RegistrySnapshot& snap,
+                          const char* where) {
+  for (const SeriesContract& c : kSeriesContract) {
+    const obs::MetricSample* s = obs::FindSample(snap, c.name);
+    ASSERT_NE(s, nullptr) << where << ": " << c.name;
+    EXPECT_EQ(s->kind, c.kind) << where << ": " << c.name;
+  }
+  ExpectUniqueNames(snap, where);
+}
+
 // The parity acceptance: a remote Client::Metrics() scrape must agree with
-// the in-process registry Collect() and with CheckServiceStats — including
-// the counters that used to be wire-invisible (WAL, columnar, plan cache,
-// MVCC) and the latency histograms.
+// the in-process registry Collect() — including the database registry's
+// series (WAL, columnar, plan cache, MVCC) and the latency histograms —
+// and hold the series contract above.
 TEST(ServerClientTest, MetricsParityOverWire) {
   test_support::TempDir tmp("net_metrics");
   ASSERT_TRUE(tmp.ok());
@@ -425,9 +486,11 @@ TEST(ServerClientTest, MetricsParityOverWire) {
   ASSERT_TRUE(wire.ok()) << wire.status().ToString();
   obs::RegistrySnapshot remote = SnapshotFromMetrics(*wire);
   obs::RegistrySnapshot local = (*server)->service().registry().Collect();
-  auto stats = (*server)->service().Snapshot();
+  ExpectSeriesContract(remote, "wire scrape");
+  ExpectSeriesContract(local, "in-process Collect");
 
   // Every local series crossed the wire (the scrape is the full registry).
+  ASSERT_EQ(remote.size(), local.size());
   for (const obs::MetricSample& l : local) {
     ASSERT_NE(wire->Find(l.name), nullptr) << l.name;
   }
@@ -442,29 +505,24 @@ TEST(ServerClientTest, MetricsParityOverWire) {
   struct FloorCheck {
     const char* name;
     uint64_t floor;
-    uint64_t local;
   };
   const FloorCheck checks[] = {
-      {"service_submitted", 8, stats.submitted},
-      {"service_completed", 8, stats.completed},
-      {"service_fast_path", 6, stats.fast_path},
-      {"service_writer_lane", 2, stats.writer_lane},
-      {"wal_records", 2, stats.wal_records},
-      {"wal_fsyncs", 1, stats.wal_fsyncs},
-      {"wal_bytes", 1, stats.wal_bytes},
-      {"columnar_builds", 1, stats.columnar_builds},
-      {"columnar_scan_rows", 1, stats.columnar_scan_rows},
-      {"plan_cache_hits", 1, stats.plan_cache.hits},
-      {"plan_cache_misses", 1, stats.plan_cache.misses},
-      {"mvcc_snapshots_opened", 8, stats.snapshots_opened},
+      {"service_submitted", 8},     {"service_completed", 8},
+      {"service_fast_path", 6},     {"service_writer_lane", 2},
+      {"wal_records", 2},           {"wal_fsyncs", 1},
+      {"wal_bytes", 1},             {"columnar_builds", 1},
+      {"columnar_scan_rows", 1},    {"plan_cache_hits", 1},
+      {"plan_cache_misses", 1},     {"mvcc_snapshots_opened", 8},
+      {"engine_undo_records", 1},   {"server_connections_accepted", 1},
   };
   for (const FloorCheck& c : checks) {
     uint64_t wired = wire_value(c.name);
     EXPECT_GE(wired, c.floor) << c.name;
-    EXPECT_GE(c.local, wired) << c.name;  // the stats view agrees
+    EXPECT_GE(obs::SampleValue(local, c.name), wired) << c.name;
   }
+  EXPECT_EQ(wire_value("server_protocol_errors"), 0u);
   // Gauges match the database's current state exactly (quiescent now).
-  EXPECT_EQ(wire_value("db_commit_epoch"), stats.commit_epoch);
+  EXPECT_EQ(wire_value("db_commit_epoch"), inst.db->commit_epoch());
 
   // The latency histogram crossed the wire with its full shape: count
   // covers all 8 requests and percentile math works on the remote copy.
@@ -479,10 +537,37 @@ TEST(ServerClientTest, MetricsParityOverWire) {
   EXPECT_EQ(local_lat->hist.count, lat->hist.count);
   EXPECT_EQ(local_lat->hist.sum, lat->hist.sum);
   EXPECT_EQ(local_lat->hist.max, lat->hist.max);
+  // Queue residency is always on: after eight pops its percentiles are
+  // real readings.
+  const obs::MetricSample* queue_wait =
+      obs::FindSample(remote, "stage_queue_wait_ns");
+  ASSERT_NE(queue_wait, nullptr);
+  EXPECT_GT(queue_wait->hist.Percentile(99), 0u);
+  EXPECT_LE(queue_wait->hist.Percentile(50), queue_wait->hist.Percentile(99));
 
   // Server transport counters live in the same registry.
   EXPECT_GE(wire_value("server_requests"), 8u);  // check requests only
-  EXPECT_GE(wire_value("server_connections_accepted"), 1u);
+
+  // A second service over the same database sees every database series
+  // once through its own registry, and leaves nothing behind in the
+  // database's registry once destroyed: the server's scrape keeps every
+  // name exactly once.
+  {
+    service::CheckServiceOptions second_opts;
+    second_opts.worker_threads = 1;
+    service::CheckService second(inst.uf.get(), second_opts);
+    obs::RegistrySnapshot theirs = second.registry().Collect();
+    ExpectUniqueNames(theirs, "second service");
+    for (const obs::MetricSample& d : inst.db->registry().Collect()) {
+      EXPECT_NE(obs::FindSample(theirs, d.name), nullptr) << d.name;
+    }
+    EXPECT_EQ(obs::SampleValue(theirs, "wal_records"),
+              obs::SampleValue(local, "wal_records"));
+  }
+  auto after = client.Metrics();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ExpectSeriesContract(SnapshotFromMetrics(*after), "after second service");
+  EXPECT_EQ(after->metrics.size(), wire->metrics.size());
 }
 
 }  // namespace

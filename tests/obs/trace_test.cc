@@ -294,9 +294,10 @@ TEST(TraceServiceTest, MetricsDisabledServiceStillServes) {
       obs::FindSample(reg, "service_completed");
   ASSERT_NE(completed, nullptr);
   EXPECT_EQ(completed->value, 8u);
-  auto stats = svc.Snapshot();
-  EXPECT_EQ(stats.completed, 8u);
-  EXPECT_EQ(stats.queue_wait_p50_ns, 0u);
+  const obs::MetricSample* queue_wait =
+      obs::FindSample(reg, "stage_queue_wait_ns");
+  ASSERT_NE(queue_wait, nullptr);
+  EXPECT_EQ(queue_wait->hist.Percentile(50), 0u);
 }
 
 }  // namespace

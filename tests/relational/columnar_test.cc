@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "fixtures/bookdb.h"
+#include "obs/metrics.h"
 #include "relational/query.h"
 
 namespace ufilter::relational {
@@ -40,37 +41,36 @@ SelectQuery PriceQuery() {
 TEST(ColumnarTest, LazyBuildOnFirstPinnedScanThenReuse) {
   auto db = Db();
   QueryEvaluator eval(db.get());
-  EngineStats before = db->SnapshotWorkCounters();
+  obs::CounterWindow counters(db->registry());
 
   db->root_context()->PinReadSnapshot(db->OpenSnapshot());
   auto pinned = eval.Execute(PriceQuery());
   ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
   EXPECT_EQ(pinned->rows.size(), 2u);  // 45.00 and 48.00
 
-  EngineStats d = db->SnapshotWorkCounters().DiffSince(before);
-  EXPECT_EQ(d.columnar_builds, 1u);
-  EXPECT_EQ(d.columnar_scan_rows, 3u);       // all of book, vectorized
-  EXPECT_EQ(d.selection_vector_rows, 2u);    // survivors of price > 40
-  EXPECT_EQ(d.rows_scanned, 0u);             // the row path never ran
+  EXPECT_EQ(counters.Delta("columnar_builds"), 1u);
+  // All of book, vectorized; the survivors of price > 40; the row path
+  // never ran.
+  EXPECT_EQ(counters.Delta("columnar_scan_rows"), 3u);
+  EXPECT_EQ(counters.Delta("selection_vector_rows"), 2u);
+  EXPECT_EQ(counters.Delta("engine_rows_scanned"), 0u);
 
   // Same version, second scan: the cache is shared, not rebuilt.
   auto again = eval.Execute(PriceQuery());
   ASSERT_TRUE(again.ok());
-  d = db->SnapshotWorkCounters().DiffSince(before);
-  EXPECT_EQ(d.columnar_builds, 1u);
-  EXPECT_EQ(d.columnar_scan_rows, 6u);
+  EXPECT_EQ(counters.Delta("columnar_builds"), 1u);
+  EXPECT_EQ(counters.Delta("columnar_scan_rows"), 6u);
   db->root_context()->ClearReadSnapshot();
 
   // Unpinned: identical result through the row path, no columnar traffic.
-  EngineStats mid = db->SnapshotWorkCounters();
+  counters.Rebase();
   auto live = eval.Execute(PriceQuery());
   ASSERT_TRUE(live.ok());
   EXPECT_EQ(live->rows, pinned->rows);
   EXPECT_EQ(live->row_ids, pinned->row_ids);
-  d = db->SnapshotWorkCounters().DiffSince(mid);
-  EXPECT_EQ(d.columnar_builds, 0u);
-  EXPECT_EQ(d.columnar_scan_rows, 0u);
-  EXPECT_EQ(d.rows_scanned, 3u);
+  EXPECT_EQ(counters.Delta("columnar_builds"), 0u);
+  EXPECT_EQ(counters.Delta("columnar_scan_rows"), 0u);
+  EXPECT_EQ(counters.Delta("engine_rows_scanned"), 3u);
 }
 
 TEST(ColumnarTest, TempTablesKeepRowPathEvenWhenPinned) {
@@ -82,7 +82,7 @@ TEST(ColumnarTest, TempTablesKeepRowPathEvenWhenPinned) {
   ASSERT_TRUE(eval.MaterializeInto(mat, "TAB_scratch").ok());
 
   db->root_context()->PinReadSnapshot(db->OpenSnapshot());
-  EngineStats before = db->SnapshotWorkCounters();
+  obs::CounterWindow counters(db->registry());
   SelectQuery q;
   q.tables = {{"TAB_scratch", "s"}};
   q.selects = {{"s", "bookid"}};
@@ -94,10 +94,9 @@ TEST(ColumnarTest, TempTablesKeepRowPathEvenWhenPinned) {
 
   // Session-local scratch is mutable (not version-protected), so it must
   // never get a column cache — even under a pinned snapshot.
-  EngineStats d = db->SnapshotWorkCounters().DiffSince(before);
-  EXPECT_EQ(d.columnar_builds, 0u);
-  EXPECT_EQ(d.columnar_scan_rows, 0u);
-  EXPECT_EQ(d.rows_scanned, 3u);
+  EXPECT_EQ(counters.Delta("columnar_builds"), 0u);
+  EXPECT_EQ(counters.Delta("columnar_scan_rows"), 0u);
+  EXPECT_EQ(counters.Delta("engine_rows_scanned"), 3u);
 }
 
 TEST(ColumnarTest, DirtyLiveReadsTakeRowPathWhilePinnedReadersKeepColumns) {
@@ -124,24 +123,22 @@ TEST(ColumnarTest, DirtyLiveReadsTakeRowPathWhilePinnedReadersKeepColumns) {
 
   // The pinned reader still sees its epoch, served from the cached columns
   // of the *old* version (no rebuild).
-  EngineStats before = db->SnapshotWorkCounters();
+  obs::CounterWindow counters(db->registry());
   auto pinned_after_write = eval.Execute(PriceQuery());
   ASSERT_TRUE(pinned_after_write.ok());
   EXPECT_EQ(pinned_after_write->rows.size(), 2u);
-  EngineStats d = db->SnapshotWorkCounters().DiffSince(before);
-  EXPECT_EQ(d.columnar_builds, 0u);
-  EXPECT_GT(d.columnar_scan_rows, 0u);
+  EXPECT_EQ(counters.Delta("columnar_builds"), 0u);
+  EXPECT_GT(counters.Delta("columnar_scan_rows"), 0u);
 
   // Unpinned read of the live tables: row path, sees the new row.
   db->root_context()->ClearReadSnapshot();
   snap.reset();
-  before = db->SnapshotWorkCounters();
+  counters.Rebase();
   auto live = eval.Execute(PriceQuery());
   ASSERT_TRUE(live.ok());
   EXPECT_EQ(live->rows.size(), 3u);
-  d = db->SnapshotWorkCounters().DiffSince(before);
-  EXPECT_EQ(d.columnar_builds, 0u);
-  EXPECT_EQ(d.rows_scanned, 4u);
+  EXPECT_EQ(counters.Delta("columnar_builds"), 0u);
+  EXPECT_EQ(counters.Delta("engine_rows_scanned"), 4u);
 }
 
 TEST(ColumnarTest, FilterColumnMatchesEvalCompareForAllOpsAndLiteralTypes) {
@@ -224,7 +221,7 @@ TEST(ColumnarTest, ColumnarHashJoinBuildMatchesRowPath) {
   ASSERT_TRUE(row_path.ok()) << row_path.status().ToString();
   ASSERT_FALSE(row_path->rows.empty());  // at least the diagonal
 
-  EngineStats before = db->SnapshotWorkCounters();
+  obs::CounterWindow counters(db->registry());
   db->root_context()->PinReadSnapshot(db->OpenSnapshot());
   auto col_path = eval.Execute(q);
   db->root_context()->ClearReadSnapshot();
@@ -234,10 +231,10 @@ TEST(ColumnarTest, ColumnarHashJoinBuildMatchesRowPath) {
   EXPECT_EQ(col_path->row_ids, row_path->row_ids);
   EXPECT_EQ(col_path->rows, row_path->rows);
 
-  EngineStats d = db->SnapshotWorkCounters().DiffSince(before);
-  EXPECT_GT(d.hash_join_builds, 0u);  // still a hash join...
-  EXPECT_GT(d.hash_join_probes, 0u);
-  EXPECT_GT(d.columnar_scan_rows, 0u);  // ...built from typed columns
+  // Still a hash join, but built from typed columns.
+  EXPECT_GT(counters.Delta("engine_hash_join_builds"), 0u);
+  EXPECT_GT(counters.Delta("engine_hash_join_probes"), 0u);
+  EXPECT_GT(counters.Delta("columnar_scan_rows"), 0u);
 }
 
 TEST(ColumnarTest, GcReclaimsColumnsWithTheirVersion) {
@@ -247,11 +244,11 @@ TEST(ColumnarTest, GcReclaimsColumnsWithTheirVersion) {
     auto snap = db->OpenSnapshot();
     const Table* book = snap->FindTable("book");
     ASSERT_NE(book, nullptr);
-    auto cols = book->columnar(&db->stats());
+    auto cols = book->columnar(&db->counters());
     ASSERT_NE(cols, nullptr);
     EXPECT_EQ(cols->row_count(), 3u);
     // Same version, same cache object.
-    EXPECT_EQ(book->columnar(&db->stats()).get(), cols.get());
+    EXPECT_EQ(book->columnar(&db->counters()).get(), cols.get());
     weak = cols;
   }
   // Snapshot closed but the version is still the published one: alive.
@@ -272,14 +269,14 @@ TEST(ColumnarTest, GcReclaimsColumnsWithTheirVersion) {
   EXPECT_TRUE(weak.expired());
 
   // The new version starts cold and builds its own cache on demand.
-  EngineStats before = db->SnapshotWorkCounters();
+  obs::CounterWindow counters(db->registry());
   QueryEvaluator eval(db.get());
   db->root_context()->PinReadSnapshot(db->OpenSnapshot());
   auto r = eval.Execute(PriceQuery());
   db->root_context()->ClearReadSnapshot();
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->rows.size(), 2u);
-  EXPECT_EQ(db->SnapshotWorkCounters().DiffSince(before).columnar_builds, 1u);
+  EXPECT_EQ(counters.Delta("columnar_builds"), 1u);
 }
 
 TEST(ColumnarTest, ConcurrentPinnedScansBuildOnceUnderWriterChurn) {
@@ -316,12 +313,12 @@ TEST(ColumnarTest, ConcurrentPinnedScansBuildOnceUnderWriterChurn) {
   writer.join();
 
   EXPECT_EQ(failures.load(), 0);
-  EngineStats stats = db->SnapshotWorkCounters();
-  EXPECT_GT(stats.columnar_builds, 0u);
+  obs::RegistrySnapshot stats = db->registry().Collect();
+  EXPECT_GT(obs::SampleValue(stats, "columnar_builds"), 0u);
   // Builds are bounded by the number of versions that existed (initial +
   // one per committed write), not by the number of scans (3 * 60).
-  EXPECT_LE(stats.columnar_builds, 41u);
-  EXPECT_GT(stats.selection_vector_rows, 0u);
+  EXPECT_LE(obs::SampleValue(stats, "columnar_builds"), 41u);
+  EXPECT_GT(obs::SampleValue(stats, "selection_vector_rows"), 0u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "fixtures/bookdb.h"
+#include "obs/metrics.h"
 
 namespace ufilter::relational {
 namespace {
@@ -184,24 +185,24 @@ TEST(DatabaseTest, UpdateWhereUniqueConflict) {
 
 TEST(DatabaseTest, FindUsesIndexOnKeyColumn) {
   auto db = Db();
-  db->stats().Reset();
+  obs::CounterWindow counters(db->registry());
   auto book = *db->GetTable("book");
   auto rows = book->Find({{"bookid", CompareOp::kEq, Value::String("98002")}},
-                         &db->stats());
+                         &db->counters());
   EXPECT_EQ(rows.size(), 1u);
-  EXPECT_EQ(db->stats().index_lookups, 1u);
-  EXPECT_EQ(db->stats().rows_scanned, 0u);
+  EXPECT_EQ(counters.Delta("engine_index_lookups"), 1u);
+  EXPECT_EQ(counters.Delta("engine_rows_scanned"), 0u);
 }
 
 TEST(DatabaseTest, FindScansOnNonIndexedColumn) {
   auto db = Db();
-  db->stats().Reset();
+  obs::CounterWindow counters(db->registry());
   auto book = *db->GetTable("book");
   auto rows = book->Find(
       {{"title", CompareOp::kEq, Value::String("Data on the Web")}},
-      &db->stats());
+      &db->counters());
   EXPECT_EQ(rows.size(), 1u);
-  EXPECT_EQ(db->stats().rows_scanned, 3u);
+  EXPECT_EQ(counters.Delta("engine_rows_scanned"), 3u);
 }
 
 TEST(DatabaseTest, TempTablesHaveNoIndexesAndNoFkChecks) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "fixtures/bookdb.h"
+#include "obs/metrics.h"
 #include "relational/query.h"
 
 namespace ufilter::relational {
@@ -74,16 +75,16 @@ TEST_F(DisjunctiveTest, UsesIndexUnionWhenEveryBranchPinsKey) {
       {{{"b", "bookid"}, CompareOp::kEq, Value::String("98001")}});
   dq.branches.push_back(
       {{{"b", "bookid"}, CompareOp::kEq, Value::String("98002")}});
-  db_->ResetWorkCounters();
+  obs::CounterWindow counters(db_->registry());
   QueryEvaluator evaluator(db_.get());
   auto result = evaluator.ExecuteDisjunctive(dq);
   ASSERT_TRUE(result.ok());
-  EngineStats stats = db_->SnapshotWorkCounters();
-  EXPECT_EQ(stats.rows_scanned, 0u);  // IN-list path, no table scan
-  EXPECT_GE(stats.index_lookups, 2u);
-  EXPECT_EQ(stats.queries_executed, 1u);
-  EXPECT_EQ(stats.batch_queries_executed, 1u);
-  EXPECT_EQ(stats.batch_branches_merged, 2u);
+  // IN-list path, no table scan.
+  EXPECT_EQ(counters.Delta("engine_rows_scanned"), 0u);
+  EXPECT_GE(counters.Delta("engine_index_lookups"), 2u);
+  EXPECT_EQ(counters.Delta("engine_queries_executed"), 1u);
+  EXPECT_EQ(counters.Delta("engine_batch_queries_executed"), 1u);
+  EXPECT_EQ(counters.Delta("engine_batch_branches_merged"), 2u);
 }
 
 TEST_F(DisjunctiveTest, FallsBackToScanWhenABranchHasNoIndexedEquality) {
@@ -93,11 +94,11 @@ TEST_F(DisjunctiveTest, FallsBackToScanWhenABranchHasNoIndexedEquality) {
       {{{"b", "bookid"}, CompareOp::kEq, Value::String("98001")}});
   dq.branches.push_back(
       {{{"b", "price"}, CompareOp::kGt, Value::Double(40.0)}});
-  db_->ResetWorkCounters();
+  obs::CounterWindow counters(db_->registry());
   QueryEvaluator evaluator(db_.get());
   auto result = evaluator.ExecuteDisjunctive(dq);
   ASSERT_TRUE(result.ok());
-  EXPECT_GT(db_->SnapshotWorkCounters().rows_scanned, 0u);
+  EXPECT_GT(counters.Delta("engine_rows_scanned"), 0u);
   EXPECT_EQ(result->branch_rows[0].size(), 1u);
   EXPECT_EQ(result->branch_rows[1].size(), 2u);
 }
@@ -123,27 +124,6 @@ TEST_F(DisjunctiveTest, PlainExecuteMatchesSingleBranch) {
   ASSERT_TRUE(plain.ok());
   ASSERT_EQ(plain->size(), 1u);
   EXPECT_EQ(plain->rows[0][0].AsString(), "98001");
-}
-
-TEST_F(DisjunctiveTest, ResetWorkCountersZeroesEverything) {
-  QueryEvaluator evaluator(db_.get());
-  (void)evaluator.Execute(BookQuery());
-  EXPECT_GT(db_->SnapshotWorkCounters().queries_executed, 0u);
-  db_->ResetWorkCounters();
-  EngineStats zero = db_->SnapshotWorkCounters();
-  EXPECT_EQ(zero.queries_executed, 0u);
-  EXPECT_EQ(zero.rows_scanned, 0u);
-  EXPECT_EQ(zero.index_lookups, 0u);
-}
-
-TEST_F(DisjunctiveTest, DiffSinceSubtractsBaseline) {
-  QueryEvaluator evaluator(db_.get());
-  db_->ResetWorkCounters();
-  (void)evaluator.Execute(BookQuery());
-  EngineStats baseline = db_->SnapshotWorkCounters();
-  (void)evaluator.Execute(BookQuery());
-  EngineStats diff = db_->SnapshotWorkCounters().DiffSince(baseline);
-  EXPECT_EQ(diff.queries_executed, 1u);
 }
 
 }  // namespace

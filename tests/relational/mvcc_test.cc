@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "fixtures/bookdb.h"
+#include "obs/metrics.h"
 #include "relational/database.h"
 #include "relational/query.h"
 
@@ -138,7 +139,7 @@ TEST(MvccTest, SnapshotStabilityUnderConcurrentCommits) {
 
 TEST(MvccTest, SupersededVersionsAreRetiredOnlyAfterLastPinDrops) {
   auto db = MakeCounterDb();
-  EngineStats before = db->SnapshotWorkCounters();
+  obs::CounterWindow counters(db->registry());
 
   auto snap = db->OpenSnapshot();
   {
@@ -150,15 +151,13 @@ TEST(MvccTest, SupersededVersionsAreRetiredOnlyAfterLastPinDrops) {
   // The write cloned the pinned table version; while the pin is alive the
   // superseded version must be retained, not collected.
   EXPECT_EQ(db->retained_version_count(), 1u);
-  EXPECT_EQ(db->SnapshotWorkCounters().DiffSince(before).versions_retired,
-            0u);
+  EXPECT_EQ(counters.Delta("mvcc_versions_retired"), 0u);
   EXPECT_EQ(db->oldest_pinned_epoch(), snap->epoch());
 
   // Dropping the last pin garbage-collects the superseded version.
   snap.reset();
   EXPECT_EQ(db->retained_version_count(), 0u);
-  EXPECT_EQ(db->SnapshotWorkCounters().DiffSince(before).versions_retired,
-            1u);
+  EXPECT_EQ(counters.Delta("mvcc_versions_retired"), 1u);
   EXPECT_EQ(db->oldest_pinned_epoch(), db->commit_epoch());
 }
 
@@ -209,7 +208,8 @@ TEST(MvccTest, LongLivedPinRetainsOnlyItsOwnEpochsVersions) {
   // Only the pinned epoch's table version is retained; the other 49
   // intermediate versions were reclaimed along the way.
   EXPECT_LE(db->retained_version_count(), 1u);
-  EXPECT_GE(db->SnapshotWorkCounters().versions_retired,
+  EXPECT_GE(obs::SampleValue(db->registry().Collect(),
+                             "mvcc_versions_retired"),
             static_cast<uint64_t>(kCommits) - 2);
   snap.reset();
   EXPECT_EQ(db->retained_version_count(), 0u);

@@ -1,12 +1,14 @@
 // Planner unit tests: join-order and access-path selection (inspected both
-// structurally on the PhysicalPlan and behaviorally via EngineStats), plan
-// replay counters, hash-join rescue of index-free temp tables, stale-plan
-// detection, and the bulk-load path of materialized probes.
+// structurally on the PhysicalPlan and behaviorally via the engine
+// counters), plan replay counters, hash-join rescue of index-free temp
+// tables, stale-plan detection, and the bulk-load path of materialized
+// probes.
 #include "relational/planner.h"
 
 #include <gtest/gtest.h>
 
 #include "fixtures/bookdb.h"
+#include "obs/metrics.h"
 #include "relational/query.h"
 #include "relational/tpch.h"
 
@@ -60,15 +62,14 @@ TEST(PlannerTest, JoinOrderFollowsEstimatedCardinality) {
   EXPECT_EQ(plan->levels[1].table_pos, 0);
   EXPECT_EQ(plan->levels[1].path, AccessPath::kIndexLookup);
 
-  db->ResetWorkCounters();
+  obs::CounterWindow counters(db->registry());
   QueryEvaluator eval(db.get());
   auto r = eval.ExecutePlan(*plan);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->merged.size(), 4u);  // 4 lineitems per order
-  EngineStats stats = db->SnapshotWorkCounters();
-  EXPECT_EQ(stats.rows_scanned, 0u);
-  EXPECT_GE(stats.index_lookups, 2u);
-  EXPECT_EQ(stats.plan_replays, 1u);
+  EXPECT_EQ(counters.Delta("engine_rows_scanned"), 0u);
+  EXPECT_GE(counters.Delta("engine_index_lookups"), 2u);
+  EXPECT_EQ(counters.Delta("engine_plan_replays"), 1u);
 }
 
 TEST(PlannerTest, TempTableJoinReorderedOntoBaseIndex) {
@@ -90,14 +91,13 @@ TEST(PlannerTest, TempTableJoinReorderedOntoBaseIndex) {
   EXPECT_EQ(plan->levels[1].table_pos, 0);  // orders probed by PK
   EXPECT_EQ(plan->levels[1].path, AccessPath::kUniqueLookup);
 
-  db->ResetWorkCounters();
+  obs::CounterWindow counters(db->registry());
   QueryEvaluator eval(db.get());
   auto r = eval.ExecutePlan(*plan);
   ASSERT_TRUE(r.ok());
-  EngineStats stats = db->SnapshotWorkCounters();
   // One scan of the 8-row temp table; orders is never scanned.
-  EXPECT_EQ(stats.rows_scanned, 8u);
-  EXPECT_EQ(stats.index_lookups, 8u);
+  EXPECT_EQ(counters.Delta("engine_rows_scanned"), 8u);
+  EXPECT_EQ(counters.Delta("engine_index_lookups"), 8u);
 }
 
 TEST(PlannerTest, UnindexedEquiJoinUsesHashJoin) {
@@ -119,16 +119,15 @@ TEST(PlannerTest, UnindexedEquiJoinUsesHashJoin) {
   EXPECT_EQ(plan->levels[1].table_pos, 1);  // larger side hash-built once
   EXPECT_EQ(plan->levels[1].path, AccessPath::kHashJoin);
 
-  db->ResetWorkCounters();
+  obs::CounterWindow counters(db->registry());
   QueryEvaluator eval(db.get());
   auto r = eval.ExecutePlan(*plan);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->merged.size(), 50u);  // 0..49 match
-  EngineStats stats = db->SnapshotWorkCounters();
-  EXPECT_EQ(stats.hash_join_builds, 1u);
-  EXPECT_EQ(stats.hash_join_probes, 50u);
+  EXPECT_EQ(counters.Delta("engine_hash_join_builds"), 1u);
+  EXPECT_EQ(counters.Delta("engine_hash_join_probes"), 50u);
   // Outer scan (50) + one-time build scan (200) — not 50 * 200.
-  EXPECT_EQ(stats.rows_scanned, 250u);
+  EXPECT_EQ(counters.Delta("engine_rows_scanned"), 250u);
 }
 
 TEST(PlannerTest, DisjunctiveBranchesCompileToInListUnion) {
@@ -156,19 +155,17 @@ TEST(PlannerTest, ReplayCountersDistinguishCompileFromReplay) {
   q.selects = {{"b", "bookid"}};
   QueryEvaluator eval(db.get());
   Planner planner(db.get());
-  db->ResetWorkCounters();
+  obs::CounterWindow counters(db->registry());
   auto plan = planner.Compile(q);
   ASSERT_TRUE(plan.ok());
   ASSERT_TRUE(eval.ExecutePlan(*plan).ok());
   ASSERT_TRUE(eval.ExecutePlan(*plan).ok());
-  EngineStats stats = db->SnapshotWorkCounters();
-  EXPECT_EQ(stats.plans_compiled, 1u);
-  EXPECT_EQ(stats.plan_replays, 2u);
+  EXPECT_EQ(counters.Delta("engine_plans_compiled"), 1u);
+  EXPECT_EQ(counters.Delta("engine_plan_replays"), 2u);
   // An ad-hoc Execute compiles each time and is not a replay.
   ASSERT_TRUE(eval.Execute(q).ok());
-  stats = db->SnapshotWorkCounters();
-  EXPECT_EQ(stats.plans_compiled, 2u);
-  EXPECT_EQ(stats.plan_replays, 2u);
+  EXPECT_EQ(counters.Delta("engine_plans_compiled"), 2u);
+  EXPECT_EQ(counters.Delta("engine_plan_replays"), 2u);
 }
 
 TEST(PlannerTest, StalePlanRejectedAfterTempTableReshape) {

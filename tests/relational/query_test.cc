@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "fixtures/bookdb.h"
+#include "obs/metrics.h"
 #include "relational/tpch.h"
 
 namespace ufilter::relational {
@@ -98,13 +99,13 @@ TEST(QueryTest, IndexDrivenJoinDoesNotScanInnerTable) {
   q.selects = {{"l", "l_linenumber"}};
   q.filters = {{{"o", "o_orderkey"}, CompareOp::kEq, Value::Int(10)}};
   q.joins = {{{"l", "l_orderkey"}, CompareOp::kEq, {"o", "o_orderkey"}}};
-  (*db)->stats().Reset();
+  obs::CounterWindow counters((*db)->registry());
   auto r = eval.Execute(q);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 4u);  // 4 lineitems per order
   // Both accesses are index lookups; nothing is scanned.
-  EXPECT_EQ((*db)->stats().rows_scanned, 0u);
-  EXPECT_GE((*db)->stats().index_lookups, 2u);
+  EXPECT_EQ(counters.Delta("engine_rows_scanned"), 0u);
+  EXPECT_GE(counters.Delta("engine_index_lookups"), 2u);
 }
 
 TEST(QueryTest, MaterializeIntoCreatesIndexFreeTempTable) {

@@ -15,6 +15,7 @@
 
 #include "../support/temp_dir.h"
 #include "fixtures/synthetic.h"
+#include "obs/metrics.h"
 #include "relational/database.h"
 
 namespace ufilter::relational {
@@ -500,14 +501,15 @@ TEST(WalDatabaseTest, EngineCountersTrackAppendsAndSyncs) {
         fixtures::ApplyChainBatch(db.get(), kDepth, kRows, 11, i).ok());
   }
   ASSERT_TRUE(db->SyncWal().ok());
-  EngineStats stats = db->SnapshotWorkCounters();
-  EXPECT_GT(stats.wal_records, 0u);
-  EXPECT_GT(stats.wal_bytes, 0u);
-  EXPECT_GE(stats.wal_fsyncs, stats.wal_records);  // kAlways
+  obs::RegistrySnapshot stats = db->registry().Collect();
+  EXPECT_GT(obs::SampleValue(stats, "wal_records"), 0u);
+  EXPECT_GT(obs::SampleValue(stats, "wal_bytes"), 0u);
+  EXPECT_GE(obs::SampleValue(stats, "wal_fsyncs"),
+            obs::SampleValue(stats, "wal_records"));  // kAlways
   // Every published epoch since enabling must have exactly one record.
   auto read = ReadWal(opts.wal_path);
   ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read->records.size(), stats.wal_records);
+  EXPECT_EQ(read->records.size(), obs::SampleValue(stats, "wal_records"));
   EXPECT_EQ(read->records.back().epoch, db->commit_epoch());
 }
 

@@ -15,6 +15,7 @@
 
 #include "fixtures/bookdb.h"
 #include "fixtures/synthetic.h"
+#include "obs/metrics.h"
 #include "relational/dryrun.h"
 #include "relational/query.h"
 #include "relational/sqlgen.h"
@@ -37,13 +38,18 @@ using relational::ExecutionContext;
 using service::BoundedQueue;
 using service::CheckService;
 using service::CheckServiceOptions;
-using service::CheckServiceStats;
 using service::Session;
 
 struct Instance {
   std::unique_ptr<Database> db;
   std::unique_ptr<UFilter> uf;
 };
+
+/// One series of the service's scrape (the whole process: service and
+/// database registries).
+uint64_t Series(const CheckService& svc, const std::string& name) {
+  return obs::SampleValue(svc.registry().Collect(), name);
+}
 
 Instance MakeBookInstance() {
   Instance inst;
@@ -135,13 +141,13 @@ TEST(ConcurrencyTest, StressVerdictsMatchSingleThreadedBaseline) {
   for (std::thread& t : submitters) t.join();
   EXPECT_EQ(mismatches.load(), 0);
 
-  CheckServiceStats stats = svc.Snapshot();
-  EXPECT_EQ(stats.completed, stats.submitted);
-  EXPECT_EQ(stats.completed,
+  EXPECT_EQ(Series(svc, "service_completed"), Series(svc, "service_submitted"));
+  EXPECT_EQ(Series(svc, "service_completed"),
             static_cast<uint64_t>(kThreads) * kRounds * updates.size());
   // The dry workload is served overwhelmingly read-only: only the one
   // multi-action template (u13) escalates to the writer lane per round.
-  EXPECT_GT(stats.fast_path, stats.writer_lane);
+  EXPECT_GT(Series(svc, "service_fast_path"),
+            Series(svc, "service_writer_lane"));
   // The database is untouched by check-only traffic.
   Instance fresh = MakeBookInstance();
   EXPECT_EQ(inst.db->TotalRows(), fresh.db->TotalRows());
@@ -187,7 +193,7 @@ TEST(ConcurrencyTest, CascadeHeavyDryRunsMatchBaselineThroughService) {
                       "update " + std::to_string(i));
   }
   // Cascade walks are decidable read-only: nothing escalates.
-  EXPECT_EQ(svc.Snapshot().writer_lane, 0u);
+  EXPECT_EQ(Series(svc, "service_writer_lane"), 0u);
 }
 
 // --- The read-only validator vs. execute-and-rollback, per FK policy ------
@@ -451,7 +457,8 @@ TEST(ConcurrencyTest, ConcurrentAppliesMatchSequentialState) {
   }
   EXPECT_EQ(inst.db->TotalRows(), seq.db->TotalRows());
   // Applies all went through the writer lane.
-  EXPECT_GE(svc.Snapshot().writer_lane, static_cast<uint64_t>(kDeletes));
+  EXPECT_GE(Series(svc, "service_writer_lane"),
+            static_cast<uint64_t>(kDeletes));
 }
 
 // --- Readers never block on the writer lane (MVCC snapshot fast path) -----
@@ -480,7 +487,7 @@ TEST(ConcurrencyTest, SnapshotReadersNeverWaitOnAWriterHoldingTheLane) {
   // Start the writer and wait until it actually occupies the lane.
   auto writer_future =
       svc.Submit(writer_session, fixtures::ChainDeleteUpdate(2, 0), apply);
-  while (svc.Snapshot().writer_lane == 0) {
+  while (Series(svc, "service_writer_lane") == 0) {
     std::this_thread::yield();
   }
 
@@ -496,19 +503,20 @@ TEST(ConcurrencyTest, SnapshotReadersNeverWaitOnAWriterHoldingTheLane) {
   }
   EXPECT_EQ(writer_future.get().outcome, CheckOutcome::kExecuted);
 
-  CheckServiceStats stats = svc.Snapshot();
-  EXPECT_EQ(stats.fast_path, static_cast<uint64_t>(kChecks));
+  EXPECT_EQ(Series(svc, "service_fast_path"), static_cast<uint64_t>(kChecks));
   // The invariant under test: snapshot readers waited on nothing — their
   // only synchronization is the snapshot-open mutex, which the 50ms-writer
   // holds only for the microseconds of its commit publish. Allow half the
   // injected hold as a generous noise bound; blocking readers would cost
   // kHoldMs each.
-  EXPECT_LT(stats.reader_wait_ns,
+  EXPECT_LT(Series(svc, "service_reader_wait_ns"),
             static_cast<uint64_t>(kHoldMs) * 1000 * 1000 / 2)
       << "snapshot readers must not inherit writer-lane latency";
-  EXPECT_GE(stats.snapshots_opened, static_cast<uint64_t>(kChecks));
-  EXPECT_GE(stats.commit_epoch, 1u);
-  EXPECT_EQ(stats.oldest_pinned_epoch, stats.commit_epoch)
+  EXPECT_GE(Series(svc, "mvcc_snapshots_opened"),
+            static_cast<uint64_t>(kChecks));
+  EXPECT_GE(Series(svc, "db_commit_epoch"), 1u);
+  EXPECT_EQ(Series(svc, "db_oldest_pinned_epoch"),
+            Series(svc, "db_commit_epoch"))
       << "no snapshot may stay pinned after its check completes";
 }
 
@@ -558,10 +566,10 @@ TEST(ConcurrencyTest, ConcurrentChecksSurviveAnActiveWriterAndStayParityClean) {
   for (std::thread& t : submitters) t.join();
   EXPECT_EQ(failures.load(), 0);
 
-  CheckServiceStats stats = svc.Snapshot();
-  EXPECT_EQ(stats.completed, stats.submitted);
-  EXPECT_GE(stats.writer_lane, static_cast<uint64_t>(kRounds) * 4);
-  EXPECT_GE(stats.commit_epoch, static_cast<uint64_t>(kRounds) * 4);
+  EXPECT_EQ(Series(svc, "service_completed"), Series(svc, "service_submitted"));
+  EXPECT_GE(Series(svc, "service_writer_lane"),
+            static_cast<uint64_t>(kRounds) * 4);
+  EXPECT_GE(Series(svc, "db_commit_epoch"), static_cast<uint64_t>(kRounds) * 4);
   // Check-only traffic never mutated anything: row counts intact.
   Instance fresh = MakeChainInstance(2, 24);
   EXPECT_EQ(inst.db->TotalRows(), fresh.db->TotalRows());
@@ -586,22 +594,21 @@ TEST(ConcurrencyTest, RolledBackWriterRequestsPublishNoEpoch) {
       svc.Submit(session, fixtures::ChainDeleteUpdate(0, 1), apply).get();
   ASSERT_EQ(rejected.outcome, CheckOutcome::kDataConflict)
       << rejected.Describe();
-  const uint64_t epoch_after_reject = svc.Snapshot().commit_epoch;
+  const uint64_t epoch_after_reject = Series(svc, "db_commit_epoch");
 
   for (int i = 0; i < 8; ++i) {
     CheckReport r =
         svc.Submit(session, fixtures::ChainDeleteUpdate(0, 1), apply).get();
     EXPECT_EQ(r.outcome, CheckOutcome::kDataConflict);
   }
-  CheckServiceStats stats = svc.Snapshot();
-  EXPECT_EQ(stats.commit_epoch, epoch_after_reject)
+  EXPECT_EQ(Series(svc, "db_commit_epoch"), epoch_after_reject)
       << "rolled-back applies must not publish epochs";
 
   // A successful apply (leaf level has nothing referencing it) publishes.
   CheckReport ok =
       svc.Submit(session, fixtures::ChainDeleteUpdate(1, 1), apply).get();
   ASSERT_EQ(ok.outcome, CheckOutcome::kExecuted) << ok.Describe();
-  EXPECT_GT(svc.Snapshot().commit_epoch, epoch_after_reject);
+  EXPECT_GT(Series(svc, "db_commit_epoch"), epoch_after_reject);
 }
 
 // --- Bounded admission queue ----------------------------------------------
@@ -656,7 +663,7 @@ TEST(ConcurrencyTest, ShutdownDrainsPendingRequests) {
 
 TEST(ConcurrencyTest, PlanCacheIsThreadSafeAndCountsWork) {
   Instance inst = MakeBookInstance();
-  inst.uf->plan_cache().ResetCounters();
+  obs::CounterWindow counters(inst.db->registry());
   constexpr int kThreads = 4;
   constexpr int kRounds = 50;
   std::vector<std::thread> threads;
@@ -671,12 +678,12 @@ TEST(ConcurrencyTest, PlanCacheIsThreadSafeAndCountsWork) {
     });
   }
   for (std::thread& t : threads) t.join();
-  check::PlanCacheCounters counters = inst.uf->plan_cache().counters();
-  EXPECT_EQ(counters.hits + counters.misses,
-            static_cast<uint64_t>(kThreads) * kRounds * 5);
+  const uint64_t hits = counters.Delta("plan_cache_hits");
+  const uint64_t misses = counters.Delta("plan_cache_misses");
+  EXPECT_EQ(hits + misses, static_cast<uint64_t>(kThreads) * kRounds * 5);
   // Every template compiled at least once, and the cache served the rest.
-  EXPECT_GE(counters.misses, 5u);
-  EXPECT_GT(counters.hits, counters.misses);
+  EXPECT_GE(misses, 5u);
+  EXPECT_GT(hits, misses);
   EXPECT_EQ(inst.uf->plan_cache().size(), 5u);
 }
 
@@ -726,14 +733,12 @@ TEST(ConcurrencyTest, DurableServiceWritesWalAndRecoversExactState) {
     }
     svc.Shutdown();  // durability barrier: final group fsynced
 
-    CheckServiceStats stats = svc.Snapshot();
-    EXPECT_GT(stats.wal_records, 0u);
-    EXPECT_GT(stats.wal_bytes, 0u);
-    EXPECT_GE(stats.wal_fsyncs, 1u);
-    EXPECT_LT(stats.wal_fsyncs, stats.wal_records)
+    EXPECT_GT(Series(svc, "wal_records"), 0u);
+    EXPECT_GT(Series(svc, "wal_bytes"), 0u);
+    EXPECT_GE(Series(svc, "wal_fsyncs"), 1u);
+    EXPECT_LT(Series(svc, "wal_fsyncs"), Series(svc, "wal_records"))
         << "group commit must amortize fsyncs across writer-lane commits";
-    EXPECT_GE(stats.wal_group_commit_size, 1u);
-    EXPECT_GT(stats.fast_path, 0u);
+    EXPECT_GT(Series(svc, "service_fast_path"), 0u);
     ASSERT_TRUE(inst.db->wal_status().ok());
     live_epoch = inst.db->commit_epoch();
     Result<std::string> state = inst.db->SerializePublishedState();
@@ -766,11 +771,10 @@ TEST(ConcurrencyTest, DurabilityOffLeavesWalCountersZero) {
           .outcome,
       CheckOutcome::kExecuted);
   svc.Shutdown();
-  CheckServiceStats stats = svc.Snapshot();
   EXPECT_TRUE(svc.durability_status().ok());
-  EXPECT_EQ(stats.wal_records, 0u);
-  EXPECT_EQ(stats.wal_fsyncs, 0u);
-  EXPECT_EQ(stats.wal_bytes, 0u);
+  EXPECT_EQ(Series(svc, "wal_records"), 0u);
+  EXPECT_EQ(Series(svc, "wal_fsyncs"), 0u);
+  EXPECT_EQ(Series(svc, "wal_bytes"), 0u);
   EXPECT_FALSE(inst.db->durability_enabled());
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "fixtures/bookdb.h"
+#include "obs/metrics.h"
 #include "ufilter/checker.h"
 
 namespace ufilter {
@@ -14,7 +15,6 @@ using check::CheckOutcome;
 using check::CheckReport;
 using check::Translatability;
 using check::UFilter;
-using relational::EngineStats;
 
 class PlanCacheTest : public ::testing::Test {
  protected:
@@ -25,10 +25,6 @@ class PlanCacheTest : public ::testing::Test {
     auto uf = UFilter::Create(db_.get(), fixtures::BookViewQuery());
     ASSERT_TRUE(uf.ok()) << uf.status().ToString();
     uf_ = std::move(*uf);
-  }
-
-  EngineStats Diff(const EngineStats& baseline) {
-    return db_->SnapshotWorkCounters().DiffSince(baseline);
   }
 
   std::unique_ptr<relational::Database> db_;
@@ -49,15 +45,16 @@ TEST_F(PlanCacheTest, SecondCheckDoesZeroCompileWork) {
   EXPECT_EQ(first.outcome, CheckOutcome::kExecuted) << first.Describe();
   EXPECT_FALSE(first.from_plan_cache);
 
-  EngineStats baseline = db_->SnapshotWorkCounters();
+  obs::CounterWindow counters(db_->registry());
   CheckReport second = uf_->Check(fixtures::PaperUpdate(8), options);
-  EngineStats diff = Diff(baseline);
   EXPECT_EQ(second.outcome, CheckOutcome::kExecuted) << second.Describe();
   EXPECT_TRUE(second.from_plan_cache);
-  EXPECT_EQ(diff.updates_compiled, 0u) << "re-parsed a cached template";
-  EXPECT_EQ(diff.star_checks, 0u) << "re-ran STAR for a cached template";
-  EXPECT_EQ(diff.plan_cache_hits, 1u);
-  EXPECT_EQ(diff.plan_cache_misses, 0u);
+  EXPECT_EQ(counters.Delta("engine_updates_compiled"), 0u)
+      << "re-parsed a cached template";
+  EXPECT_EQ(counters.Delta("engine_star_checks"), 0u)
+      << "re-ran STAR for a cached template";
+  EXPECT_EQ(counters.Delta("plan_cache_hits"), 1u);
+  EXPECT_EQ(counters.Delta("plan_cache_misses"), 0u);
   // Outcomes are identical to the cold run.
   EXPECT_EQ(second.star_class, first.star_class);
   EXPECT_EQ(second.rows_affected, first.rows_affected);
@@ -73,35 +70,34 @@ TEST_F(PlanCacheTest, WhitespaceVariantsShareOnePlan) {
        pos = variant.find('\n', pos + 3)) {
     variant.replace(pos, 1, "\n\t ");
   }
-  EngineStats baseline = db_->SnapshotWorkCounters();
+  obs::CounterWindow counters(db_->registry());
   CheckReport r = uf_->Check(variant, options);
   EXPECT_EQ(r.outcome, CheckOutcome::kExecuted) << r.Describe();
   EXPECT_TRUE(r.from_plan_cache);
-  EXPECT_EQ(Diff(baseline).plan_cache_hits, 1u);
+  EXPECT_EQ(counters.Delta("plan_cache_hits"), 1u);
 }
 
 TEST_F(PlanCacheTest, CachedUntranslatableRejectedWithoutStar) {
   CheckReport first = uf_->Check(fixtures::PaperUpdate(2));
   EXPECT_EQ(first.outcome, CheckOutcome::kUntranslatable) << first.Describe();
 
-  EngineStats baseline = db_->SnapshotWorkCounters();
+  obs::CounterWindow counters(db_->registry());
   CheckReport second = uf_->Check(fixtures::PaperUpdate(2));
-  EngineStats diff = Diff(baseline);
   EXPECT_EQ(second.outcome, CheckOutcome::kUntranslatable);
   EXPECT_EQ(second.star_class, Translatability::kUntranslatable);
   EXPECT_TRUE(second.from_plan_cache);
-  EXPECT_EQ(diff.star_checks, 0u);
-  EXPECT_EQ(diff.updates_compiled, 0u);
+  EXPECT_EQ(counters.Delta("engine_star_checks"), 0u);
+  EXPECT_EQ(counters.Delta("engine_updates_compiled"), 0u);
 }
 
 TEST_F(PlanCacheTest, CachedParseErrorStaysInvalid) {
   CheckReport first = uf_->Check("THIS IS NOT AN UPDATE");
   EXPECT_EQ(first.outcome, CheckOutcome::kInvalid);
-  EngineStats baseline = db_->SnapshotWorkCounters();
+  obs::CounterWindow counters(db_->registry());
   CheckReport second = uf_->Check("THIS  IS   NOT AN UPDATE");
   EXPECT_EQ(second.outcome, CheckOutcome::kInvalid);
   EXPECT_TRUE(second.from_plan_cache);
-  EXPECT_EQ(Diff(baseline).updates_compiled, 0u);
+  EXPECT_EQ(counters.Delta("engine_updates_compiled"), 0u);
 }
 
 TEST_F(PlanCacheTest, LruEvictionOrder) {
@@ -112,11 +108,11 @@ TEST_F(PlanCacheTest, LruEvictionOrder) {
   (void)uf_->Prepare(fixtures::PaperUpdate(12));  // C -> evicts A
   EXPECT_EQ(uf_->plan_cache().size(), 2u);
 
-  EngineStats baseline = db_->SnapshotWorkCounters();
+  obs::CounterWindow counters(db_->registry());
   bool hit = false;
   (void)uf_->Prepare(fixtures::PaperUpdate(8), &hit);  // A is gone
   EXPECT_FALSE(hit);
-  EXPECT_EQ(Diff(baseline).plan_cache_misses, 1u);
+  EXPECT_EQ(counters.Delta("plan_cache_misses"), 1u);
 }
 
 TEST_F(PlanCacheTest, LookupRefreshesRecency) {
@@ -145,16 +141,15 @@ TEST_F(PlanCacheTest, KeysByRecencyReportsMruFirst) {
 
 TEST_F(PlanCacheTest, CountersTrackHitsMissesEvictions) {
   uf_->plan_cache().Configure(/*capacity=*/2, /*shards=*/1);
-  uf_->plan_cache().ResetCounters();
+  obs::CounterWindow counters(db_->registry());
   (void)uf_->Prepare(fixtures::PaperUpdate(8));   // miss + insert
   (void)uf_->Prepare(fixtures::PaperUpdate(8));   // hit
   (void)uf_->Prepare(fixtures::PaperUpdate(9));   // miss + insert
   (void)uf_->Prepare(fixtures::PaperUpdate(12));  // miss + insert -> evict
-  check::PlanCacheCounters c = uf_->plan_cache().counters();
-  EXPECT_EQ(c.hits, 1u);
-  EXPECT_EQ(c.misses, 3u);
-  EXPECT_EQ(c.insertions, 3u);
-  EXPECT_EQ(c.evictions, 1u);
+  EXPECT_EQ(counters.Delta("plan_cache_hits"), 1u);
+  EXPECT_EQ(counters.Delta("plan_cache_misses"), 3u);
+  EXPECT_EQ(counters.Delta("plan_cache_insertions"), 3u);
+  EXPECT_EQ(counters.Delta("plan_cache_evictions"), 1u);
 }
 
 TEST_F(PlanCacheTest, ShardedCacheStillServesEveryTemplate) {
@@ -188,13 +183,12 @@ TEST_F(PlanCacheTest, UsePlanCacheFalseBypassesTheCache) {
   options.use_plan_cache = false;
   (void)uf_->Check(fixtures::PaperUpdate(8), options);
   EXPECT_EQ(uf_->plan_cache().size(), 0u);
-  EngineStats baseline = db_->SnapshotWorkCounters();
+  obs::CounterWindow counters(db_->registry());
   CheckReport r = uf_->Check(fixtures::PaperUpdate(8), options);
   EXPECT_FALSE(r.from_plan_cache);
-  EngineStats diff = Diff(baseline);
-  EXPECT_EQ(diff.updates_compiled, 1u);
-  EXPECT_EQ(diff.plan_cache_hits, 0u);
-  EXPECT_EQ(diff.plan_cache_misses, 0u);
+  EXPECT_EQ(counters.Delta("engine_updates_compiled"), 1u);
+  EXPECT_EQ(counters.Delta("plan_cache_hits"), 0u);
+  EXPECT_EQ(counters.Delta("plan_cache_misses"), 0u);
 }
 
 TEST_F(PlanCacheTest, RecreatedViewInvalidatesOldPlans) {
@@ -210,13 +204,13 @@ TEST_F(PlanCacheTest, RecreatedViewInvalidatesOldPlans) {
   EXPECT_EQ(stale.outcome, CheckOutcome::kInvalid) << stale.Describe();
   EXPECT_TRUE(stale.error.IsInvalidUpdate());
 
-  EngineStats baseline = db_->SnapshotWorkCounters();
+  obs::CounterWindow counters(db_->registry());
   CheckOptions options;
   options.apply = false;
   CheckReport fresh = (*uf2)->Check(fixtures::PaperUpdate(8), options);
   EXPECT_EQ(fresh.outcome, CheckOutcome::kExecuted) << fresh.Describe();
   EXPECT_FALSE(fresh.from_plan_cache);
-  EXPECT_EQ(Diff(baseline).plan_cache_misses, 1u);
+  EXPECT_EQ(counters.Delta("plan_cache_misses"), 1u);
 }
 
 }  // namespace
