@@ -1,6 +1,8 @@
 #include "relational/database.h"
 
 #include <algorithm>
+#include <array>
+#include <list>
 
 #include "common/strings.h"
 #include "relational/wal.h"
@@ -191,23 +193,25 @@ std::vector<RowId> Table::Find(const std::vector<ColumnPredicate>& preds,
   std::vector<RowId> out;
   for (RowId id : candidates) {
     const Row* row = GetRow(id);
-    if (row == nullptr) continue;
-    bool match = true;
-    for (const ColumnPredicate& p : preds) {
-      int c = schema_->ColumnIndex(p.column);
-      if (c < 0 ||
-          !EvalCompare((*row)[static_cast<size_t>(c)], p.op, p.literal)) {
-        match = false;
-        break;
-      }
-    }
-    if (match) out.push_back(id);
+    if (row != nullptr && RowMatches(*row, preds)) out.push_back(id);
   }
   // A unique driver yields at most one candidate — already in order.
   if (!(driver != nullptr && driver->unique && out.size() <= 1)) {
     std::sort(out.begin(), out.end());
   }
   return out;
+}
+
+bool Table::RowMatches(const Row& row,
+                       const std::vector<ColumnPredicate>& preds) const {
+  for (const ColumnPredicate& p : preds) {
+    int c = schema_->ColumnIndex(p.column);
+    if (c < 0 ||
+        !EvalCompare(row[static_cast<size_t>(c)], p.op, p.literal)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void Table::BulkLoad(std::vector<Row> rows, std::vector<RowId>* ids) {
@@ -287,20 +291,14 @@ void Table::IndexErase(RowId id, const Row& row) {
   }
 }
 
-RowId Table::FindUniqueConflict(const Row& row, RowId self) const {
+bool Table::SharesUniqueKey(const Row& row, const Row& other) const {
   for (const Index& idx : indexes_) {
-    if (!idx.unique) continue;
-    if (AnyValueNull(row, idx.column_idx)) continue;  // NULL never conflicts
-    auto range = idx.map.equal_range(HashRowValues(row, idx.column_idx));
-    for (auto it = range.first; it != range.second; ++it) {
-      if (it->second == self) continue;
-      const Row* other = GetRow(it->second);
-      if (other != nullptr && RowValuesEqual(*other, row, idx.column_idx)) {
-        return it->second;
-      }
+    if (idx.unique && !AnyValueNull(row, idx.column_idx) &&
+        RowValuesEqual(other, row, idx.column_idx)) {
+      return true;
     }
   }
-  return -1;
+  return false;
 }
 
 // ------------------------------------------------------------- Database ---
@@ -566,19 +564,6 @@ Status Database::RefuseIfPinned(const ExecutionContext* ctx,
       std::to_string(ctx->read_snapshot()->epoch()) + ")");
 }
 
-Result<Table*> Database::WritableTable(ExecutionContext* ctx,
-                                       const std::string& name) {
-  if (ctx == nullptr) ctx = root_context_.get();
-  Table* temp = ctx->FindTempTable(name);
-  if (temp != nullptr) return temp;  // session-local, never versioned
-  auto it = table_index_.find(name);
-  if (it == table_index_.end()) {
-    return Status::NotFound("no table '" + name + "'");
-  }
-  UFILTER_RETURN_NOT_OK(RefuseIfPinned(ctx, name));
-  return WritableBaseTable(it->second);
-}
-
 Result<std::unique_ptr<Database>> Database::Create(DatabaseSchema schema) {
   UFILTER_RETURN_NOT_OK(schema.Validate());
   return std::unique_ptr<Database>(new Database(std::move(schema)));
@@ -675,7 +660,129 @@ Status Database::CheckRowConstraints(const TableSchema& schema,
   return Status::OK();
 }
 
-Status Database::CheckForeignKeysExist(const TableSchema& schema,
+// ------------------------------------------------- live mutation stores ---
+
+/// One live table of a mutation call. Reads go to the version the context
+/// resolves until the first write swaps in the copy-on-write-resolved
+/// writable version, once per call: the cascade walk takes the global
+/// snapshot mutex once per table, not once per cascaded row. The only
+/// store that writes undo, captures redo and bumps the row counters.
+class Database::LiveTable final : public TableStore {
+ public:
+  void Bind(Database* db, ExecutionContext* ctx, Table* table, bool temp) {
+    db_ = db;
+    ctx_ = ctx;
+    table_ = table;
+    temp_ = temp;
+  }
+
+  const TableSchema& schema() const override { return table_->schema(); }
+  bool temp() const override { return temp_; }
+  const Row* GetRow(RowId id) const override { return table_->GetRow(id); }
+  std::vector<RowId> Find(
+      const std::vector<ColumnPredicate>& preds) const override {
+    return table_->Find(preds, &db_->counters_);
+  }
+  RowId FindUniqueConflict(const Row& row, RowId self) const override {
+    return table_->FindUniqueConflict(row, self);
+  }
+
+  RowId Append(Row row) override {
+    Table* t = Writable();
+    RowId id = t->AppendRow(std::move(row));
+    LogUndo(ExecutionContext::UndoKind::kInsert, id, {});
+    db_->counters_.rows_inserted->Inc();
+    LogRedo(RedoOp::Kind::kInsert, id, t->GetRow(id));
+    return id;
+  }
+  void Erase(RowId id) override {
+    Table* t = Writable();
+    LogUndo(ExecutionContext::UndoKind::kDelete, id, *t->GetRow(id));
+    LogRedo(RedoOp::Kind::kDelete, id, nullptr);
+    t->EraseRow(id);
+    db_->counters_.rows_deleted->Inc();
+  }
+  void Overwrite(RowId id, Row row) override {
+    Table* t = Writable();
+    LogUndo(ExecutionContext::UndoKind::kUpdate, id, *t->GetRow(id));
+    t->OverwriteRow(id, std::move(row));
+    db_->counters_.rows_updated->Inc();
+    LogRedo(RedoOp::Kind::kUpdate, id, t->GetRow(id));
+  }
+
+ private:
+  Table* Writable() {
+    if (!writable_ && !temp_) {  // temp tables are never versioned
+      table_ = db_->WritableBaseTable(db_->table_index_.at(schema().name()));
+    }
+    writable_ = true;
+    return table_;
+  }
+  void LogUndo(ExecutionContext::UndoKind kind, RowId id, Row old) {
+    ctx_->undo_log_.push_back({kind, schema().name(), id, std::move(old)});
+    db_->counters_.undo_records->Inc();
+  }
+  /// After LogUndo: the redo op pairs with the undo record just pushed.
+  void LogRedo(RedoOp::Kind kind, RowId id, const Row* row) {
+    if (!temp_) db_->CaptureRedo(ctx_, kind, schema().name(), id, row);
+  }
+
+  Database* db_ = nullptr;
+  ExecutionContext* ctx_ = nullptr;
+  Table* table_ = nullptr;
+  bool temp_ = false;
+  bool writable_ = false;
+};
+
+/// The live tables of one mutation call on `ctx`. A call touches a handful
+/// of tables, so inline slots keep the per-Insert path allocation-free; the
+/// list (stable addresses) takes any overflow.
+class Database::LiveStores final : public TableStores {
+ public:
+  LiveStores(Database* db, ExecutionContext* ctx) : db_(db), ctx_(ctx) {}
+
+  Result<TableStore*> Get(const std::string& name) override {
+    for (size_t i = 0; i < used_; ++i) {
+      if (slots_[i].schema().name() == name) return &slots_[i];
+    }
+    for (LiveTable& t : overflow_) {
+      if (t.schema().name() == name) return &t;
+    }
+    Table* table = db_->TableByName(ctx_, name);
+    if (table == nullptr) return Status::NotFound("no table '" + name + "'");
+    LiveTable& slot =
+        used_ < slots_.size() ? slots_[used_++] : overflow_.emplace_back();
+    slot.Bind(db_, ctx_, table, ctx_->IsTempTable(name));
+    return &slot;
+  }
+
+ private:
+  Database* db_;
+  ExecutionContext* ctx_;
+  std::array<LiveTable, 4> slots_;
+  size_t used_ = 0;
+  std::list<LiveTable> overflow_;
+};
+
+template <typename T, typename Fn>
+Result<T> Database::RunLive(ExecutionContext* ctx, const std::string& table,
+                            Fn fn) {
+  if (ctx == nullptr) ctx = root_context_.get();
+  UFILTER_RETURN_NOT_OK(RefuseIfPinned(ctx, table));
+  LiveStores stores(this, ctx);
+  const size_t mark = ctx->Begin();
+  Result<T> result = fn(stores);
+  if (!result.ok() && ctx->undo_log_size() > mark) ctx->Rollback(mark);
+  return result;
+}
+
+// ------------------------------------------------------------- mutations ---
+// A live store clones (copy-on-write) on its first write, and every check
+// runs before the write it guards: a statement rejected before writing, or
+// one that matches nothing, clones nothing.
+
+Status Database::CheckForeignKeysExist(TableStores& stores,
+                                       const TableSchema& schema,
                                        const Row& row) const {
   for (const ForeignKey& fk : schema.foreign_keys()) {
     std::vector<ColumnPredicate> preds;
@@ -690,8 +797,8 @@ Status Database::CheckForeignKeysExist(const TableSchema& schema,
       preds.push_back({fk.ref_columns[i], CompareOp::kEq, v});
     }
     if (any_null) continue;  // NULL FKs reference nothing
-    UFILTER_ASSIGN_OR_RETURN(const Table* ref, GetTable(fk.ref_table));
-    if (ref->Find(preds, &counters_).empty()) {
+    UFILTER_ASSIGN_OR_RETURN(TableStore * ref, stores.Get(fk.ref_table));
+    if (ref->Find(preds).empty()) {
       std::vector<std::string> vals;
       for (const auto& p : preds) vals.push_back(p.literal.ToSqlLiteral());
       return Status::ConstraintViolation(
@@ -702,39 +809,31 @@ Status Database::CheckForeignKeysExist(const TableSchema& schema,
   return Status::OK();
 }
 
-Result<RowId> Database::Insert(ExecutionContext* ctx,
-                               const std::string& table, Row row) {
-  if (ctx == nullptr) ctx = root_context_.get();
-  UFILTER_RETURN_NOT_OK(RefuseIfPinned(ctx, table));
-  // Constraint checks run against the live (read-resolved) table; the
-  // copy-on-write resolution is deferred until the row is actually
-  // appended, so a rejected insert never clones anything.
-  UFILTER_ASSIGN_OR_RETURN(const Table* probe, GetTable(ctx, table));
-  UFILTER_RETURN_NOT_OK(CheckRowConstraints(probe->schema(), row));
-  if (!ctx->IsTempTable(table)) {
-    UFILTER_RETURN_NOT_OK(CheckForeignKeysExist(probe->schema(), row));
+Result<RowId> Database::InsertRow(TableStores& stores,
+                                  const std::string& table, Row row) const {
+  UFILTER_ASSIGN_OR_RETURN(TableStore * t, stores.Get(table));
+  UFILTER_RETURN_NOT_OK(CheckRowConstraints(t->schema(), row));
+  if (!t->temp()) {
+    UFILTER_RETURN_NOT_OK(CheckForeignKeysExist(stores, t->schema(), row));
   }
-  RowId conflict = probe->FindUniqueConflict(row, -1);
-  if (conflict >= 0) {
+  if (t->FindUniqueConflict(row, -1) >= 0) {
     return Status::ConstraintViolation("unique key violation on table '" +
                                        table + "'");
   }
-  UFILTER_ASSIGN_OR_RETURN(Table * t, WritableTable(ctx, table));
-  RowId id = t->AppendRow(std::move(row));
-  ctx->undo_log_.push_back(
-      {ExecutionContext::UndoKind::kInsert, table, id, {}});
-  counters_.rows_inserted->Inc();
-  counters_.undo_records->Inc();
-  if (!ctx->IsTempTable(table)) {
-    CaptureRedo(ctx, RedoOp::Kind::kInsert, table, id, t->GetRow(id));
-  }
-  return id;
+  return t->Append(std::move(row));
+}
+
+Result<RowId> Database::Insert(ExecutionContext* ctx,
+                               const std::string& table, Row row) {
+  return RunLive<RowId>(ctx, table, [&](TableStores& stores) {
+    return InsertRow(stores, table, std::move(row));
+  });
 }
 
 Result<RowId> Database::InsertValues(
-    ExecutionContext* ctx, const std::string& table,
-    const std::map<std::string, Value>& values) {
-  UFILTER_ASSIGN_OR_RETURN(Table * t, GetTable(ctx, table));
+    TableStores& stores, const std::string& table,
+    const std::map<std::string, Value>& values) const {
+  UFILTER_ASSIGN_OR_RETURN(TableStore * t, stores.Get(table));
   Row row(t->schema().columns().size());
   for (const auto& [name, value] : values) {
     int c = t->schema().ColumnIndex(name);
@@ -743,25 +842,22 @@ Result<RowId> Database::InsertValues(
     }
     row[static_cast<size_t>(c)] = value;
   }
-  return Insert(ctx, table, std::move(row));
+  return InsertRow(stores, table, std::move(row));
 }
 
-Status Database::DeleteRowInternal(
-    ExecutionContext* ctx, Table* table, RowId id, DeleteOutcome* outcome,
-    std::unordered_map<std::string, Table*>* writable) {
-  // Per-transaction memo of copy-on-write resolutions: the writable pointer
-  // is stable once resolved, and re-taking the global snapshot mutex per
-  // cascaded row would contend with concurrent snapshot opens.
-  auto writable_ref = [&](const std::string& name) -> Result<Table*> {
-    auto cached = writable->find(name);
-    if (cached != writable->end()) return cached->second;
-    UFILTER_ASSIGN_OR_RETURN(Table * t, WritableTable(ctx, name));
-    writable->emplace(name, t);
-    return t;
-  };
+Result<RowId> Database::InsertValues(
+    ExecutionContext* ctx, const std::string& table,
+    const std::map<std::string, Value>& values) {
+  return RunLive<RowId>(ctx, table, [&](TableStores& stores) {
+    return InsertValues(stores, table, values);
+  });
+}
+
+Status Database::DeleteRowInternal(TableStores& stores, TableStore* table,
+                                   RowId id, DeleteOutcome* outcome) const {
   const Row* row_ptr = table->GetRow(id);
   if (row_ptr == nullptr) return Status::OK();
-  Row row = *row_ptr;  // copy before erasing
+  Row row = *row_ptr;  // copy: the walk below may rewrite the stored row
   const std::string& table_name = table->schema().name();
 
   // Handle referencing tables first (policy-driven).
@@ -777,32 +873,22 @@ Status Database::DeleteRowInternal(
         preds.push_back({fk.columns[i], CompareOp::kEq, v});
       }
       if (any_null) continue;
-      // Find runs against the live version; the clone (if any) happens only
-      // when a policy branch below actually mutates the referencing table —
-      // the kRestrict rejection must not copy-on-write anything.
-      UFILTER_ASSIGN_OR_RETURN(Table * probe_table,
-                               GetTable(ctx, other.name()));
-      std::vector<RowId> referencing = probe_table->Find(preds, &counters_);
+      UFILTER_ASSIGN_OR_RETURN(TableStore * ref, stores.Get(other.name()));
+      std::vector<RowId> referencing = ref->Find(preds);
       if (referencing.empty()) continue;
       switch (fk.on_delete) {
         case DeletePolicy::kRestrict:
           return Status::ConstraintViolation(
               "delete from '" + table_name + "' restricted: referenced by '" +
               other.name() + "'");
-        case DeletePolicy::kCascade: {
-          UFILTER_ASSIGN_OR_RETURN(Table * ref_table,
-                                   writable_ref(other.name()));
+        case DeletePolicy::kCascade:
           for (RowId rid : referencing) {
-            UFILTER_RETURN_NOT_OK(
-                DeleteRowInternal(ctx, ref_table, rid, outcome, writable));
+            UFILTER_RETURN_NOT_OK(DeleteRowInternal(stores, ref, rid, outcome));
           }
           break;
-        }
         case DeletePolicy::kSetNull: {
-          UFILTER_ASSIGN_OR_RETURN(Table * ref_table,
-                                   writable_ref(other.name()));
           for (RowId rid : referencing) {
-            const Row* old = ref_table->GetRow(rid);
+            const Row* old = ref->GetRow(rid);
             if (old == nullptr) continue;
             Row updated = *old;
             bool possible = true;
@@ -817,20 +903,11 @@ Status Database::DeleteRowInternal(
               // SET NULL impossible on NOT NULL FK; fall back to cascade to
               // preserve integrity.
               UFILTER_RETURN_NOT_OK(
-                  DeleteRowInternal(ctx, ref_table, rid, outcome, writable));
+                  DeleteRowInternal(stores, ref, rid, outcome));
               continue;
             }
-            ctx->undo_log_.push_back(
-                {ExecutionContext::UndoKind::kUpdate, other.name(), rid,
-                 *old});
-            counters_.undo_records->Inc();
-            ref_table->OverwriteRow(rid, std::move(updated));
-            counters_.rows_updated->Inc();
+            ref->Overwrite(rid, std::move(updated));
             outcome->nulled_rows++;
-            // Referencing tables are always base tables (schema-declared
-            // FKs), so every SET NULL rewrite is redo-logged.
-            CaptureRedo(ctx, RedoOp::Kind::kUpdate, other.name(), rid,
-                        ref_table->GetRow(rid));
           }
           break;
         }
@@ -840,117 +917,82 @@ Status Database::DeleteRowInternal(
 
   // The row may have been cascade-deleted through a cycle; re-check.
   if (table->GetRow(id) == nullptr) return Status::OK();
-  ctx->undo_log_.push_back(
-      {ExecutionContext::UndoKind::kDelete, table_name, id, row});
-  counters_.undo_records->Inc();
-  if (!ctx->IsTempTable(table_name)) {
-    CaptureRedo(ctx, RedoOp::Kind::kDelete, table_name, id, nullptr);
-  }
-  table->EraseRow(id);
-  counters_.rows_deleted->Inc();
+  table->Erase(id);
   outcome->deleted_rows++;
-  outcome->affected.push_back({table_name, id});
   return Status::OK();
+}
+
+Result<DeleteOutcome> Database::DeleteWhere(
+    TableStores& stores, const std::string& table,
+    const std::vector<ColumnPredicate>& preds) const {
+  UFILTER_ASSIGN_OR_RETURN(TableStore * t, stores.Get(table));
+  DeleteOutcome outcome;
+  for (RowId id : t->Find(preds)) {
+    UFILTER_RETURN_NOT_OK(DeleteRowInternal(stores, t, id, &outcome));
+  }
+  return outcome;
 }
 
 Result<DeleteOutcome> Database::DeleteWhere(
     ExecutionContext* ctx, const std::string& table,
     const std::vector<ColumnPredicate>& preds) {
-  if (ctx == nullptr) ctx = root_context_.get();
-  UFILTER_RETURN_NOT_OK(RefuseIfPinned(ctx, table));
-  // Match against the live table first: a delete that hits nothing must
-  // not copy-on-write anything (RowIds survive the clone below).
-  UFILTER_ASSIGN_OR_RETURN(const Table* probe, GetTable(ctx, table));
-  std::vector<RowId> matches = probe->Find(preds, &counters_);
-  DeleteOutcome outcome;
-  if (matches.empty()) return outcome;
-  UFILTER_ASSIGN_OR_RETURN(Table * t, WritableTable(ctx, table));
-  std::unordered_map<std::string, Table*> writable{{table, t}};
-  size_t mark = ctx->Begin();
-  for (RowId id : matches) {
-    Status st = DeleteRowInternal(ctx, t, id, &outcome, &writable);
-    if (!st.ok()) {
-      ctx->Rollback(mark);
-      return st;
-    }
-  }
-  ctx->Commit(mark);
-  return outcome;
+  return RunLive<DeleteOutcome>(ctx, table, [&](TableStores& stores) {
+    return DeleteWhere(stores, table, preds);
+  });
 }
 
 Result<DeleteOutcome> Database::DeleteRow(ExecutionContext* ctx,
                                           const std::string& table, RowId id) {
-  if (ctx == nullptr) ctx = root_context_.get();
-  UFILTER_RETURN_NOT_OK(RefuseIfPinned(ctx, table));
-  UFILTER_ASSIGN_OR_RETURN(const Table* probe, GetTable(ctx, table));
-  DeleteOutcome outcome;
-  if (probe->GetRow(id) == nullptr) return outcome;  // nothing to delete
-  UFILTER_ASSIGN_OR_RETURN(Table * t, WritableTable(ctx, table));
-  std::unordered_map<std::string, Table*> writable{{table, t}};
-  size_t mark = ctx->Begin();
-  Status st = DeleteRowInternal(ctx, t, id, &outcome, &writable);
-  if (!st.ok()) {
-    ctx->Rollback(mark);
-    return st;
-  }
-  ctx->Commit(mark);
-  return outcome;
+  return RunLive<DeleteOutcome>(
+      ctx, table, [&](TableStores& stores) -> Result<DeleteOutcome> {
+        UFILTER_ASSIGN_OR_RETURN(TableStore * t, stores.Get(table));
+        DeleteOutcome outcome;
+        UFILTER_RETURN_NOT_OK(DeleteRowInternal(stores, t, id, &outcome));
+        return outcome;
+      });
 }
 
 Result<int64_t> Database::UpdateWhere(
-    ExecutionContext* ctx, const std::string& table,
+    TableStores& stores, const std::string& table,
     const std::map<std::string, Value>& assignments,
-    const std::vector<ColumnPredicate>& preds) {
-  if (ctx == nullptr) ctx = root_context_.get();
-  UFILTER_RETURN_NOT_OK(RefuseIfPinned(ctx, table));
-  UFILTER_ASSIGN_OR_RETURN(const Table* probe, GetTable(ctx, table));
-  const TableSchema& schema = probe->schema();
+    const std::vector<ColumnPredicate>& preds) const {
+  UFILTER_ASSIGN_OR_RETURN(TableStore * t, stores.Get(table));
+  const TableSchema& schema = t->schema();
   for (const auto& [name, value] : assignments) {
     (void)value;
     if (!schema.HasColumn(name)) {
       return Status::NotFound("no column '" + name + "' in '" + table + "'");
     }
   }
-  // Zero-match updates clone nothing (RowIds survive the clone below).
-  std::vector<RowId> matches = probe->Find(preds, &counters_);
-  if (matches.empty()) return 0;
-  UFILTER_ASSIGN_OR_RETURN(Table * t, WritableTable(ctx, table));
   int64_t updated = 0;
-  size_t mark = ctx->Begin();
-  for (RowId id : matches) {
+  for (RowId id : t->Find(preds)) {
     const Row* old = t->GetRow(id);
     if (old == nullptr) continue;
     Row next = *old;
     for (const auto& [name, value] : assignments) {
       next[static_cast<size_t>(schema.ColumnIndex(name))] = value;
     }
-    Status st = CheckRowConstraints(schema, next);
-    if (st.ok() && !ctx->IsTempTable(table)) {
-      st = CheckForeignKeysExist(schema, next);
+    UFILTER_RETURN_NOT_OK(CheckRowConstraints(schema, next));
+    if (!t->temp()) {
+      UFILTER_RETURN_NOT_OK(CheckForeignKeysExist(stores, schema, next));
     }
-    if (st.ok()) {
-      RowId conflict = t->FindUniqueConflict(next, id);
-      if (conflict >= 0) {
-        st = Status::ConstraintViolation("unique key violation on table '" +
+    if (t->FindUniqueConflict(next, id) >= 0) {
+      return Status::ConstraintViolation("unique key violation on table '" +
                                          table + "'");
-      }
     }
-    if (!st.ok()) {
-      ctx->Rollback(mark);
-      return st;
-    }
-    ctx->undo_log_.push_back(
-        {ExecutionContext::UndoKind::kUpdate, table, id, *old});
-    counters_.undo_records->Inc();
-    t->OverwriteRow(id, std::move(next));
-    counters_.rows_updated->Inc();
-    if (!ctx->IsTempTable(table)) {
-      CaptureRedo(ctx, RedoOp::Kind::kUpdate, table, id, t->GetRow(id));
-    }
+    t->Overwrite(id, std::move(next));
     ++updated;
   }
-  ctx->Commit(mark);
   return updated;
+}
+
+Result<int64_t> Database::UpdateWhere(
+    ExecutionContext* ctx, const std::string& table,
+    const std::map<std::string, Value>& assignments,
+    const std::vector<ColumnPredicate>& preds) {
+  return RunLive<int64_t>(ctx, table, [&](TableStores& stores) {
+    return UpdateWhere(stores, table, assignments, preds);
+  });
 }
 
 void Database::CaptureRedo(const ExecutionContext* ctx, RedoOp::Kind kind,

@@ -165,6 +165,38 @@ class Table {
   /// sort is skipped when a unique index yields at most one candidate.
   std::vector<RowId> Find(const std::vector<ColumnPredicate>& preds,
                           const EngineCounters* counters) const;
+  /// True when `row` satisfies every predicate of `preds` (the test Find
+  /// applies to each candidate).
+  bool RowMatches(const Row& row,
+                  const std::vector<ColumnPredicate>& preds) const;
+
+  /// Finds a unique-index collision for `row` (other than `self`), or -1.
+  RowId FindUniqueConflict(const Row& row, RowId self) const {
+    return FindUniqueConflict(row, self,
+                              [this](RowId id) { return GetRow(id); });
+  }
+  /// The same lookup with each stored candidate judged by `image_of(id)`,
+  /// its current image (null = gone) in a view layered over this table.
+  template <typename ImageOf>
+  RowId FindUniqueConflict(const Row& row, RowId self,
+                           ImageOf image_of) const {
+    for (const Index& idx : indexes_) {
+      if (!idx.unique) continue;
+      if (AnyValueNull(row, idx.column_idx)) continue;  // NULL never conflicts
+      auto range = idx.map.equal_range(HashRowValues(row, idx.column_idx));
+      for (auto it = range.first; it != range.second; ++it) {
+        if (it->second == self) continue;
+        const Row* other = image_of(it->second);
+        if (other != nullptr && RowValuesEqual(*other, row, idx.column_idx)) {
+          return it->second;
+        }
+      }
+    }
+    return -1;
+  }
+  /// True when `other` repeats a non-NULL unique key of `row`: the test
+  /// FindUniqueConflict applies, for rows that are in no index bucket.
+  bool SharesUniqueKey(const Row& row, const Row& other) const;
 
   /// True if an index exists whose leading column is `column`.
   bool HasIndexOn(const std::string& column) const;
@@ -208,7 +240,6 @@ class Table {
  private:
   friend class Database;
   friend class ExecutionContext;
-  friend class OpDryRunner;
 
   struct Index {
     std::vector<int> column_idx;
@@ -229,9 +260,7 @@ class Table {
   /// The slot must currently be empty.
   void PutSlotForRecovery(RowId id, Row row);
 
-  // Index-key helpers, shared with the read-only op validator
-  // (relational/dryrun.cc) so overlay probes hash into exactly the same
-  // buckets as the live indexes.
+  // Index-key helpers: the bucket hash and key equality of every index.
   static size_t HashRowValues(const Row& row, const std::vector<int>& cols);
   static bool RowValuesEqual(const Row& a, const Row& b,
                              const std::vector<int>& cols);
@@ -240,8 +269,6 @@ class Table {
   size_t IndexKeyHash(const Index& index, const Row& row) const;
   void IndexInsert(RowId id, const Row& row);
   void IndexErase(RowId id, const Row& row);
-  /// Finds a unique-index collision for `row` (other than `self`), or -1.
-  RowId FindUniqueConflict(const Row& row, RowId self) const;
   const Index* FindIndexFor(const std::string& column) const;
   const Index* FindIndexForColumn(int column_idx) const;
 
@@ -259,18 +286,44 @@ class Table {
   mutable std::shared_ptr<const ColumnarTable> columnar_;
 };
 
-/// Identifies one affected row of an executed update (used by tests and the
-/// translation engine to report what happened).
-struct AffectedRow {
-  std::string table;
-  RowId row_id;
-};
-
 /// Outcome of a delete: how many rows went away per table (cascades count).
 struct DeleteOutcome {
   int64_t deleted_rows = 0;   ///< total rows removed across tables
   int64_t nulled_rows = 0;    ///< rows whose FK columns were SET NULL
-  std::vector<AffectedRow> affected;
+};
+
+/// \brief One table as Database's mutation code sees it: the narrow surface
+/// its constraint checks and FK delete walk run against.
+///
+/// Two implementations: the live table behind an ExecutionContext, and
+/// DryRunOps's throwaway overlay (relational/dryrun.h). Reads see the
+/// store's own earlier writes; Find returns ascending RowIds, like
+/// Table::Find.
+class TableStore {
+ public:
+  virtual const TableSchema& schema() const = 0;
+  /// Session-local scratch: exempt from FK checks, never redo-logged.
+  virtual bool temp() const = 0;
+  virtual const Row* GetRow(RowId id) const = 0;
+  virtual std::vector<RowId> Find(
+      const std::vector<ColumnPredicate>& preds) const = 0;
+  virtual RowId FindUniqueConflict(const Row& row, RowId self) const = 0;
+  virtual RowId Append(Row row) = 0;
+  virtual void Erase(RowId id) = 0;
+  virtual void Overwrite(RowId id, Row row) = 0;
+
+ protected:
+  ~TableStore() = default;
+};
+
+/// Resolves each table one mutation call touches to its store (valid until
+/// the call ends); NotFound for an unknown name.
+class TableStores {
+ public:
+  virtual Result<TableStore*> Get(const std::string& name) = 0;
+
+ protected:
+  ~TableStores() = default;
 };
 
 class Database;
@@ -417,7 +470,6 @@ class ExecutionContext {
 
  private:
   friend class Database;
-  friend class OpDryRunner;
 
   enum class UndoKind { kInsert, kDelete, kUpdate };
   struct UndoRecord {
@@ -589,6 +641,21 @@ class Database {
     return UpdateWhere(root_context_.get(), table, assignments, preds);
   }
 
+  // --- The same mutation code against caller-supplied stores ---
+  // The calls above run these on their context's live tables, after
+  // refusing a snapshot-pinned context and before rolling a failed
+  // statement back. DryRunOps runs them on an overlay. Every write goes
+  // through `stores`; the Database itself is never touched.
+
+  Result<RowId> InsertValues(TableStores& stores, const std::string& table,
+                             const std::map<std::string, Value>& values) const;
+  Result<DeleteOutcome> DeleteWhere(
+      TableStores& stores, const std::string& table,
+      const std::vector<ColumnPredicate>& preds) const;
+  Result<int64_t> UpdateWhere(TableStores& stores, const std::string& table,
+                              const std::map<std::string, Value>& assignments,
+                              const std::vector<ColumnPredicate>& preds) const;
+
   // --- Transactions on the root context (single-session convenience) ---
 
   size_t Begin() { return root_context_->Begin(); }
@@ -696,22 +763,27 @@ class Database {
 
  private:
   friend class ExecutionContext;
-  friend class OpDryRunner;
   friend class Snapshot;
+  class LiveTable;
+  class LiveStores;
 
   explicit Database(DatabaseSchema schema);
 
+  /// Runs one mutation statement `fn` on `ctx`'s live tables (null ctx =
+  /// the root context): refuses a pinned context first, and undoes a
+  /// failed statement's partial writes (a RESTRICT hit mid-cascade).
+  template <typename T, typename Fn>
+  Result<T> RunLive(ExecutionContext* ctx, const std::string& table, Fn fn);
+
+  Result<RowId> InsertRow(TableStores& stores, const std::string& table,
+                          Row row) const;
   Status CheckRowConstraints(const TableSchema& schema, const Row& row) const;
-  Status CheckForeignKeysExist(const TableSchema& schema,
+  Status CheckForeignKeysExist(TableStores& stores, const TableSchema& schema,
                                const Row& row) const;
-  // Recursive policy-driven delete. Appends to outcome. `table` must be a
-  // writable (copy-on-write-resolved) table. `writable` memoizes the
-  // per-transaction copy-on-write resolution of referencing tables so the
-  // cascade walk takes the global snapshot mutex once per table, not once
-  // per cascaded row.
-  Status DeleteRowInternal(ExecutionContext* ctx, Table* table, RowId id,
-                           DeleteOutcome* outcome,
-                           std::unordered_map<std::string, Table*>* writable);
+  // Recursive policy-driven delete of row `id` of `table`. Appends to
+  // outcome.
+  Status DeleteRowInternal(TableStores& stores, TableStore* table, RowId id,
+                           DeleteOutcome* outcome) const;
 
   Table* TableByName(const ExecutionContext* ctx, const std::string& name);
   const Table* TableByName(const ExecutionContext* ctx,
@@ -721,13 +793,6 @@ class Database {
   /// snapshot (pinned contexts are read-only for base tables).
   Status RefuseIfPinned(const ExecutionContext* ctx,
                         const std::string& name) const;
-  /// Mutation-side resolution: temp tables pass through; a base table is
-  /// refused while `ctx` is pinned to a read snapshot, and otherwise
-  /// copy-on-write-resolved so no published version is ever mutated.
-  /// Mutators call this as late as possible — after their read-only
-  /// constraint/match checks — so rejected and zero-effect requests never
-  /// pay for a clone.
-  Result<Table*> WritableTable(ExecutionContext* ctx, const std::string& name);
   /// The live version of base table `idx`, cloned first when any published
   /// version / snapshot still references it. Marks the live state dirty.
   Table* WritableBaseTable(size_t idx);

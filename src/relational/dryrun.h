@@ -1,18 +1,17 @@
-// Read-only validation of a translated update sequence: simulates the ops
-// against current data (plus a local overlay for intra-sequence effects)
-// without touching the database, and reports whether executing them would
-// succeed and how many rows they would affect.
+// Read-only validation of a translated update sequence: runs the ops
+// through Database's own insert/delete/update code against a throwaway
+// overlay of the tables a context resolves, then discards the overlay. It
+// reports whether executing them would succeed and how many rows they
+// would affect, and touches neither the database nor the context.
 //
 // This is what lets check-only traffic run concurrently: a dry-run check
 // (apply=false, outside strategy) validates its translation here against
 // its context's pinned MVCC snapshot — no lock held, no execute/rollback
-// in the writer lane. The simulation mirrors the engine's own constraint
-// machinery (NOT NULL / CHECK / domain, FK existence, unique keys, FK
-// delete policies) and produces the same failure statuses; sequences whose
-// effects it cannot reproduce faithfully read-only are reported as
-// *undecided*, and the caller falls back to execute-plus-rollback in the
-// writer lane. Verdict equivalence with real execution is pinned by
-// tests/service/concurrency_test.cc.
+// in the writer lane. The constraint checks (NOT NULL / CHECK / domain, FK
+// existence, unique keys) and the FK delete-policy walk are the engine's
+// own, so the verdict is the one execution would give for any op sequence.
+// tests/relational/dryrun_test.cc enumerates small sequences against
+// execute-and-rollback.
 #ifndef UFILTER_RELATIONAL_DRYRUN_H_
 #define UFILTER_RELATIONAL_DRYRUN_H_
 
@@ -25,21 +24,17 @@ namespace ufilter::relational {
 
 /// Outcome of a read-only op-sequence validation.
 struct DryRunOutcome {
-  /// False: the simulation could not guarantee equivalence with real
-  /// execution (e.g. a delete/update following an insert in the same
-  /// sequence); the caller must execute-and-rollback instead. The other
-  /// fields are meaningless.
-  bool decided = false;
-  /// When decided: OK means executing the ops would succeed; otherwise the
-  /// status real execution would have failed with.
+  /// OK means executing the ops would succeed; otherwise the status real
+  /// execution fails with (it stops at the first failing op).
   Status failure = Status::OK();
-  /// When decided and OK: rows the ops would affect (cascades included),
-  /// matching what ExecuteOps would have reported.
+  /// Rows the ops before any failure would affect: one per insert, each
+  /// deleted row (cascades included, SET NULL rewrites not), each updated
+  /// row.
   int64_t rows_affected = 0;
 };
 
-/// Validates `ops` read-only against `db` (base tables) and `ctx` (temp
-/// tables). Never mutates either.
+/// Validates `ops` read-only against the tables `ctx` resolves (null ctx:
+/// the live base tables). Never mutates either.
 DryRunOutcome DryRunOps(const Database& db, const ExecutionContext* ctx,
                         const std::vector<UpdateOp>& ops);
 

@@ -149,7 +149,7 @@ Result<DisjunctiveResult> QueryEvaluator::RunPlan(const PhysicalPlan& plan) {
     level.next_alive.assign(plan.branch_count, 0);
   }
 
-  // Columnar eligibility is decided per execution, not per plan: cached
+  // Columnar eligibility is settled per execution, not per plan: cached
   // plans replay under pinned and unpinned contexts alike, and only base
   // tables resolved through a pinned snapshot are guaranteed immutable —
   // which is what makes lazily building and sharing a column cache safe.

@@ -9,15 +9,15 @@
 //   - check-only traffic (apply=false, outside strategy) runs on the *fast
 //     path*: the worker pins an MVCC snapshot (Database::OpenSnapshot, a
 //     mutex-guarded pointer copy) on the session's context and then runs
-//     plan-cache prepare + probes + read-only translation validation with
-//     **no lock held at all** — N workers check concurrently with each
-//     other *and* with the writer lane;
+//     plan-cache prepare + probes + a dry run of the translation on a
+//     throwaway overlay with **no lock held at all** — N workers check
+//     concurrently with each other *and* with the writer lane;
 //   - everything that must mutate the base tables — apply=true requests,
-//     hybrid/internal strategies, multi-action statements, and the rare
-//     sequences the read-only validator punts on — is serialized through
-//     the single *writer lane* (a plain mutex), where the classic
-//     execute / rollback protocol runs against the live tables and a
-//     Database::WriterGuard publishes the result as a new commit epoch.
+//     hybrid/internal strategies and multi-action statements — is
+//     serialized through the single *writer lane* (a plain mutex), where
+//     the classic execute / rollback protocol runs against the live tables
+//     and a Database::WriterGuard publishes the result as a new commit
+//     epoch.
 //     In-flight snapshot checks keep reading their pinned epoch; the
 //     writer's copy-on-write clones never touch a published table version.
 //
@@ -229,7 +229,7 @@ class CheckService {
   /// Serialized through the exclusive writer lane.
   obs::Counter* writer_lane_;
   /// Writer-lane subset that *tried* the fast path first and was punted
-  /// (read-only validator undecided / multi-action / wrong strategy).
+  /// (multi-action statement / hybrid or internal strategy at step 3).
   obs::Counter* escalations_;
   /// Admissions refused because the queue stayed full.
   obs::Counter* shed_;

@@ -253,20 +253,18 @@ std::optional<CheckReport> UFilter::TryCheckReadOnly(
     return ExecuteActions(actions, options, ctx);
   }
   // The multi-action protocol checks each action against the state left by
-  // the previous ones (inside a savepoint) — inherently execute-and-rollback.
+  // the previous ones (inside a savepoint): a later action's probes must see
+  // earlier writes, and queries never read the dry-run overlay.
   if (actions.size() > 1) return std::nullopt;
   const PreparedAction& action = actions[0];
   // Only the outside strategy checks before executing; hybrid/internal rely
-  // on engine execution to surface conflicts, so they cannot run read-only.
+  // on engine execution to surface conflicts and keep executing for real,
+  // in the writer lane.
   if (ReachesStep3(action, options) &&
       options.strategy != DataCheckStrategy::kOutside) {
     return std::nullopt;
   }
-  bool undecided = false;
-  CheckReport report =
-      ExecuteAction(action, options, ctx, nullptr, &undecided);
-  if (undecided) return std::nullopt;
-  return report;
+  return ExecuteAction(action, options, ctx, nullptr, /*read_only=*/true);
 }
 
 CheckReport UFilter::ExecuteActions(const std::vector<PreparedAction>& actions,
@@ -327,8 +325,7 @@ CheckReport UFilter::ExecuteAction(const PreparedAction& action,
                                    const CheckOptions& options,
                                    relational::ExecutionContext* ctx,
                                    const InjectedProbes* injected,
-                                   bool* read_only_undecided) {
-  if (read_only_undecided != nullptr) *read_only_undecided = false;
+                                   bool read_only) {
   CheckReport report;
   if (!action.bound_ok) {
     report.outcome = CheckOutcome::kInvalid;
@@ -365,18 +362,12 @@ CheckReport UFilter::ExecuteAction(const PreparedAction& action,
   // ---- Step 3: data-driven translatability checking + translation --------
   double t0 = Now();
   DataChecker checker(db_, ctx, view_.get(), gv_.get());
-  ApplyMode mode = read_only_undecided != nullptr
-                       ? ApplyMode::kReadOnly
-                       : (options.apply ? ApplyMode::kApply
-                                        : ApplyMode::kDryRun);
+  ApplyMode mode = read_only       ? ApplyMode::kReadOnly
+                   : options.apply ? ApplyMode::kApply
+                                   : ApplyMode::kDryRun;
   auto data = checker.CheckAndExecute(action.bound, verdict, options.strategy,
                                       mode, injected, &action.probes);
   report.step3_seconds = Now() - t0;
-  if (data.ok() && data->undecided) {
-    // Read-only validation punted; the caller re-runs via Execute.
-    if (read_only_undecided != nullptr) *read_only_undecided = true;
-    return report;
-  }
   if (!data.ok()) {
     report.outcome = CheckOutcome::kDataConflict;
     report.error = data.status();

@@ -137,15 +137,16 @@ class UFilter {
                       relational::ExecutionContext* ctx = nullptr);
 
   /// Attempts the check without mutating the database at all: probes and
-  /// translation run normally, but the translated ops are *validated*
-  /// read-only (relational/dryrun.h) instead of executed-and-rolled-back.
-  /// Returns the report when the result is guaranteed equal to
-  /// Execute(apply=false); nullopt when it is not — apply=true requests,
-  /// non-outside strategies reaching step 3, multi-action statements, and
-  /// op sequences the validator cannot decide — in which case the caller
-  /// must fall back to Execute (the service routes that through its writer
-  /// lane). This is what lets check-only traffic run under a shared reader
-  /// lock.
+  /// translation run normally, but the translated ops run through the
+  /// engine on a throwaway overlay (relational/dryrun.h) instead of being
+  /// executed and rolled back. Returns the report Execute(apply=false)
+  /// would give; nullopt for what cannot run this way — apply=true
+  /// requests, non-outside strategies reaching step 3, and multi-action
+  /// statements (a later action's probes must see the earlier actions'
+  /// writes, which the overlay does not show to queries) — in which case
+  /// the caller must fall back to Execute (the service routes that through
+  /// its writer lane). This is what lets check-only traffic run against a
+  /// pinned snapshot with no lock held.
   std::optional<CheckReport> TryCheckReadOnly(
       const PreparedUpdate& prepared, const CheckOptions& options = {},
       relational::ExecutionContext* ctx = nullptr);
@@ -230,14 +231,13 @@ class UFilter {
 
   /// Runs one precompiled action (gates + step 3). `injected`, when
   /// non-null, supplies batch-merged probe results to the data checker.
-  /// A non-null `read_only_undecided` switches step 3 into read-only
-  /// validation (ApplyMode::kReadOnly) and reports whether the validator
-  /// punted (in which case the returned report must be discarded).
+  /// `read_only` runs step 3 in ApplyMode::kReadOnly (the translated ops
+  /// run on a throwaway overlay) with the same verdict as kDryRun.
   CheckReport ExecuteAction(const PreparedAction& action,
                             const CheckOptions& options,
                             relational::ExecutionContext* ctx,
                             const InjectedProbes* injected = nullptr,
-                            bool* read_only_undecided = nullptr);
+                            bool read_only = false);
 
   relational::Database* db_ = nullptr;
   xq::ViewQuery query_;

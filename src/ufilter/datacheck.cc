@@ -136,13 +136,8 @@ Status DataChecker::ExecuteOps(const std::vector<UpdateOp>& ops,
   if (mode_ == ApplyMode::kReadOnly) {
     relational::DryRunOutcome outcome =
         relational::DryRunOps(*db_, ctx_, ops);
-    if (!outcome.decided) {
-      report->undecided = true;
-      return Status::OK();
-    }
-    if (!outcome.failure.ok()) return outcome.failure;
     report->rows_affected += outcome.rows_affected;
-    return Status::OK();
+    return outcome.failure;
   }
   for (const UpdateOp& op : ops) {
     switch (op.kind) {

@@ -33,10 +33,9 @@ const char* DataCheckStrategyName(DataCheckStrategy s);
 enum class ApplyMode {
   kApply,    ///< execute and keep (savepoint committed)
   kDryRun,   ///< execute, then roll the savepoint back
-  /// Validate the ops read-only (relational/dryrun.h) — no savepoint, no
-  /// mutation, safe against a pinned MVCC snapshot with no lock held.
-  /// Sequences the validator cannot decide surface as
-  /// DataCheckReport::undecided.
+  /// Run the ops through the engine on a throwaway overlay
+  /// (relational/dryrun.h) — no savepoint, no mutation, safe against a
+  /// pinned MVCC snapshot with no lock held. Same verdict as kDryRun.
   kReadOnly,
 };
 
@@ -74,12 +73,10 @@ struct InjectedProbes {
   std::string victim_sql;
 };
 
-/// Outcome of step 3 plus translation/execution.
+/// Outcome of step 3 plus translation/execution: the same report under
+/// kDryRun and kReadOnly.
 struct DataCheckReport {
   bool passed = false;
-  /// kReadOnly only: the read-only validator could not guarantee
-  /// equivalence with real execution; re-run via kDryRun (writer lane).
-  bool undecided = false;
   Status failure;  ///< DataConflict / ConstraintViolation when !passed
   /// The executed relational update sequence (the `U` of Definition 1).
   std::vector<relational::UpdateOp> translation;
@@ -113,9 +110,8 @@ class DataChecker {
   /// Checks and executes `update` (which already passed steps 1 and 2 with
   /// `verdict`). With kDryRun the database is rolled back to its initial
   /// state afterwards; with kReadOnly it is never touched at all (the
-  /// translated ops are validated by relational/dryrun.h instead of
-  /// executed — check-only traffic runs against a pinned snapshot with no
-  /// lock held). On
+  /// translated ops run on relational/dryrun.h's overlay — check-only
+  /// traffic runs against a pinned snapshot with no lock held). On
   /// failure the database is always left unchanged. When `injected` is
   /// non-null its probe results replace the checker's own anchor/victim
   /// queries (batch mode); the internal strategy's wide probe is always
@@ -179,9 +175,8 @@ class DataChecker {
   Status RunWideProbe(const BoundUpdate& update, DataCheckReport* report,
                       const CompiledProbeSet* compiled);
 
-  /// Executes translated ops and fills rows_affected — or, in kReadOnly
-  /// mode, validates them via DryRunOps (setting report->undecided when the
-  /// validator punts).
+  /// Executes translated ops and fills rows_affected — in kReadOnly mode
+  /// on DryRunOps's overlay.
   Status ExecuteOps(const std::vector<relational::UpdateOp>& ops,
                     DataCheckReport* report);
 

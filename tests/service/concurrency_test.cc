@@ -23,6 +23,7 @@
 #include "service/bounded_queue.h"
 #include "service/check_service.h"
 
+#include "../support/op_oracle.h"
 #include "../support/temp_dir.h"
 
 namespace ufilter {
@@ -237,19 +238,36 @@ TEST(ConcurrencyTest, ReadOnlyCheckMatchesExecuteRollbackUnderSetNull) {
 }
 
 TEST(ConcurrencyTest, ReadOnlyCheckMatchesBaselineOnPaperUpdates) {
+  // Every paper update stays on the fast path: a new escalation fails here
+  // instead of passing silently.
   for (int u = 1; u <= 13; ++u) {
     Instance a = MakeBookInstance();
     Instance b = MakeBookInstance();
     CheckReport baseline = BaselineDryRun(&a, fixtures::PaperUpdate(u));
     auto read_only = ReadOnlyDryRun(&b, fixtures::PaperUpdate(u));
-    if (!read_only.has_value()) continue;  // escalation is always allowed
+    ASSERT_TRUE(read_only.has_value()) << "u" << u << " escalated";
     ExpectSameVerdict(*read_only, baseline, "u" + std::to_string(u));
   }
 }
 
+/// DryRunOps on a snapshot-pinned context agrees with executing the ops in
+/// a savepoint and rolling back.
+relational::DryRunOutcome ExpectDryRunMatchesExecution(
+    Database* db, const std::vector<relational::UpdateOp>& ops) {
+  auto pinned = db->CreateContext();
+  pinned->PinReadSnapshot(db->OpenSnapshot());
+  relational::DryRunOutcome dry = relational::DryRunOps(*db, pinned.get(), ops);
+  auto ctx = db->CreateContext();
+  relational::DryRunOutcome exec =
+      test_support::ExecuteAndRollBack(db, ctx.get(), ops);
+  EXPECT_EQ(dry.failure.ToString(), exec.failure.ToString());
+  EXPECT_EQ(dry.rows_affected, exec.rows_affected);
+  return dry;
+}
+
 TEST(ConcurrencyTest, DryRunOpsValidatesInsertConstraints) {
-  // Direct validator checks: unique conflicts, FK existence, and the
-  // intra-sequence overlay (insert parent then child).
+  // Direct validator checks: unique conflicts, FK existence, and ops that
+  // must see rows written earlier in the same sequence.
   auto db = fixtures::MakeBookDatabase();
   ASSERT_TRUE(db.ok());
   using relational::UpdateOp;
@@ -263,8 +281,7 @@ TEST(ConcurrencyTest, DryRunOpsValidatesInsertConstraints) {
   dup.values["bookid"] = Value::String("98001");  // exists in the fixture
   dup.values["title"] = Value::String("x");
   size_t rows_before = (*db)->TotalRows();
-  auto outcome = relational::DryRunOps(**db, nullptr, {dup});
-  ASSERT_TRUE(outcome.decided);
+  auto outcome = ExpectDryRunMatchesExecution(db->get(), {dup});
   EXPECT_TRUE(outcome.failure.IsConstraintViolation())
       << outcome.failure.ToString();
   EXPECT_EQ((*db)->TotalRows(), rows_before);
@@ -282,23 +299,21 @@ TEST(ConcurrencyTest, DryRunOpsValidatesInsertConstraints) {
   child.values["bookid"] = Value::String("77001");
   child.values["title"] = Value::String("t");
   child.values["pubid"] = Value::String("P777");
-  outcome = relational::DryRunOps(**db, nullptr, {pub, child});
-  ASSERT_TRUE(outcome.decided);
+  outcome = ExpectDryRunMatchesExecution(db->get(), {pub, child});
   EXPECT_TRUE(outcome.failure.ok()) << outcome.failure.ToString();
   EXPECT_EQ(outcome.rows_affected, 2);
 
-  // A delete after an insert in the same sequence is beyond the overlay:
-  // the validator must punt rather than guess.
+  // A delete after an insert in the same sequence finds the inserted row.
   UpdateOp del;
   del.kind = UpdateOpKind::kDelete;
   del.table = "publisher";
   del.where.push_back({"pubid", CompareOp::kEq, Value::String("P777")});
-  outcome = relational::DryRunOps(**db, nullptr, {pub, del});
-  EXPECT_FALSE(outcome.decided);
+  outcome = ExpectDryRunMatchesExecution(db->get(), {pub, del});
+  EXPECT_TRUE(outcome.failure.ok()) << outcome.failure.ToString();
+  EXPECT_EQ(outcome.rows_affected, 2);
 
-  // Same for a find-driven op after an update op on the same table: the
-  // rewritten image could newly match predicates the base indexes cannot
-  // surface, so the validator punts instead of diverging.
+  // A find-driven op after an update op on the same table matches the
+  // rewritten image, which no base index holds.
   UpdateOp upd;
   upd.kind = UpdateOpKind::kUpdate;
   upd.table = "publisher";
@@ -309,8 +324,9 @@ TEST(ConcurrencyTest, DryRunOpsValidatesInsertConstraints) {
   del2.table = "publisher";
   del2.where.push_back(
       {"pubname", CompareOp::kEq, Value::String("Renamed")});
-  outcome = relational::DryRunOps(**db, nullptr, {upd, del2});
-  EXPECT_FALSE(outcome.decided);
+  outcome = ExpectDryRunMatchesExecution(db->get(), {upd, del2});
+  EXPECT_TRUE(outcome.failure.ok()) << outcome.failure.ToString();
+  EXPECT_GT(outcome.rows_affected, 2);  // the update, A01 and its cascade
 }
 
 TEST(ConcurrencyTest, DryRunAcceptsReinsertAfterSetNullAndDelete) {
@@ -337,7 +353,6 @@ TEST(ConcurrencyTest, DryRunAcceptsReinsertAfterSetNullAndDelete) {
   reinsert.values["v1"] = Value::String("fresh");
   auto outcome = relational::DryRunOps(
       **db, nullptr, {del_parent, del_child, reinsert});
-  ASSERT_TRUE(outcome.decided);
   EXPECT_TRUE(outcome.failure.ok()) << outcome.failure.ToString();
   EXPECT_EQ(outcome.rows_affected, 3);
 

@@ -170,9 +170,9 @@ def main():
     if args.pair:
         speedup = pair_speedup(benches, args.pair[0], args.pair[1])
         need = args.min_speedup or 1.0
-        print(f"pair speedup {args.pair[0]} / {args.pair[1]}: {speedup:.1f}x")
+        print(f"pair speedup {args.pair[0]} / {args.pair[1]}: {speedup:.3f}x")
         if speedup < need:
-            sys.exit(f"error: pair speedup {speedup:.1f}x < required {need}x")
+            sys.exit(f"error: pair speedup {speedup:.3f}x < required {need}x")
 
 
 if __name__ == "__main__":
