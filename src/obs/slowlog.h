@@ -44,8 +44,9 @@ struct SlowCheckRecord {
   const char* verdict = "not run";
   uint64_t total_ns = 0;
   std::array<uint64_t, kStageCount> stage_ns{};
-  /// The normalized update text — the plan-cache key, i.e. the plan
-  /// fingerprint an operator can correlate across requests.
+  /// The update's shape (its text with literal values lifted out) — the
+  /// plan-cache key, i.e. the template fingerprint an operator can
+  /// correlate across requests whatever their values.
   std::string normalized_text;
   uint64_t template_hash = 0;
   bool from_plan_cache = false;

@@ -5,8 +5,10 @@
 //
 //   queue_wait      admission-queue residency (push -> worker pop)
 //   snapshot_pin    opening + pinning the MVCC read snapshot
-//   plan_cache      normalized-text plan-cache lookup
-//   compile         full compilation on a plan-cache miss
+//   plan_cache      literal lifting, plan-cache lookup by shape, and on a
+//                   hit the bind of the request's values (with step-1
+//                   validation)
+//   compile         compilation of a shape on a miss (and its bind)
 //   probe           the lock-free read-only U-Filter probe
 //   apply           writer-lane execution (probe + mutation)
 //   wal_sync        version publication + WAL append/fsync

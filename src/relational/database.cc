@@ -134,12 +134,6 @@ double Table::EstimateEqMatches(int column_idx) const {
          static_cast<double>(idx->distinct_keys);
 }
 
-double Table::EstimateEqMatches(int column_idx, const Value& literal) const {
-  const Index* idx = FindIndexForColumn(column_idx);
-  if (idx == nullptr) return static_cast<double>(live_count_);
-  return static_cast<double>(idx->map.count(HashOneValue(literal)));
-}
-
 void Table::ProbeIndexEq(int column_idx, const Value& v,
                          std::vector<RowId>* out,
                          const EngineCounters* counters) const {

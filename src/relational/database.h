@@ -212,8 +212,6 @@ class Table {
   /// index gives 1, a non-unique index gives the average bucket size
   /// (live rows / distinct keys), no index gives live_row_count().
   double EstimateEqMatches(int column_idx) const;
-  /// Same, but with the literal known: the exact hash-bucket occupancy.
-  double EstimateEqMatches(int column_idx, const Value& literal) const;
 
   /// Hash-index equality probe addressed by column index. Appends verified
   /// matches to `out` *unsorted* (the plan executor orders final results

@@ -1,5 +1,6 @@
 #include "relational/planner.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
@@ -30,6 +31,7 @@ struct AccessChoice {
   int key_column = -1;
   bool key_is_literal = false;
   Value key_literal;
+  int key_param = -1;
   int key_src_table = -1;
   int key_src_column = -1;
   int driver_filter = -1;  ///< index into filters when literal-driven
@@ -87,7 +89,11 @@ Result<PhysicalPlan> Planner::CompileDisjunctive(
   std::vector<CompiledFilter> filters;
   for (const FilterPredicate& f : query.filters) {
     UFILTER_ASSIGN_OR_RETURN(auto c, resolve(f.col));
-    filters.push_back({c.first, c.second, f.op, f.literal});
+    filters.push_back({c.first, c.second, f.op, f.literal, f.param});
+    if (f.param >= 0) {
+      plan.param_count =
+          std::max(plan.param_count, static_cast<size_t>(f.param) + 1);
+    }
   }
   std::vector<std::vector<CompiledFilter>> branches;
   for (const std::vector<FilterPredicate>& branch : query_branches) {
@@ -124,7 +130,7 @@ Result<PhysicalPlan> Planner::CompileDisjunctive(
       const CompiledFilter& f = filters[fi];
       if (f.table != t || f.op != CompareOp::kEq) continue;
       if (!tab->HasIndexOnColumn(f.column)) continue;
-      double est = tab->EstimateEqMatches(f.column, f.literal);
+      double est = tab->EstimateEqMatches(f.column);
       if (have_index_path && est >= best.est) continue;
       best = AccessChoice{};
       best.path = tab->HasUniqueIndexOnColumn(f.column)
@@ -134,6 +140,7 @@ Result<PhysicalPlan> Planner::CompileDisjunctive(
       best.key_column = f.column;
       best.key_is_literal = true;
       best.key_literal = f.literal;
+      best.key_param = f.param;
       best.driver_filter = static_cast<int>(fi);
       have_index_path = true;
     }
@@ -191,7 +198,7 @@ Result<PhysicalPlan> Planner::CompileDisjunctive(
           break;
         }
         pins.push_back(*pin);
-        est += tab->EstimateEqMatches(pin->column, pin->literal);
+        est += tab->EstimateEqMatches(pin->column);
       }
       if (all_pinned) {
         best = AccessChoice{};
@@ -252,6 +259,7 @@ Result<PhysicalPlan> Planner::CompileDisjunctive(
     level.key_column = choice.key_column;
     level.key_is_literal = choice.key_is_literal;
     level.key_literal = choice.key_literal;
+    level.key_param = choice.key_param;
     level.key_src_table = choice.key_src_table;
     level.key_src_column = choice.key_src_column;
     level.branch_pins = std::move(choice.pins);

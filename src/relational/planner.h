@@ -43,6 +43,7 @@ struct CompiledFilter {
   int column = -1;
   CompareOp op = CompareOp::kEq;
   Value literal;
+  int param = -1;  ///< parameter slot (FilterPredicate::param), or -1
 };
 
 /// A join predicate with both sides resolved to slots.
@@ -67,6 +68,7 @@ struct PlanLevel {
   int key_column = -1;
   bool key_is_literal = false;
   Value key_literal;
+  int key_param = -1;       ///< parameter slot of a literal key, or -1
   int key_src_table = -1;   ///< FROM position of the already-bound side
   int key_src_column = -1;
 
@@ -111,17 +113,21 @@ struct PhysicalPlan {
   std::vector<std::pair<int, int>> selects;
   std::vector<PlanLevel> levels;          ///< chosen join order
   size_t branch_count = 0;
+  /// Parameter slots the plan reads (highest slot + 1); ExecutePlan must
+  /// bind at least this many values.
+  size_t param_count = 0;
 };
 
 /// \brief Compiles SPJ queries into physical plans against a Database.
 ///
 /// Join order is greedy by estimated cardinality given the already-placed
-/// tables: unique-index equality => 1, non-unique index => bucket estimate
-/// (live rows / distinct keys, or the literal's exact bucket occupancy),
-/// else live_row_count. Access paths are picked per level in that cost
-/// order, falling back to IN-list union (every branch pins this table with
-/// an indexed equality), then hash join (equi-join to a bound table with no
-/// index on this side), then scan.
+/// tables: unique-index equality => 1, non-unique index => the average
+/// bucket (live rows / distinct keys), else live_row_count. No estimate
+/// reads a filter's literal, so a plan compiled for one value of a
+/// parameter is the plan for every value. Access paths are picked per
+/// level in that cost order, falling back to IN-list union (every branch
+/// pins this table with an indexed equality), then hash join (equi-join to
+/// a bound table with no index on this side), then scan.
 class Planner {
  public:
   /// Plans against `db`'s base tables plus `ctx`'s temp tables; a null

@@ -12,26 +12,64 @@
 
 namespace ufilter::relational {
 
-std::string SelectQuery::ToSql() const {
+SqlTemplate SelectQuery::ToSqlTemplate() const {
+  SqlTemplate out;
   std::vector<std::string> sel;
   for (const ColRef& c : selects) sel.push_back(c.ToString());
   std::vector<std::string> from;
   for (const TableRef& t : tables) {
     from.push_back(t.table == t.alias ? t.table : t.table + " AS " + t.alias);
   }
-  std::vector<std::string> where;
-  for (const JoinPredicate& j : joins) {
-    where.push_back(j.a.ToString() + " " + CompareOpSymbol(j.op) + " " +
-                    j.b.ToString());
-  }
-  for (const FilterPredicate& f : filters) {
-    where.push_back(f.col.ToString() + " " + CompareOpSymbol(f.op) + " " +
-                    f.literal.ToSqlLiteral());
-  }
   std::string sql = "SELECT " + (sel.empty() ? "*" : Join(sel, ", ")) +
                     " FROM " + Join(from, ", ");
-  if (!where.empty()) sql += " WHERE " + Join(where, " AND ");
-  return sql;
+  const char* conjunction = " WHERE ";
+  for (const JoinPredicate& j : joins) {
+    sql += conjunction + j.a.ToString() + " " + CompareOpSymbol(j.op) + " " +
+           j.b.ToString();
+    conjunction = " AND ";
+  }
+  for (const FilterPredicate& f : filters) {
+    sql += conjunction + f.col.ToString() + " " + CompareOpSymbol(f.op) + " ";
+    conjunction = " AND ";
+    if (f.param < 0) {
+      sql += f.literal.ToSqlLiteral();
+      continue;
+    }
+    out.pieces.push_back(std::move(sql));
+    sql.clear();
+    out.gaps.push_back(f.param);
+  }
+  out.pieces.push_back(std::move(sql));
+  return out;
+}
+
+std::string SelectQuery::ToSql() const {
+  SqlTemplate sql = ToSqlTemplate();
+  std::string out = std::move(sql.pieces[0]);
+  size_t gap = 0;
+  for (const FilterPredicate& f : filters) {
+    if (f.param < 0) continue;
+    out += f.literal.ToSqlLiteral();
+    out += sql.pieces[++gap];
+  }
+  return out;
+}
+
+std::string SqlTemplate::Render(const std::vector<Value>& params) const {
+  std::string out = pieces[0];
+  for (size_t i = 0; i < gaps.size(); ++i) {
+    out += params[static_cast<size_t>(gaps[i])].ToSqlLiteral();
+    out += pieces[i + 1];
+  }
+  return out;
+}
+
+SelectQuery SelectQuery::Bind(const std::vector<Value>& params) const {
+  SelectQuery bound = *this;
+  for (FilterPredicate& f : bound.filters) {
+    if (f.param >= 0) f.literal = params[static_cast<size_t>(f.param)];
+  }
+  return bound;
 }
 
 std::string DisjunctiveQuery::ToSql() const {
@@ -82,21 +120,35 @@ Result<DisjunctiveResult> QueryEvaluator::ExecuteImpl(
   Planner planner(db_, ctx_);
   UFILTER_ASSIGN_OR_RETURN(PhysicalPlan plan,
                            planner.CompileDisjunctive(query, branches));
-  return RunPlan(plan);
+  return RunPlan(plan, nullptr);
 }
 
 Result<DisjunctiveResult> QueryEvaluator::ExecutePlan(
-    const PhysicalPlan& plan) {
+    const PhysicalPlan& plan, const std::vector<Value>& params) {
+  if (params.size() < plan.param_count) {
+    return Status::InvalidArgument(
+        "plan has " + std::to_string(plan.param_count) +
+        " parameter slot(s) but " + std::to_string(params.size()) +
+        " value(s) were bound");
+  }
   db_->counters().plan_replays->Inc();
-  return RunPlan(plan);
+  return RunPlan(plan, &params);
 }
 
 // ---------------------------------------------------------------------------
 // Iterative compiled-plan executor
 // ---------------------------------------------------------------------------
 
-Result<DisjunctiveResult> QueryEvaluator::RunPlan(const PhysicalPlan& plan) {
+Result<DisjunctiveResult> QueryEvaluator::RunPlan(
+    const PhysicalPlan& plan, const std::vector<Value>* params) {
   const EngineCounters* counters = &db_->counters();
+  // A filter's value: its parameter slot when the plan runs with
+  // parameters, else its own literal.
+  auto Lit = [params](const CompiledFilter& f) -> const Value& {
+    return params != nullptr && f.param >= 0
+               ? (*params)[static_cast<size_t>(f.param)]
+               : f.literal;
+  };
   counters->queries_executed->Inc();
   if (plan.branch_count > 0) {
     counters->batch_queries_executed->Inc();
@@ -191,7 +243,7 @@ Result<DisjunctiveResult> QueryEvaluator::RunPlan(const PhysicalPlan& plan) {
         col.SelectAll(&sel);
         for (const CompiledFilter& f : spec.filters) {
           if (sel.empty()) break;
-          col.FilterColumn(f.column, f.op, f.literal, &sel);
+          col.FilterColumn(f.column, f.op, Lit(f), &sel);
         }
         counters->columnar_scan_rows->Add(col.row_count());
         counters->selection_vector_rows->Add(sel.size());
@@ -211,10 +263,12 @@ Result<DisjunctiveResult> QueryEvaluator::RunPlan(const PhysicalPlan& plan) {
       case AccessPath::kUniqueLookup:
       case AccessPath::kIndexLookup: {
         const Value& key =
-            spec.key_is_literal
-                ? spec.key_literal
-                : (*rows[static_cast<size_t>(spec.key_src_table)])
-                      [static_cast<size_t>(spec.key_src_column)];
+            !spec.key_is_literal
+                ? (*rows[static_cast<size_t>(spec.key_src_table)])
+                      [static_cast<size_t>(spec.key_src_column)]
+            : params != nullptr && spec.key_param >= 0
+                ? (*params)[static_cast<size_t>(spec.key_param)]
+                : spec.key_literal;
         if (!key.is_null()) {  // NULL never joins or matches
           table->ProbeIndexEq(spec.key_column, key, &level.candidates,
                               counters);
@@ -225,8 +279,8 @@ Result<DisjunctiveResult> QueryEvaluator::RunPlan(const PhysicalPlan& plan) {
         for (size_t b = 0; b < plan.branch_count; ++b) {
           if (!level.alive[b]) continue;  // dead branch: skip its lookup
           const CompiledFilter& pin = spec.branch_pins[b];
-          if (pin.literal.is_null()) continue;
-          table->ProbeIndexEq(pin.column, pin.literal, &level.candidates,
+          if (Lit(pin).is_null()) continue;
+          table->ProbeIndexEq(pin.column, Lit(pin), &level.candidates,
                               counters);
         }
         // Union, not concatenation: a row matching several branches must
@@ -281,7 +335,7 @@ Result<DisjunctiveResult> QueryEvaluator::RunPlan(const PhysicalPlan& plan) {
       for (const CompiledFilter& f : spec.filters) {
         if (!EvalCompare((*rows[static_cast<size_t>(f.table)])
                              [static_cast<size_t>(f.column)],
-                         f.op, f.literal)) {
+                         f.op, Lit(f))) {
           return false;
         }
       }
@@ -323,7 +377,7 @@ Result<DisjunctiveResult> QueryEvaluator::RunPlan(const PhysicalPlan& plan) {
         for (const CompiledFilter& f : spec.branch_filters[b]) {
           if (!EvalCompare((*rows[static_cast<size_t>(f.table)])
                                [static_cast<size_t>(f.column)],
-                           f.op, f.literal)) {
+                           f.op, Lit(f))) {
             a = 0;
             break;
           }

@@ -32,11 +32,26 @@ struct JoinPredicate {
   ColRef b;
 };
 
-/// Filter against a literal: `col <op> literal`.
+/// Filter against a literal: `col <op> literal`. A filter with a `param`
+/// slot (>= 0) is a parameter: a plan compiled from it reads the value
+/// from the parameter vector it is executed with (QueryEvaluator::
+/// ExecutePlan), so one plan serves every value; `literal` holds the
+/// value only once the query is bound (SelectQuery::Bind).
 struct FilterPredicate {
   ColRef col;
   CompareOp op = CompareOp::kEq;
   Value literal;
+  int param = -1;
+};
+
+/// \brief SQL text rendered once for a query with parameter slots: the
+/// text between the slots, and the slot each gap takes its value from.
+struct SqlTemplate {
+  std::vector<std::string> pieces;  ///< gaps.size() + 1 entries
+  std::vector<int> gaps;            ///< parameter slot per gap
+
+  /// The SQL with `params[slot]` spliced into each gap.
+  std::string Render(const std::vector<Value>& params) const;
 };
 
 /// \brief A conjunctive SPJ query: SELECT selects FROM tables WHERE
@@ -54,6 +69,10 @@ struct SelectQuery {
 
   /// SQL text rendering of this query.
   std::string ToSql() const;
+  /// The same text with a gap at every parameter filter's value.
+  SqlTemplate ToSqlTemplate() const;
+  /// A copy with every parameter filter's literal set to `params[param]`.
+  SelectQuery Bind(const std::vector<Value>& params) const;
 };
 
 /// \brief Evaluation output: projected rows plus, per result row, the row id
@@ -127,8 +146,10 @@ class QueryEvaluator {
   /// Replays a previously compiled plan (counts as a plan replay: zero
   /// name resolution or planning happens here). Tables are re-resolved by
   /// name, so a plan stays valid across temp-table re-creations as long as
-  /// the arities still match.
-  Result<DisjunctiveResult> ExecutePlan(const PhysicalPlan& plan);
+  /// the arities still match. `params` fills the plan's parameter slots
+  /// and must cover all of them.
+  Result<DisjunctiveResult> ExecutePlan(const PhysicalPlan& plan,
+                                        const std::vector<Value>& params = {});
 
   /// The pre-planner recursive interpreter (left-deep in FROM order),
   /// retained as the semantic reference for differential testing and as
@@ -151,8 +172,10 @@ class QueryEvaluator {
       const SelectQuery& base,
       const std::vector<std::vector<FilterPredicate>>& branches);
 
-  /// The iterative compiled-plan executor (no replay counting).
-  Result<DisjunctiveResult> RunPlan(const PhysicalPlan& plan);
+  /// The iterative compiled-plan executor (no replay counting). With null
+  /// `params` every filter reads its own literal.
+  Result<DisjunctiveResult> RunPlan(const PhysicalPlan& plan,
+                                    const std::vector<Value>* params);
 
   Database* db_;
   ExecutionContext* ctx_;

@@ -26,8 +26,55 @@ double Now() {
 /// ExecuteAction's actual gating.
 bool ReachesStep3(const PreparedAction& action, const CheckOptions& options) {
   return action.bound_ok && options.run_data_check &&
-         !(options.run_star && action.star_computed &&
-           action.star.result == Translatability::kUntranslatable);
+         !(options.run_star && action.star_computed() &&
+           action.shape->star.result == Translatability::kUntranslatable);
+}
+
+/// Calls `f(slot, lexical class, literal operand or payload text node)` for
+/// every literal of `stmt`, in parameter-slot order.
+template <typename F>
+void ForEachLiteral(xq::UpdateStmt* stmt, F f) {
+  for (xq::Condition& cond : stmt->conditions) {
+    for (xq::Operand* op : {&cond.lhs, &cond.rhs}) {
+      if (op->is_path()) continue;
+      f(op->param,
+        op->literal.is_int()      ? xq::LiteralClass::kInteger
+        : op->literal.is_double() ? xq::LiteralClass::kDecimal
+                                  : xq::LiteralClass::kString,
+        &op->literal, nullptr);
+    }
+  }
+  for (xq::UpdateAction& action : stmt->actions) {
+    if (action.payload == nullptr) continue;
+    int slot = action.payload_param;
+    std::vector<xml::Node*> stack = {action.payload.get()};
+    while (!stack.empty()) {
+      xml::Node* node = stack.back();
+      stack.pop_back();
+      if (node->is_text()) {
+        f(slot++, xq::LiteralClass::kText, nullptr, node);
+        continue;
+      }
+      const auto& children = node->children();
+      for (auto it = children.rbegin(); it != children.rend(); ++it) {
+        stack.push_back(it->get());
+      }
+    }
+  }
+}
+
+/// A copy of the shape payload `node` whose text nodes take the request's
+/// values, slot by slot in document order.
+xml::NodePtr BindPayload(const xml::Node& node,
+                         const std::vector<Value>& params, int* slot) {
+  if (node.is_text()) {
+    return xml::Node::Text(params[static_cast<size_t>((*slot)++)].AsString());
+  }
+  xml::NodePtr out = xml::Node::Element(node.label());
+  for (const xml::NodePtr& child : node.children()) {
+    out->AddChild(BindPayload(*child, params, slot));
+  }
+  return out;
 }
 
 }  // namespace
@@ -86,10 +133,11 @@ Result<std::unique_ptr<UFilter>> UFilter::Create(
 // Compile phase (steps 1-2, schema-level only)
 // ---------------------------------------------------------------------------
 
-void UFilter::CompileActions(const xq::UpdateStmt& stmt, bool compute_star,
-                             std::vector<PreparedAction>* actions,
-                             double* step1_seconds, double* step2_seconds,
-                             relational::ExecutionContext* ctx) {
+std::shared_ptr<CompiledShape> UFilter::CompileShape(
+    std::unique_ptr<xq::UpdateStmt> stmt, bool compute_star,
+    relational::ExecutionContext* ctx) {
+  auto shape = std::make_shared<CompiledShape>();
+  shape->stmt_ = std::move(stmt);
   db_->counters().updates_compiled->Inc();
   // Probe composition is schema-only, but probe *planning* reads table
   // statistics — scope both to `ctx` so a snapshot-pinned compile touches
@@ -105,7 +153,7 @@ void UFilter::CompileActions(const xq::UpdateStmt& stmt, bool compute_star,
     if (!query.ok()) return;
     out->present = true;
     out->query = std::move(*query);
-    out->sql = out->query.ToSql();
+    out->sql = out->query.ToSqlTemplate();
     if (out->query.tables.empty()) return;  // trivial probe, nothing to plan
     auto plan = planner.Compile(out->query);
     if (plan.ok()) {
@@ -113,97 +161,183 @@ void UFilter::CompileActions(const xq::UpdateStmt& stmt, bool compute_star,
           std::move(*plan));
     }
   };
-  for (const xq::UpdateAction& action : stmt.actions) {
-    PreparedAction pa;
+  for (const xq::UpdateAction& action : shape->stmt_->actions) {
+    ShapeAction sa;
+    sa.payload_param = action.payload_param;
 
-    // ---- Step 1: update validation --------------------------------------
+    // ---- Step 1, the part that reads no value: binding -------------------
     double t0 = Now();
-    auto bound = BindUpdateAction(*view_, *gv_, stmt, action);
+    auto bound = BindUpdateAction(*view_, *gv_, *shape->stmt_, action);
+    shape->step1_seconds_ += Now() - t0;
     if (!bound.ok()) {
-      pa.step1_error = bound.status();
-      *step1_seconds += Now() - t0;
-      actions->push_back(std::move(pa));
+      sa.bind_error = bound.status();
+      shape->actions_.push_back(std::move(sa));
       continue;
     }
-    pa.bound = *bound;
-    Status valid = ValidateUpdate(*gv_, pa.bound);
-    *step1_seconds += Now() - t0;
-    if (!valid.ok()) {
-      pa.step1_error = valid;
-      actions->push_back(std::move(pa));
-      continue;
-    }
-    pa.bound_ok = true;
+    sa.bound = std::move(*bound);
+    sa.bound_ok = true;
 
     // ---- Step 2: schema-driven translatability reasoning (STAR) ---------
     if (compute_star) {
       t0 = Now();
-      pa.star = CheckStar(*gv_, pa.bound.target_node, pa.bound.op);
-      pa.star_computed = true;
+      sa.star = CheckStar(*gv_, sa.bound.target_node, sa.bound.op);
+      sa.star_computed = true;
       db_->counters().star_checks->Inc();
-      *step2_seconds += Now() - t0;
+      shape->step2_seconds_ += Now() - t0;
     }
 
     // ---- Physical probe plans (replayed by step 3, zero name lookups) ----
     // Composed even for STAR-untranslatable actions: a run_star=false
-    // execution of this plan still reaches step 3. The cost lands in the
-    // caller's prepare_seconds, not the step-1 (validation) bucket.
-    compile_probe(translator.ComposeAnchorProbe(pa.bound), &pa.probes.anchor);
-    if (pa.bound.op == xq::UpdateOpType::kDelete ||
-        pa.bound.op == xq::UpdateOpType::kReplace) {
-      compile_probe(translator.ComposeVictimProbe(pa.bound),
-                    &pa.probes.victim);
+    // execution of this plan still reaches step 3.
+    compile_probe(translator.ComposeAnchorProbe(sa.bound), &sa.probes.anchor);
+    if (sa.bound.op == xq::UpdateOpType::kDelete ||
+        sa.bound.op == xq::UpdateOpType::kReplace) {
+      compile_probe(translator.ComposeVictimProbe(sa.bound),
+                    &sa.probes.victim);
     }
-    if (pa.bound.op == xq::UpdateOpType::kDelete ||
-        pa.bound.op == xq::UpdateOpType::kInsert) {
-      compile_probe(translator.ComposeWideProbe(pa.bound), &pa.probes.wide);
+    if (sa.bound.op == xq::UpdateOpType::kDelete ||
+        sa.bound.op == xq::UpdateOpType::kInsert) {
+      compile_probe(translator.ComposeWideProbe(sa.bound), &sa.probes.wide);
     }
-    actions->push_back(std::move(pa));
+    shape->actions_.push_back(std::move(sa));
   }
+  return shape;
 }
 
-std::shared_ptr<PreparedUpdate> UFilter::CompileUpdate(
-    const std::string& update_text, const std::string& normalized,
-    bool compute_star, relational::ExecutionContext* ctx) {
+std::shared_ptr<PreparedUpdate> UFilter::Bind(
+    std::shared_ptr<const CompiledShape> shape, std::vector<Value> params,
+    std::string normalized) {
   auto plan = std::shared_ptr<PreparedUpdate>(new PreparedUpdate());
-  plan->normalized_text_ = normalized;
+  plan->normalized_text_ = std::move(normalized);
   plan->owner_ = this;
   plan->view_signature_ = view_signature_;
+  plan->params_ = std::move(params);
+  plan->shape_ = std::move(shape);
+  const std::vector<ShapeAction>& actions = plan->shape_->actions();
+  plan->actions_.reserve(actions.size());
   double t0 = Now();
-  auto stmt = xq::ParseUpdate(update_text);
+  for (const ShapeAction& sa : actions) {
+    PreparedAction& pa = plan->actions_.emplace_back();
+    pa.shape = &sa;
+    if (!sa.bound_ok) {
+      pa.step1_error = sa.bind_error;
+      continue;
+    }
+    pa.bound = sa.bound;
+    for (BoundPredicate& pred : pa.bound.predicates) {
+      pred.literal = plan->params_[static_cast<size_t>(pred.param)];
+    }
+    if (sa.bound.payload != nullptr) {
+      int slot = sa.payload_param;
+      plan->payloads_.push_back(
+          BindPayload(*sa.bound.payload, plan->params_, &slot));
+      pa.bound.payload = plan->payloads_.back().get();
+    }
+    // ---- Step 1, the part that reads values: validation ------------------
+    Status valid = ValidateUpdate(*gv_, pa.bound);
+    if (!valid.ok()) {
+      pa.step1_error = std::move(valid);
+      continue;
+    }
+    pa.bound_ok = true;
+  }
   plan->step1_seconds_ = Now() - t0;
-  if (!stmt.ok()) {
-    plan->parse_error_ = stmt.status();
+  return plan;
+}
+
+std::shared_ptr<const PreparedUpdate> UFilter::CompileUpdate(
+    const std::string& text, const xq::LiftedUpdate* lifted,
+    bool compute_star, relational::ExecutionContext* ctx) {
+  std::string normalized =
+      lifted != nullptr ? lifted->shape : xq::NormalizeUpdateText(text);
+  double t0 = Now();
+  auto parsed = xq::ParseUpdate(text);
+  double parse_seconds = Now() - t0;
+  if (!parsed.ok()) {
+    auto plan = std::shared_ptr<PreparedUpdate>(new PreparedUpdate());
+    plan->normalized_text_ = std::move(normalized);
+    plan->owner_ = this;
+    plan->view_signature_ = view_signature_;
+    plan->parse_error_ = parsed.status();
+    plan->step1_seconds_ = parse_seconds;
     return plan;
   }
-  plan->stmt_ = std::make_unique<xq::UpdateStmt>(std::move(*stmt));
-  CompileActions(*plan->stmt_, compute_star, &plan->actions_,
-                 &plan->step1_seconds_, &plan->step2_seconds_, ctx);
+  auto stmt = std::make_unique<xq::UpdateStmt>(std::move(*parsed));
+  // The text's own values, and whether its literals line up with the
+  // lifted ones slot for slot (then the shape is what every text of this
+  // shape compiles to).
+  std::vector<Value> params;
+  bool shareable = lifted != nullptr;
+  ForEachLiteral(stmt.get(), [&](int slot, xq::LiteralClass cls,
+                                 Value* literal, xml::Node* text_node) {
+    size_t i = static_cast<size_t>(slot);
+    if (params.size() <= i) params.resize(i + 1);
+    params[i] = literal != nullptr ? *literal
+                                   : Value::String(text_node->label());
+    shareable = shareable && i < lifted->literals.size() &&
+                lifted->literals[i].cls == cls;
+  });
+  shareable = shareable && params.size() == lifted->literals.size();
+  for (const xq::Condition& cond : stmt->conditions) {
+    // Rejected at binding with an error quoting both literals.
+    if (!cond.lhs.is_path() && !cond.rhs.is_path()) shareable = false;
+  }
+  if (shareable) {
+    // A shared shape holds no request's values: its compile cannot read
+    // one, and a later request cannot see one.
+    ForEachLiteral(stmt.get(), [](int, xq::LiteralClass, Value* literal,
+                                  xml::Node* text_node) {
+      if (literal != nullptr) *literal = Value::Null();
+      if (text_node != nullptr) text_node->set_label("");
+    });
+  }
+  std::shared_ptr<CompiledShape> shape =
+      CompileShape(std::move(stmt), compute_star, ctx);
+  shape->step1_seconds_ += parse_seconds;
+  if (shareable) plan_cache_.Insert(lifted->shape, shape);
+  std::shared_ptr<PreparedUpdate> plan =
+      Bind(shape, std::move(params), std::move(normalized));
+  plan->step1_seconds_ += shape->step1_seconds_;
+  plan->step2_seconds_ = shape->step2_seconds_;
   return plan;
 }
 
 std::shared_ptr<const PreparedUpdate> UFilter::Prepare(
     const std::string& update_text, bool* cache_hit,
     relational::ExecutionContext* ctx, obs::TraceContext* trace) {
-  std::string normalized;
-  std::shared_ptr<const PreparedUpdate> hit;
+  xq::LiftedUpdate lifted;
+  bool lifted_ok = false;
   {
     obs::ScopedSpan span(trace, obs::Stage::kPlanCache);
-    normalized = xq::NormalizeUpdateText(update_text);
-    hit = plan_cache_.Lookup(normalized);
-  }
-  if (hit != nullptr) {
-    if (cache_hit != nullptr) *cache_hit = true;
-    return hit;
+    lifted_ok = xq::LiftUpdate(update_text, &lifted).ok();
+    std::shared_ptr<const CompiledShape> shape =
+        lifted_ok ? plan_cache_.Lookup(lifted.shape) : nullptr;
+    if (shape != nullptr) {
+      std::vector<Value> params;
+      params.reserve(lifted.literals.size());
+      bool values_ok = true;
+      for (const xq::Literal& lit : lifted.literals) {
+        Result<Value> value = xq::LiteralValue(lit.cls, lit.text);
+        if (!value.ok()) {
+          values_ok = false;  // the parser rejects it: compiled below
+          break;
+        }
+        params.push_back(std::move(*value));
+      }
+      if (values_ok) {
+        if (cache_hit != nullptr) *cache_hit = true;
+        return Bind(std::move(shape), std::move(params),
+                    std::move(lifted.shape));
+      }
+      lifted_ok = false;
+    }
   }
   if (cache_hit != nullptr) *cache_hit = false;
-  // Cached plans always carry STAR: a later Execute with run_star=true must
-  // be able to consume this plan.
+  // Cached shapes always carry STAR: a later Execute with run_star=true
+  // must be able to consume them.
   obs::ScopedSpan span(trace, obs::Stage::kCompile);
-  std::shared_ptr<PreparedUpdate> plan =
-      CompileUpdate(update_text, normalized, /*compute_star=*/true, ctx);
-  plan_cache_.Insert(normalized, plan);
-  return plan;
+  return CompileUpdate(update_text, lifted_ok ? &lifted : nullptr,
+                       /*compute_star=*/true, ctx);
 }
 
 // ---------------------------------------------------------------------------
@@ -236,7 +370,7 @@ CheckReport UFilter::Execute(const PreparedUpdate& prepared,
   if (std::optional<CheckReport> rejected = RejectUnusablePlan(prepared)) {
     return *rejected;
   }
-  return ExecuteActions(prepared.actions(), options, ctx);
+  return ExecuteActions(prepared, options, ctx);
 }
 
 std::optional<CheckReport> UFilter::TryCheckReadOnly(
@@ -250,7 +384,7 @@ std::optional<CheckReport> UFilter::TryCheckReadOnly(
   const std::vector<PreparedAction>& actions = prepared.actions();
   if (actions.empty()) {
     // Data is never touched: serve the same report ExecuteActions builds.
-    return ExecuteActions(actions, options, ctx);
+    return ExecuteActions(prepared, options, ctx);
   }
   // The multi-action protocol checks each action against the state left by
   // the previous ones (inside a savepoint): a later action's probes must see
@@ -264,12 +398,14 @@ std::optional<CheckReport> UFilter::TryCheckReadOnly(
       options.strategy != DataCheckStrategy::kOutside) {
     return std::nullopt;
   }
-  return ExecuteAction(action, options, ctx, nullptr, /*read_only=*/true);
+  return ExecuteAction(action, prepared.params(), options, ctx, nullptr,
+                       /*read_only=*/true);
 }
 
-CheckReport UFilter::ExecuteActions(const std::vector<PreparedAction>& actions,
+CheckReport UFilter::ExecuteActions(const PreparedUpdate& prepared,
                                     const CheckOptions& options,
                                     relational::ExecutionContext* ctx) {
+  const std::vector<PreparedAction>& actions = prepared.actions();
   if (actions.empty()) {
     CheckReport report;
     report.outcome = CheckOutcome::kInvalid;
@@ -277,7 +413,7 @@ CheckReport UFilter::ExecuteActions(const std::vector<PreparedAction>& actions,
     return report;
   }
   if (actions.size() == 1) {
-    return ExecuteAction(actions[0], options, ctx);
+    return ExecuteAction(actions[0], prepared.params(), options, ctx);
   }
   // Multi-action UPDATE block: check and apply atomically — every action
   // must pass or nothing is applied.
@@ -289,7 +425,7 @@ CheckReport UFilter::ExecuteActions(const std::vector<PreparedAction>& actions,
   for (const PreparedAction& action : actions) {
     CheckOptions per_action = options;
     per_action.apply = true;  // applied inside the outer savepoint
-    CheckReport r = ExecuteAction(action, per_action, ctx);
+    CheckReport r = ExecuteAction(action, prepared.params(), per_action, ctx);
     combined.step3_seconds += r.step3_seconds;
     if (r.outcome != CheckOutcome::kExecuted) {
       ctx->Rollback(savepoint);
@@ -322,6 +458,7 @@ CheckReport UFilter::ExecuteActions(const std::vector<PreparedAction>& actions,
 }
 
 CheckReport UFilter::ExecuteAction(const PreparedAction& action,
+                                   const std::vector<Value>& params,
                                    const CheckOptions& options,
                                    relational::ExecutionContext* ctx,
                                    const InjectedProbes* injected,
@@ -338,8 +475,8 @@ CheckReport UFilter::ExecuteAction(const PreparedAction& action,
   // that is nevertheless executed with the gate on classifies on the fly.
   StarVerdict verdict;  // defaults to unconditionally translatable
   if (options.run_star) {
-    if (action.star_computed) {
-      verdict = action.star;
+    if (action.star_computed()) {
+      verdict = action.shape->star;
     } else {
       double t0 = Now();
       verdict = CheckStar(*gv_, action.bound.target_node, action.bound.op);
@@ -366,17 +503,18 @@ CheckReport UFilter::ExecuteAction(const PreparedAction& action,
                    : options.apply ? ApplyMode::kApply
                                    : ApplyMode::kDryRun;
   auto data = checker.CheckAndExecute(action.bound, verdict, options.strategy,
-                                      mode, injected, &action.probes);
+                                      mode, injected, &action.shape->probes,
+                                      &params);
   report.step3_seconds = Now() - t0;
   if (!data.ok()) {
     report.outcome = CheckOutcome::kDataConflict;
     report.error = data.status();
     return report;
   }
-  report.translation = data->translation;
+  report.translation = std::move(data->translation);
   report.rows_affected = data->rows_affected;
   report.zero_tuple_warning = data->zero_tuple_warning;
-  report.probes = data->probes;
+  report.probes = std::move(data->probes);
   if (!data->passed) {
     report.outcome = CheckOutcome::kDataConflict;
     report.error = data->failure;
@@ -399,8 +537,7 @@ CheckReport UFilter::Check(const std::string& update_text,
   if (options.use_plan_cache) {
     plan = Prepare(update_text, &hit, ctx);
   } else {
-    plan = CompileUpdate(update_text, xq::NormalizeUpdateText(update_text),
-                         options.run_star, ctx);
+    plan = CompileUpdate(update_text, nullptr, options.run_star, ctx);
   }
   double prepare_seconds = Now() - t0;
   CheckReport report = Execute(*plan, options, ctx);
@@ -413,21 +550,6 @@ CheckReport UFilter::Check(const std::string& update_text,
       report.step2_seconds += plan->compile_step2_seconds();
     }
   }
-  return report;
-}
-
-CheckReport UFilter::CheckParsed(const xq::UpdateStmt& stmt,
-                                 const CheckOptions& options,
-                                 relational::ExecutionContext* ctx) {
-  if (ctx == nullptr) ctx = db_->root_context();
-  std::vector<PreparedAction> actions;
-  double step1_seconds = 0;
-  double step2_seconds = 0;
-  CompileActions(stmt, options.run_star, &actions, &step1_seconds,
-                 &step2_seconds, ctx);
-  CheckReport report = ExecuteActions(actions, options, ctx);
-  report.step1_seconds += step1_seconds;
-  if (options.run_star) report.step2_seconds += step2_seconds;
   return report;
 }
 
@@ -449,8 +571,7 @@ std::vector<CheckReport> UFilter::CheckBatch(
       plans[i] = Prepare(updates[i], &hit, ctx);
       hits[i] = hit ? 1 : 0;
     } else {
-      plans[i] = CompileUpdate(updates[i], xq::NormalizeUpdateText(updates[i]),
-                               options.run_star, ctx);
+      plans[i] = CompileUpdate(updates[i], nullptr, options.run_star, ctx);
     }
     prepare_seconds[i] = Now() - t0;
   }
@@ -485,29 +606,31 @@ std::vector<CheckReport> UFilter::CheckBatch(
     }
     const PreparedAction& action = plan.actions()[0];
     if (!ReachesStep3(action, options)) {
-      reports[i] = ExecuteAction(action, options, ctx);
+      reports[i] = ExecuteAction(action, plan.params(), options, ctx);
       continue;
     }
-    // The probe queries were composed (and physically compiled) at Prepare
-    // time; an absent slot means composition failed there, and the
-    // unbatched path will surface the same error.
+    // The probe queries were composed (and physically compiled) with the
+    // shape; an absent slot means composition failed there, and the
+    // unbatched path will surface the same error. Merging needs them bound
+    // to this update's values.
+    const CompiledProbeSet& probes = action.shape->probes;
     Pending p;
     p.index = i;
     p.action = &action;
-    if (!action.probes.anchor.present) {
+    if (!probes.anchor.present) {
       modes[i] = Mode::kFallback;
       continue;
     }
-    p.merge_anchor = !action.probes.anchor.query.tables.empty();
-    if (p.merge_anchor) p.anchor_query = action.probes.anchor.query;
+    p.merge_anchor = !probes.anchor.query.tables.empty();
+    if (p.merge_anchor) p.anchor_query = probes.anchor.query.Bind(plan.params());
     if (action.bound.op == xq::UpdateOpType::kDelete ||
         action.bound.op == xq::UpdateOpType::kReplace) {
-      if (!action.probes.victim.present) {
+      if (!probes.victim.present) {
         modes[i] = Mode::kFallback;
         continue;
       }
       p.merge_victim = true;
-      p.victim_query = action.probes.victim.query;
+      p.victim_query = probes.victim.query.Bind(plan.params());
     }
     modes[i] = Mode::kPending;
     pending.push_back(std::move(p));
@@ -592,7 +715,8 @@ std::vector<CheckReport> UFilter::CheckBatch(
         break;
       case Mode::kPending: {
         Pending* p = pending_by_index[i];
-        reports[i] = ExecuteAction(*p->action, options, ctx, &p->probes);
+        reports[i] = ExecuteAction(*p->action, plans[i]->params(), options,
+                                   ctx, &p->probes);
         break;
       }
     }

@@ -1,11 +1,13 @@
 // U-Filter pipeline facade (Fig. 5), split into an explicit two-phase
 // lifecycle. Compile a view once (parse, analyze, build + mark the ASGs),
-// then *prepare* each distinct update template once (parse, bind, validate,
-// STAR-classify) and *execute* it any number of times — execution pays only
-// step 3 (data-driven checking) and translation. A bounded LRU plan cache
-// keyed by the normalized update text makes Prepare free for repeated
-// templates, and CheckBatch merges the step-3 probes of many updates into
-// OR-of-predicates queries against the database.
+// then *prepare* each update and *execute* it any number of times —
+// execution pays only step 3 (data-driven checking) and translation.
+// Prepare compiles each update *shape* once (parse, bind, STAR-classify,
+// plan the step-3 probes with parameter slots) into a bounded LRU plan
+// cache keyed by the shape, and binds each request's literal values into
+// the cached shape (WHERE predicates, payload, probe slots) before running
+// the request's own step-1 validation. CheckBatch merges the step-3 probes
+// of many updates into OR-of-predicates queries against the database.
 //
 // This is the library's primary public entry point:
 //
@@ -71,8 +73,8 @@ struct CheckOptions {
   /// unconditionally translatable — the "Update" (no checking) baseline of
   /// Figs. 13/14. Default on.
   bool run_star = true;
-  /// When false, Check/CheckBatch compile from scratch without consulting or
-  /// populating the plan cache (cold-path benchmarking).
+  /// When false, Check/CheckBatch compile each text for itself without
+  /// consulting or populating the plan cache (cold-path benchmarking).
   bool use_plan_cache = true;
 };
 
@@ -113,11 +115,14 @@ class UFilter {
   static Result<std::unique_ptr<UFilter>> Create(
       relational::Database* db, const std::string& view_query);
 
-  /// Compiles `update_text` into a reusable plan: parse, bind, validate
-  /// (step 1) and STAR-classify (step 2) every action. Never returns null;
-  /// compile failures travel inside the plan and surface when executed.
-  /// Consults the plan cache first (key: normalized text); `cache_hit`, when
-  /// non-null, reports whether the plan was served from the cache. `ctx`
+  /// Prepares `update_text` into a reusable plan: its shape's compile
+  /// (parse, bind, STAR-classify every action, plan the step-3 probes)
+  /// bound to this text's literal values, then validated (step 1). Never
+  /// returns null; compile failures travel inside the plan and surface when
+  /// executed. Looks the shape up in the plan cache first; `cache_hit`,
+  /// when non-null, reports whether the shape came from the cache. A text
+  /// that does not lift or parse, or whose values the parser would reject,
+  /// is compiled for this request alone and never enters the cache. `ctx`
   /// scopes the table-statistics reads of probe *planning*: a
   /// snapshot-pinned context lets Prepare run with no lock while a writer
   /// commits concurrently (the physical plans re-resolve tables by name at
@@ -155,12 +160,6 @@ class UFilter {
   CheckReport Check(const std::string& update_text,
                     const CheckOptions& options = {},
                     relational::ExecutionContext* ctx = nullptr);
-
-  /// Checks a caller-parsed statement (compiles it transiently; the plan
-  /// cache is not consulted since there is no source text to key on).
-  CheckReport CheckParsed(const xq::UpdateStmt& stmt,
-                          const CheckOptions& options = {},
-                          relational::ExecutionContext* ctx = nullptr);
 
   /// Checks N updates, merging the step-3 anchor/victim probes of updates
   /// that share a probe shape (same target relation chain) into single
@@ -201,16 +200,31 @@ class UFilter {
   explicit UFilter(relational::Database* db)
       : db_(db), plan_cache_(&db->registry()) {}
 
-  /// Compiles all actions of `stmt` (steps 1-2); fills per-action verdicts
-  /// and the step-1/2 compile timings. With `compute_star` false step 2 is
-  /// skipped (the run_star=false baseline must not pay STAR anywhere) —
-  /// only cache-bypassing callers may skip it, since a cached plan must
-  /// serve later run_star=true executions. `ctx` scopes the probe planner's
-  /// table-statistics reads (null = root context / live tables).
-  void CompileActions(const xq::UpdateStmt& stmt, bool compute_star,
-                      std::vector<PreparedAction>* actions,
-                      double* step1_seconds, double* step2_seconds,
-                      relational::ExecutionContext* ctx = nullptr);
+  /// Compiles `stmt` into a shape: binds every action, STAR-classifies it
+  /// (unless `compute_star` is false: the run_star=false baseline must not
+  /// pay STAR anywhere, so only cache-bypassing callers may skip it) and
+  /// composes and plans its step-3 probes with parameter slots. `ctx`
+  /// scopes the probe planner's table-statistics reads (null = root
+  /// context / live tables).
+  std::shared_ptr<CompiledShape> CompileShape(
+      std::unique_ptr<xq::UpdateStmt> stmt, bool compute_star,
+      relational::ExecutionContext* ctx);
+
+  /// Compiles `text` for one request: parses it, compiles its shape and
+  /// binds the text's own values. With `lifted` (the text's lift) the shape
+  /// also enters the plan cache, unless binding it would read a value: a
+  /// condition comparing two literals is rejected with an error quoting
+  /// both.
+  std::shared_ptr<const PreparedUpdate> CompileUpdate(
+      const std::string& text, const xq::LiftedUpdate* lifted,
+      bool compute_star, relational::ExecutionContext* ctx);
+
+  /// Binds a request's literal values (by parameter slot) into `shape`:
+  /// fills each action's WHERE predicates, builds its payload, and runs the
+  /// request's step-1 validation.
+  std::shared_ptr<PreparedUpdate> Bind(
+      std::shared_ptr<const CompiledShape> shape, std::vector<Value> params,
+      std::string normalized);
 
   /// Shared rejection prologue of Execute / TryCheckReadOnly: a plan
   /// prepared against another UFilter / view signature, or one whose parse
@@ -218,22 +232,19 @@ class UFilter {
   std::optional<CheckReport> RejectUnusablePlan(
       const PreparedUpdate& prepared) const;
 
-  /// Full compile of one update text into a fresh plan (no cache).
-  std::shared_ptr<PreparedUpdate> CompileUpdate(
-      const std::string& update_text, const std::string& normalized,
-      bool compute_star, relational::ExecutionContext* ctx = nullptr);
-
-  /// Replays precompiled actions: the per-action step-1/2 verdict gates plus
-  /// step 3, with the multi-action atomic savepoint protocol.
-  CheckReport ExecuteActions(const std::vector<PreparedAction>& actions,
+  /// Replays a prepared update's actions: the per-action step-1/2 verdict
+  /// gates plus step 3, with the multi-action atomic savepoint protocol.
+  CheckReport ExecuteActions(const PreparedUpdate& prepared,
                              const CheckOptions& options,
                              relational::ExecutionContext* ctx);
 
-  /// Runs one precompiled action (gates + step 3). `injected`, when
-  /// non-null, supplies batch-merged probe results to the data checker.
-  /// `read_only` runs step 3 in ApplyMode::kReadOnly (the translated ops
-  /// run on a throwaway overlay) with the same verdict as kDryRun.
+  /// Runs one prepared action (gates + step 3); `params` are its request's
+  /// literal values. `injected`, when non-null, supplies batch-merged probe
+  /// results to the data checker. `read_only` runs step 3 in
+  /// ApplyMode::kReadOnly (the translated ops run on a throwaway overlay)
+  /// with the same verdict as kDryRun.
   CheckReport ExecuteAction(const PreparedAction& action,
+                            const std::vector<Value>& params,
                             const CheckOptions& options,
                             relational::ExecutionContext* ctx,
                             const InjectedProbes* injected = nullptr,

@@ -25,32 +25,38 @@ const char* DataCheckStrategyName(DataCheckStrategy s) {
   return "?";
 }
 
-namespace {
+template <typename Compose>
+Result<const relational::PhysicalPlan*> DataChecker::BindProbe(
+    const CompiledProbe* compiled, Compose compose, SelectQuery* query,
+    std::string* sql) {
+  if (compiled != nullptr && compiled->present) {
+    *query = compiled->query.Bind(*params_);
+    *sql = compiled->sql.Render(*params_);
+    return compiled->plan.get();
+  }
+  UFILTER_ASSIGN_OR_RETURN(*query, compose());
+  *sql = query->ToSql();
+  return nullptr;
+}
 
-/// Runs a probe, replaying a compiled plan when one is attached.
-Result<QueryResult> RunProbe(relational::Database* db,
-                             relational::ExecutionContext* ctx,
-                             const SelectQuery& query,
-                             const std::shared_ptr<
-                                 const relational::PhysicalPlan>& plan) {
-  QueryEvaluator evaluator(db, ctx);
+Result<QueryResult> DataChecker::RunProbe(
+    const SelectQuery& query, const relational::PhysicalPlan* plan) {
+  QueryEvaluator evaluator(db_, ctx_);
   if (plan != nullptr) {
     UFILTER_ASSIGN_OR_RETURN(relational::DisjunctiveResult merged,
-                             evaluator.ExecutePlan(*plan));
+                             evaluator.ExecutePlan(*plan, *params_));
     return std::move(merged.merged);
   }
   return evaluator.Execute(query);
 }
 
-}  // namespace
-
 Result<QueryResult> DataChecker::CheckContext(const BoundUpdate& update,
-                                              SelectQuery* query_out,
+                                              SelectQuery* query,
                                               DataCheckReport* report,
                                               const InjectedProbes* injected,
                                               const CompiledProbeSet* compiled) {
   if (injected != nullptr && injected->has_anchor) {
-    *query_out = injected->anchor_query;
+    *query = injected->anchor_query;
     report->probes.push_back(injected->anchor_sql);
     if (injected->anchors.empty()) {
       return Status::DataConflict(
@@ -59,24 +65,18 @@ Result<QueryResult> DataChecker::CheckContext(const BoundUpdate& update,
     }
     return injected->anchors;
   }
-  SelectQuery query;
   std::string sql;
-  std::shared_ptr<const relational::PhysicalPlan> plan;
-  if (compiled != nullptr && compiled->anchor.present) {
-    query = compiled->anchor.query;
-    sql = compiled->anchor.sql;
-    plan = compiled->anchor.plan;
-  } else {
-    UFILTER_ASSIGN_OR_RETURN(query, translator_.ComposeAnchorProbe(update));
-    sql = query.ToSql();
-  }
-  *query_out = query;
-  if (query.tables.empty()) {
+  UFILTER_ASSIGN_OR_RETURN(
+      const relational::PhysicalPlan* plan,
+      BindProbe(compiled != nullptr ? &compiled->anchor : nullptr,
+                [&] { return translator_.ComposeAnchorProbe(update); }, query,
+                &sql));
+  if (query->tables.empty()) {
     // Root-anchored update: the context trivially exists.
     return QueryResult{};
   }
-  report->probes.push_back(sql);
-  UFILTER_ASSIGN_OR_RETURN(QueryResult result, RunProbe(db_, ctx_, query, plan));
+  report->probes.push_back(std::move(sql));
+  UFILTER_ASSIGN_OR_RETURN(QueryResult result, RunProbe(*query, plan));
   if (result.empty()) {
     return Status::DataConflict(
         "update context <" + update.context->tag +
@@ -86,29 +86,23 @@ Result<QueryResult> DataChecker::CheckContext(const BoundUpdate& update,
 }
 
 Result<QueryResult> DataChecker::FetchVictims(const BoundUpdate& update,
-                                              SelectQuery* query_out,
+                                              SelectQuery* query,
                                               DataCheckReport* report,
                                               const InjectedProbes* injected,
                                               const CompiledProbeSet* compiled) {
   if (injected != nullptr && injected->has_victim) {
-    *query_out = injected->victim_query;
+    *query = injected->victim_query;
     report->probes.push_back(injected->victim_sql);
     return injected->victims;
   }
-  SelectQuery query;
   std::string sql;
-  std::shared_ptr<const relational::PhysicalPlan> plan;
-  if (compiled != nullptr && compiled->victim.present) {
-    query = compiled->victim.query;
-    sql = compiled->victim.sql;
-    plan = compiled->victim.plan;
-  } else {
-    UFILTER_ASSIGN_OR_RETURN(query, translator_.ComposeVictimProbe(update));
-    sql = query.ToSql();
-  }
-  *query_out = query;
-  report->probes.push_back(sql);
-  return RunProbe(db_, ctx_, query, plan);
+  UFILTER_ASSIGN_OR_RETURN(
+      const relational::PhysicalPlan* plan,
+      BindProbe(compiled != nullptr ? &compiled->victim : nullptr,
+                [&] { return translator_.ComposeVictimProbe(update); }, query,
+                &sql));
+  report->probes.push_back(std::move(sql));
+  return RunProbe(*query, plan);
 }
 
 Status DataChecker::RunWideProbe(const BoundUpdate& update,
@@ -116,17 +110,13 @@ Status DataChecker::RunWideProbe(const BoundUpdate& update,
                                  const CompiledProbeSet* compiled) {
   SelectQuery query;
   std::string sql;
-  std::shared_ptr<const relational::PhysicalPlan> plan;
-  if (compiled != nullptr && compiled->wide.present) {
-    query = compiled->wide.query;
-    sql = compiled->wide.sql;
-    plan = compiled->wide.plan;
-  } else {
-    UFILTER_ASSIGN_OR_RETURN(query, translator_.ComposeWideProbe(update));
-    sql = query.ToSql();
-  }
-  report->probes.push_back(sql);
-  UFILTER_ASSIGN_OR_RETURN(QueryResult result, RunProbe(db_, ctx_, query, plan));
+  UFILTER_ASSIGN_OR_RETURN(
+      const relational::PhysicalPlan* plan,
+      BindProbe(compiled != nullptr ? &compiled->wide : nullptr,
+                [&] { return translator_.ComposeWideProbe(update); }, &query,
+                &sql));
+  report->probes.push_back(std::move(sql));
+  UFILTER_ASSIGN_OR_RETURN(QueryResult result, RunProbe(query, plan));
   (void)result;
   return Status::OK();
 }
@@ -386,8 +376,10 @@ Result<DataCheckReport> DataChecker::RunReplace(
 Result<DataCheckReport> DataChecker::CheckAndExecute(
     const BoundUpdate& update, const StarVerdict& verdict,
     DataCheckStrategy strategy, ApplyMode mode,
-    const InjectedProbes* injected, const CompiledProbeSet* compiled) {
+    const InjectedProbes* injected, const CompiledProbeSet* compiled,
+    const std::vector<Value>* params) {
   mode_ = mode;
+  params_ = params;
   // Read-only mode touches no data, so there is nothing to roll back (and
   // taking a savepoint would race with concurrent readers' contexts).
   const bool read_only = mode == ApplyMode::kReadOnly;

@@ -39,15 +39,17 @@ enum class ApplyMode {
   kReadOnly,
 };
 
-/// One step-3 probe, composed and physically compiled at Prepare time. The
-/// query (alias layout) and its SQL rendering are frozen; `plan` is the
-/// cost-based planner's output, replayed by Execute/CheckBatch with zero
-/// name resolution. A null `plan` with `present` set means planning was
-/// deferred (e.g. an empty FROM list) — the checker compiles on demand.
+/// One step-3 probe, composed and physically compiled once per update
+/// shape. The query (alias layout) is frozen with the update's WHERE
+/// literals as parameter slots; `sql` is its SQL rendered once, into which
+/// each request's values are spliced; `plan` is the cost-based planner's
+/// output, replayed with the request's values and zero name resolution. A
+/// null `plan` with `present` set means planning was deferred (e.g. an
+/// empty FROM list) — the checker plans the bound query on demand.
 struct CompiledProbe {
   bool present = false;
   relational::SelectQuery query;
-  std::string sql;
+  relational::SqlTemplate sql;
   std::shared_ptr<const relational::PhysicalPlan> plan;
 };
 
@@ -116,29 +118,15 @@ class DataChecker {
   /// non-null its probe results replace the checker's own anchor/victim
   /// queries (batch mode); the internal strategy's wide probe is always
   /// issued locally. When `compiled` is non-null its prepared plans are
-  /// replayed instead of composing and planning the probe queries from
+  /// bound to `params` (the request's literal values by parameter slot)
+  /// and replayed instead of composing and planning the probe queries from
   /// scratch.
-  Result<DataCheckReport> CheckAndExecute(const BoundUpdate& update,
-                                          const StarVerdict& verdict,
-                                          DataCheckStrategy strategy,
-                                          ApplyMode mode,
-                                          const InjectedProbes* injected =
-                                              nullptr,
-                                          const CompiledProbeSet* compiled =
-                                              nullptr);
-
-  Result<DataCheckReport> CheckAndExecute(const BoundUpdate& update,
-                                          const StarVerdict& verdict,
-                                          DataCheckStrategy strategy,
-                                          bool apply,
-                                          const InjectedProbes* injected =
-                                              nullptr,
-                                          const CompiledProbeSet* compiled =
-                                              nullptr) {
-    return CheckAndExecute(update, verdict, strategy,
-                           apply ? ApplyMode::kApply : ApplyMode::kDryRun,
-                           injected, compiled);
-  }
+  Result<DataCheckReport> CheckAndExecute(
+      const BoundUpdate& update, const StarVerdict& verdict,
+      DataCheckStrategy strategy, ApplyMode mode,
+      const InjectedProbes* injected = nullptr,
+      const CompiledProbeSet* compiled = nullptr,
+      const std::vector<Value>* params = nullptr);
 
  private:
   Result<DataCheckReport> RunDelete(const BoundUpdate& update,
@@ -175,6 +163,20 @@ class DataChecker {
   Status RunWideProbe(const BoundUpdate& update, DataCheckReport* report,
                       const CompiledProbeSet* compiled);
 
+  /// The request's copy of one probe: `compiled` bound to the request's
+  /// values when present, else composed by `compose`. Fills the query and
+  /// its SQL; returns the plan to replay (null: plan the query on demand).
+  template <typename Compose>
+  Result<const relational::PhysicalPlan*> BindProbe(
+      const CompiledProbe* compiled, Compose compose,
+      relational::SelectQuery* query, std::string* sql);
+
+  /// Runs a probe query, replaying `plan` with the request's values when
+  /// there is one.
+  Result<relational::QueryResult> RunProbe(
+      const relational::SelectQuery& query,
+      const relational::PhysicalPlan* plan);
+
   /// Executes translated ops and fills rows_affected — in kReadOnly mode
   /// on DryRunOps's overlay.
   Status ExecuteOps(const std::vector<relational::UpdateOp>& ops,
@@ -191,6 +193,7 @@ class DataChecker {
   Translator translator_;
   /// Set for the duration of one CheckAndExecute call.
   ApplyMode mode_ = ApplyMode::kApply;
+  const std::vector<Value>* params_ = nullptr;
 };
 
 }  // namespace ufilter::check

@@ -1,7 +1,10 @@
-// Sharded, mutex-protected LRU cache of prepared update plans, keyed by the
-// normalized update template text. A hit means a repeated update string pays
-// zero parse / bind / validate / STAR work — the compile-once half of the
-// prepared-statement architecture.
+// Sharded, mutex-protected LRU cache of compiled update shapes, keyed by the
+// shape (xquery/normalize.h: the text with its literal values lifted out).
+// A hit means a request whose shape was seen before pays zero parse / bind /
+// STAR / probe-planning work, only the bind of its own values — the
+// compile-once half of the prepared-statement architecture. Only shapes
+// whose compile read no literal enter it: texts that do not lift or parse
+// are compiled for their request alone.
 //
 // Concurrency: the key space is hash-partitioned into independent shards,
 // each holding its own LRU list under its own mutex, so concurrent check
@@ -31,7 +34,7 @@
 
 namespace ufilter::check {
 
-/// \brief Bounded sharded LRU map: normalized template -> shared plan.
+/// \brief Bounded sharded LRU map: update shape -> shared compiled shape.
 class PlanCache {
  public:
   static constexpr size_t kDefaultCapacity = 128;
@@ -66,9 +69,9 @@ class PlanCache {
     Redistribute();
   }
 
-  /// Returns the cached plan and marks it most-recently-used in its shard;
+  /// Returns the cached shape and marks it most-recently-used in its shard;
   /// null on miss.
-  std::shared_ptr<const PreparedUpdate> Lookup(const std::string& key) {
+  std::shared_ptr<const CompiledShape> Lookup(const std::string& key) {
     std::shared_lock<std::shared_mutex> reshape(reshape_mu_);
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -82,11 +85,11 @@ class PlanCache {
     return it->second->second;
   }
 
-  /// Inserts (or replaces) a plan, evicting the least-recently-used entries
+  /// Inserts (or replaces) a shape, evicting the least-recently-used entries
   /// of the key's shard beyond its capacity. A zero-capacity cache stores
   /// nothing.
   void Insert(const std::string& key,
-              std::shared_ptr<const PreparedUpdate> plan) {
+              std::shared_ptr<const CompiledShape> plan) {
     std::shared_lock<std::shared_mutex> reshape(reshape_mu_);
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -155,12 +158,12 @@ class PlanCache {
     mutable std::mutex mu;
     size_t capacity = 0;
     /// Front = most recently used.
-    std::list<std::pair<std::string, std::shared_ptr<const PreparedUpdate>>>
+    std::list<std::pair<std::string, std::shared_ptr<const CompiledShape>>>
         lru;
     std::unordered_map<
         std::string,
         std::list<std::pair<
-            std::string, std::shared_ptr<const PreparedUpdate>>>::iterator>
+            std::string, std::shared_ptr<const CompiledShape>>>::iterator>
         index;
   };
 

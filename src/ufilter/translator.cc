@@ -102,8 +102,8 @@ Result<SelectQuery> Translator::ComposeChainProbe(const BoundUpdate& update,
                                   pred.attr.variable +
                                   " lies outside the probe's scope chain");
     }
-    query.filters.push_back(
-        {ColRef{pred.attr.variable, pred.attr.attr}, pred.op, pred.literal});
+    query.filters.push_back({ColRef{pred.attr.variable, pred.attr.attr},
+                             pred.op, pred.literal, pred.param});
   }
 
   if (wide) {

@@ -29,7 +29,6 @@ class Binder {
   Result<BoundUpdate> Run() {
     BoundUpdate out;
     out.op = action_.op;
-    out.stmt = &stmt_;
 
     // Resolve FOR bindings in order.
     for (const xq::ForBinding& b : stmt_.bindings) {
@@ -122,6 +121,7 @@ class Binder {
     out.attr = view::AttrRef{node->variable, node->relation, node->attr};
     out.op = op;
     out.literal = lit_side->literal;
+    out.param = lit_side->param;
     return out;
   }
 

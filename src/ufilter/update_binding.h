@@ -18,11 +18,14 @@
 namespace ufilter::check {
 
 /// A WHERE conjunct of the update, resolved against the view: the attribute
-/// the compared view leaf projects, plus the literal.
+/// the compared view leaf projects, plus the literal and its parameter slot
+/// (xq::Operand::param). In a compiled shape the literal is blank and only
+/// the slot counts; a request's binding fills the literal in.
 struct BoundPredicate {
   view::AttrRef attr;
   CompareOp op = CompareOp::kEq;
   Value literal;
+  int param = -1;
 
   std::string ToString() const;
 };
@@ -45,11 +48,9 @@ struct BoundUpdate {
   /// Update WHERE conjuncts resolved to relational attributes.
   std::vector<BoundPredicate> predicates;
 
-  /// Insert/replace payload (owned by the statement).
+  /// Insert/replace payload (owned by the statement, or by the request's
+  /// binding).
   const xml::Node* payload = nullptr;
-
-  /// The original statement (not owned).
-  const xq::UpdateStmt* stmt = nullptr;
 };
 
 /// Resolves `stmt`'s first action against the view. Fails with

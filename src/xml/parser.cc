@@ -67,36 +67,6 @@ class Parser {
     return text_.substr(start, pos_ - start);
   }
 
-  Result<std::string> DecodeText(const std::string& raw) {
-    std::string out;
-    for (size_t i = 0; i < raw.size();) {
-      if (raw[i] != '&') {
-        out += raw[i++];
-        continue;
-      }
-      size_t semi = raw.find(';', i);
-      if (semi == std::string::npos) {
-        return Status::ParseError("unterminated entity");
-      }
-      std::string ent = raw.substr(i + 1, semi - i - 1);
-      if (ent == "amp") {
-        out += '&';
-      } else if (ent == "lt") {
-        out += '<';
-      } else if (ent == "gt") {
-        out += '>';
-      } else if (ent == "quot") {
-        out += '"';
-      } else if (ent == "apos") {
-        out += '\'';
-      } else {
-        return Status::ParseError("unknown entity '&" + ent + ";'");
-      }
-      i = semi + 1;
-    }
-    return out;
-  }
-
   Result<NodePtr> ParseElement(int depth) {
     if (depth >= kMaxElementDepth) {
       return Status::ParseError("element nesting deeper than " +
@@ -176,6 +146,36 @@ class Parser {
 };
 
 }  // namespace
+
+Result<std::string> DecodeText(const std::string& raw) {
+  std::string out;
+  for (size_t i = 0; i < raw.size();) {
+    if (raw[i] != '&') {
+      out += raw[i++];
+      continue;
+    }
+    size_t semi = raw.find(';', i);
+    if (semi == std::string::npos) {
+      return Status::ParseError("unterminated entity");
+    }
+    std::string ent = raw.substr(i + 1, semi - i - 1);
+    if (ent == "amp") {
+      out += '&';
+    } else if (ent == "lt") {
+      out += '<';
+    } else if (ent == "gt") {
+      out += '>';
+    } else if (ent == "quot") {
+      out += '"';
+    } else if (ent == "apos") {
+      out += '\'';
+    } else {
+      return Status::ParseError("unknown entity '&" + ent + ";'");
+    }
+    i = semi + 1;
+  }
+  return out;
+}
 
 Result<NodePtr> Parse(const std::string& text) {
   Parser parser(text);

@@ -14,6 +14,10 @@ namespace ufilter::xml {
 /// Parses `text` into a single root element.
 Result<NodePtr> Parse(const std::string& text);
 
+/// Decodes the five predefined entities (&amp; &lt; &gt; &quot; &apos;) in
+/// character data, as Parse does for every text node.
+Result<std::string> DecodeText(const std::string& raw);
+
 }  // namespace ufilter::xml
 
 #endif  // UFILTER_XML_PARSER_H_

@@ -34,6 +34,9 @@ struct Operand {
   Kind kind = Kind::kLiteral;
   Path path;
   Value literal;
+  /// Update literals: the literal's parameter slot, its position among the
+  /// statement's lifted literals (xquery/normalize.h). -1 in view queries.
+  int param = -1;
 
   bool is_path() const { return kind == Kind::kPath; }
   std::string ToString() const;
@@ -106,6 +109,9 @@ struct UpdateAction {
   UpdateOpType op = UpdateOpType::kInsert;
   /// INSERT / REPLACE: the new element.
   xml::NodePtr payload;
+  /// The parameter slot of the payload's first text node; its other text
+  /// nodes take the following slots in document order.
+  int payload_param = -1;
   /// DELETE / REPLACE: victim path (rooted at a bound variable).
   Path victim;
 };

@@ -1,36 +1,30 @@
 #include "xquery/parser.h"
 
-#include <cctype>
-
-#include "common/strings.h"
 #include "xml/parser.h"
 #include "xquery/lexer.h"
+#include "xquery/normalize.h"
 
 namespace ufilter::xq {
 
 namespace {
 
-bool IsKeyword(const Token& t, const char* kw) {
-  return t.kind == TokenKind::kIdent && ToLower(t.text) == ToLower(kw);
-}
-
-/// Strips surrounding double quotes from payload text nodes: the paper
-/// writes <bookid>"98004"</bookid> for string values.
-void NormalizePayload(xml::Node* node) {
+/// Gives every text node of a payload the value PayloadTextValue defines
+/// (surrounding double quotes stripped) and counts the text nodes.
+void NormalizePayload(xml::Node* node, int* text_nodes) {
   if (node->is_text()) {
-    std::string t = Trim(node->label());
-    if (t.size() >= 2 && t.front() == '"' && t.back() == '"') {
-      t = Trim(t.substr(1, t.size() - 2));
-    }
-    node->set_label(t);
+    node->set_label(PayloadTextValue(node->label()));
+    ++*text_nodes;
     return;
   }
-  for (const xml::NodePtr& c : node->children()) NormalizePayload(c.get());
+  for (const xml::NodePtr& c : node->children()) {
+    NormalizePayload(c.get(), text_nodes);
+  }
 }
 
 class Parser {
  public:
-  explicit Parser(const std::string& source) : lexer_(source) {}
+  Parser(const std::string& source, bool update)
+      : lexer_(source, update), update_(update) {}
 
   Result<ViewQuery> ParseViewQuery() {
     UFILTER_RETURN_NOT_OK(lexer_.status());
@@ -111,7 +105,8 @@ class Parser {
       if (IsKeyword(Peek(), "INSERT")) {
         Advance();
         action.op = UpdateOpType::kInsert;
-        UFILTER_ASSIGN_OR_RETURN(action.payload, ParseRawXml());
+        UFILTER_ASSIGN_OR_RETURN(action.payload,
+                                 ParsePayload(&action.payload_param));
       } else if (IsKeyword(Peek(), "DELETE")) {
         Advance();
         action.op = UpdateOpType::kDelete;
@@ -124,7 +119,8 @@ class Parser {
           return Status::ParseError("expected WITH in REPLACE");
         }
         Advance();
-        UFILTER_ASSIGN_OR_RETURN(action.payload, ParseRawXml());
+        UFILTER_ASSIGN_OR_RETURN(action.payload,
+                                 ParsePayload(&action.payload_param));
       } else {
         return Status::ParseError("expected INSERT, DELETE or REPLACE");
       }
@@ -153,7 +149,7 @@ class Parser {
     if (Peek().kind != kind) {
       return Status::ParseError(std::string("expected ") + what +
                                 " at offset " + std::to_string(Peek().offset) +
-                                ", got '" + Peek().text + "'");
+                                ", got '" + std::string(Peek().text) + "'");
     }
     Advance();
     return Status::OK();
@@ -164,7 +160,7 @@ class Parser {
       return Status::ParseError(std::string("expected ") + what +
                                 " at offset " + std::to_string(Peek().offset));
     }
-    return Advance().text;
+    return std::string(Advance().text);
   }
 
   Result<std::string> ExpectVariable() {
@@ -172,7 +168,7 @@ class Parser {
       return Status::ParseError("expected $variable at offset " +
                                 std::to_string(Peek().offset));
     }
-    return Advance().text;
+    return std::string(Advance().text);
   }
 
   Result<Path> ParsePath() {
@@ -184,10 +180,10 @@ class Parser {
         return Status::ParseError("expected document name string");
       }
       path.from_document = true;
-      path.document = Advance().text;
+      path.document = std::string(Advance().text);
       UFILTER_RETURN_NOT_OK(Expect(TokenKind::kRParen, ")"));
     } else if (Peek().kind == TokenKind::kVariable) {
-      path.variable = Advance().text;
+      path.variable = std::string(Advance().text);
     } else {
       return Status::ParseError("expected path at offset " +
                                 std::to_string(Peek().offset));
@@ -215,21 +211,17 @@ class Parser {
       UFILTER_ASSIGN_OR_RETURN(op.path, ParsePath());
       return op;
     }
-    if (Peek().kind == TokenKind::kString) {
+    if (Peek().kind == TokenKind::kString ||
+        Peek().kind == TokenKind::kNumber) {
+      const Token& tok = Advance();
+      LiteralClass cls = tok.kind == TokenKind::kString
+                             ? LiteralClass::kString
+                         : tok.text.find('.') == std::string_view::npos
+                             ? LiteralClass::kInteger
+                             : LiteralClass::kDecimal;
       op.kind = Operand::Kind::kLiteral;
-      op.literal = Value::String(Trim(Advance().text));
-      return op;
-    }
-    if (Peek().kind == TokenKind::kNumber) {
-      op.kind = Operand::Kind::kLiteral;
-      std::string num = Advance().text;
-      if (num.find('.') != std::string::npos) {
-        UFILTER_ASSIGN_OR_RETURN(op.literal,
-                                 Value::FromText(num, ValueType::kDouble));
-      } else {
-        UFILTER_ASSIGN_OR_RETURN(op.literal,
-                                 Value::FromText(num, ValueType::kInt));
-      }
+      UFILTER_ASSIGN_OR_RETURN(op.literal, LiteralValue(cls, tok.text));
+      if (update_) op.param = next_param_++;
       return op;
     }
     return Status::ParseError("expected operand at offset " +
@@ -386,72 +378,42 @@ class Parser {
     return ctor;
   }
 
-  /// Slices the raw XML element starting at the current '<' token out of the
-  /// source, parses it with the XML parser, and skips past its tokens.
-  Result<xml::NodePtr> ParseRawXml() {
-    if (Peek().kind != TokenKind::kLess) {
+  /// Parses the raw payload token at the cursor with the XML parser;
+  /// `*first_param` receives the parameter slot of its first text node.
+  Result<xml::NodePtr> ParsePayload(int* first_param) {
+    const Token& tok = Peek();
+    if (tok.kind != TokenKind::kXml) {
       return Status::ParseError("expected XML element at offset " +
-                                std::to_string(Peek().offset));
+                                std::to_string(tok.offset));
     }
-    const std::string& src = lexer_.source();
-    size_t start = Peek().offset;
-    // Scan for the end of the element: track tag nesting depth.
-    size_t i = start;
-    int depth = 0;
-    size_t end = std::string::npos;
-    while (i < src.size()) {
-      if (src[i] == '<') {
-        if (i + 1 < src.size() && src[i + 1] == '/') {
-          // close tag
-          size_t gt = src.find('>', i);
-          if (gt == std::string::npos) break;
-          --depth;
-          i = gt + 1;
-          if (depth == 0) {
-            end = i;
-            break;
-          }
-          continue;
-        }
-        size_t gt = src.find('>', i);
-        if (gt == std::string::npos) break;
-        bool self_closing = gt > 0 && src[gt - 1] == '/';
-        if (!self_closing) {
-          ++depth;
-        } else if (depth == 0) {
-          end = gt + 1;
-          break;
-        }
-        i = gt + 1;
-        continue;
-      }
-      ++i;
-    }
-    if (end == std::string::npos) {
+    if (tok.text.empty()) {
       return Status::ParseError("unterminated XML payload at offset " +
-                                std::to_string(start));
+                                std::to_string(tok.offset));
     }
+    Advance();
     UFILTER_ASSIGN_OR_RETURN(xml::NodePtr payload,
-                             xml::Parse(src.substr(start, end - start)));
-    NormalizePayload(payload.get());
-    // Skip tokens covered by the payload.
-    while (Peek().kind != TokenKind::kEnd && Peek().offset < end) Advance();
+                             xml::Parse(std::string(tok.text)));
+    *first_param = next_param_;
+    NormalizePayload(payload.get(), &next_param_);
     return payload;
   }
 
   Lexer lexer_;
+  bool update_;
   size_t pos_ = 0;
+  /// The next literal parameter slot (updates only).
+  int next_param_ = 0;
 };
 
 }  // namespace
 
 Result<ViewQuery> ParseViewQuery(const std::string& source) {
-  Parser parser(source);
+  Parser parser(source, /*update=*/false);
   return parser.ParseViewQuery();
 }
 
 Result<UpdateStmt> ParseUpdate(const std::string& source) {
-  Parser parser(source);
+  Parser parser(source, /*update=*/true);
   return parser.ParseUpdateStmt();
 }
 

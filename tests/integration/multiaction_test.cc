@@ -69,15 +69,16 @@ TEST_F(MultiActionTest, RejectionOfAnyActionRollsBackAll) {
 }
 
 TEST_F(MultiActionTest, RectangleRuleHoldsForMultiAction) {
-  auto stmt = xq::ParseUpdate(
+  const std::string text =
       "FOR $book IN document(\"v\")/book WHERE $book/bookid/text() = "
       "\"98001\" UPDATE $book { DELETE $book/review, INSERT "
-      "<review><reviewid>009</reviewid><comment>x</comment></review> }");
+      "<review><reviewid>009</reviewid><comment>x</comment></review> }";
+  auto stmt = xq::ParseUpdate(text);
   ASSERT_TRUE(stmt.ok());
   auto expected = uf_->MaterializeView();
   ASSERT_TRUE(expected.ok());
   ASSERT_TRUE(check::ApplyUpdateToXml(expected->get(), *stmt).ok());
-  CheckReport r = uf_->CheckParsed(*stmt);
+  CheckReport r = uf_->Check(text);
   ASSERT_EQ(r.outcome, CheckOutcome::kExecuted) << r.Describe();
   auto actual = uf_->MaterializeView();
   ASSERT_TRUE(actual.ok());

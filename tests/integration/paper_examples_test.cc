@@ -156,7 +156,7 @@ TEST_F(PaperExamplesTest, RectangleRuleHoldsForExecutedUpdates) {
     auto applied = check::ApplyUpdateToXml(before->get(), *stmt);
     ASSERT_TRUE(applied.ok());
 
-    CheckReport r = (*uf)->CheckParsed(*stmt);
+    CheckReport r = (*uf)->Check(fixtures::PaperUpdate(u));
     ASSERT_EQ(r.outcome, CheckOutcome::kExecuted)
         << "u" << u << ": " << r.Describe();
     auto after = (*uf)->MaterializeView();

@@ -41,15 +41,16 @@ TEST(PsdTest, RectangleRuleOnNonWellNestedDelete) {
   ASSERT_TRUE(db.ok());
   auto uf = UFilter::Create(db->get(), fixtures::PsdKeywordViewQuery());
   ASSERT_TRUE(uf.ok());
-  auto stmt = xq::ParseUpdate(
+  const std::string text =
       "FOR $keyword IN document(\"v\")/keyword, $protein IN "
       "$keyword/protein WHERE $keyword/kid/text() = \"K02\" AND "
-      "$protein/pid/text() = \"P002\" UPDATE $keyword { DELETE $protein }");
+      "$protein/pid/text() = \"P002\" UPDATE $keyword { DELETE $protein }";
+  auto stmt = xq::ParseUpdate(text);
   ASSERT_TRUE(stmt.ok());
   auto expected = (*uf)->MaterializeView();
   ASSERT_TRUE(expected.ok());
   ASSERT_TRUE(check::ApplyUpdateToXml(expected->get(), *stmt).ok());
-  CheckReport r = (*uf)->CheckParsed(*stmt);
+  CheckReport r = (*uf)->Check(text);
   ASSERT_EQ(r.outcome, CheckOutcome::kExecuted) << r.Describe();
   auto actual = (*uf)->MaterializeView();
   ASSERT_TRUE(actual.ok());

@@ -124,7 +124,7 @@ TEST_P(RandomizedRectangleTest, ExecutedUpdatesAreSideEffectFree) {
     auto expected = (*uf)->MaterializeView();
     ASSERT_TRUE(expected.ok());
     ASSERT_TRUE(check::ApplyUpdateToXml(expected->get(), *stmt).ok());
-    CheckReport r = (*uf)->CheckParsed(*stmt);
+    CheckReport r = (*uf)->Check(text);
     if (r.outcome != CheckOutcome::kExecuted) {
       // Rejected: the database must be untouched, i.e. the view unchanged.
       auto now = (*uf)->MaterializeView();

@@ -42,13 +42,13 @@ TEST_P(ChainDepthTest, DeepestDeleteIsExactAndSideEffectFree) {
   ASSERT_TRUE(db.ok());
   auto uf = UFilter::Create(db->get(), fixtures::ChainViewQuery(depth));
   ASSERT_TRUE(uf.ok());
-  auto stmt =
-      xq::ParseUpdate(fixtures::ChainDeleteUpdate(depth - 1, 2));
+  const std::string text = fixtures::ChainDeleteUpdate(depth - 1, 2);
+  auto stmt = xq::ParseUpdate(text);
   ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
   auto expected = (*uf)->MaterializeView();
   ASSERT_TRUE(expected.ok());
   ASSERT_TRUE(check::ApplyUpdateToXml(expected->get(), *stmt).ok());
-  CheckReport r = (*uf)->CheckParsed(*stmt);
+  CheckReport r = (*uf)->Check(text);
   ASSERT_EQ(r.outcome, CheckOutcome::kExecuted) << r.Describe();
   EXPECT_EQ(r.star_class, Translatability::kUnconditionallyTranslatable);
   EXPECT_EQ(r.rows_affected, 1);  // leaf level: no cascade below

@@ -164,7 +164,7 @@ TEST(TpchViewsTest, RectangleRuleOnTpch) {
     auto expected = (*uf)->MaterializeView();
     ASSERT_TRUE(expected.ok());
     ASSERT_TRUE(check::ApplyUpdateToXml(expected->get(), *stmt).ok());
-    CheckReport r = (*uf)->CheckParsed(*stmt);
+    CheckReport r = (*uf)->Check(text);
     ASSERT_EQ(r.outcome, CheckOutcome::kExecuted)
         << workload << ": " << r.Describe();
     auto actual = (*uf)->MaterializeView();

@@ -696,10 +696,11 @@ TEST(ConcurrencyTest, PlanCacheIsThreadSafeAndCountsWork) {
   const uint64_t hits = counters.Delta("plan_cache_hits");
   const uint64_t misses = counters.Delta("plan_cache_misses");
   EXPECT_EQ(hits + misses, static_cast<uint64_t>(kThreads) * kRounds * 5);
-  // Every template compiled at least once, and the cache served the rest.
-  EXPECT_GE(misses, 5u);
+  // Every shape compiled at least once, and the cache served the rest
+  // (u11 and u12 differ only in a literal: five updates, four shapes).
+  EXPECT_GE(misses, 4u);
   EXPECT_GT(hits, misses);
-  EXPECT_EQ(inst.uf->plan_cache().size(), 5u);
+  EXPECT_EQ(inst.uf->plan_cache().size(), 4u);
 }
 
 // --- Durability through the service (PR 6) --------------------------------

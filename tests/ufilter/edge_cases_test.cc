@@ -4,6 +4,7 @@
 
 #include "asg/dot.h"
 #include "fixtures/bookdb.h"
+#include "relational/sqlgen.h"
 #include "ufilter/checker.h"
 #include "ufilter/xml_apply.h"
 #include "view/diff.h"
@@ -48,16 +49,17 @@ TEST_F(EdgeCasesTest, ViewCompilationRejectsBrokenQueries) {
 }
 
 TEST_F(EdgeCasesTest, ReplaceReviewElementEndToEnd) {
-  auto stmt = xq::ParseUpdate(
+  const std::string text =
       "FOR $book IN document(\"v\")/book, $review IN $book/review WHERE "
       "$review/reviewid/text() = \"001\" UPDATE $book { REPLACE $review "
       "WITH <review><reviewid>001</reviewid>"
-      "<comment>rewritten</comment></review> }");
+      "<comment>rewritten</comment></review> }";
+  auto stmt = xq::ParseUpdate(text);
   ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
   auto expected = uf_->MaterializeView();
   ASSERT_TRUE(expected.ok());
   ASSERT_TRUE(check::ApplyUpdateToXml(expected->get(), *stmt).ok());
-  CheckReport r = uf_->CheckParsed(*stmt);
+  CheckReport r = uf_->Check(text);
   ASSERT_EQ(r.outcome, CheckOutcome::kExecuted) << r.Describe();
   auto actual = uf_->MaterializeView();
   ASSERT_TRUE(actual.ok());
@@ -208,6 +210,64 @@ TEST_F(EdgeCasesTest, CompiledViewIsReusableAcrossManyChecks) {
   // Undo log does not leak across successful checks with apply=true...
   // (zero-tuple updates translate to nothing).
   EXPECT_EQ(db_->undo_log_size(), 0u);
+}
+
+// Apostrophes and lone double quotes are XML character data in a payload:
+// each spelling must get the verdict and translation of its entity
+// spelling, on a fresh instance each.
+TEST(PayloadQuotesTest, RawQuotesCheckLikeTheirEntitySpelling) {
+  const std::string review =
+      "FOR $book IN document(\"BookView.xml\")/book\n"
+      "WHERE $book/title/text() = \"Data on the Web\"\n"
+      "UPDATE $book {\n  INSERT\n  <review><reviewid>004</reviewid>"
+      "<comment>COMMENT</comment></review>\n}";
+  auto with = [](std::string text, const std::string& from,
+                 const std::string& to) {
+    size_t pos = text.find(from);
+    EXPECT_NE(pos, std::string::npos);
+    text.replace(pos, from.size(), to);
+    return text;
+  };
+  const std::string two_actions =
+      "FOR $book IN document(\"BookView.xml\")/book\n"
+      "WHERE $book/title/text() = \"Data on the Web\"\n"
+      "UPDATE $book {\n  INSERT <review><reviewid>005</reviewid>"
+      "<comment>FIRST</comment></review>,\n  INSERT <review><reviewid>006"
+      "</reviewid><comment>SECOND</comment></review>\n}";
+  const std::pair<std::string, std::string> cases[] = {
+      {with(review, "COMMENT", "O'Brien's pick"),
+       with(review, "COMMENT", "O&apos;Brien&apos;s pick")},
+      {with(review, "COMMENT", "a 5\" stack"),
+       with(review, "COMMENT", "a 5&quot; stack")},
+      {fixtures::PaperUpdate(4),
+       with(fixtures::PaperUpdate(4), "\"98001\"", "&quot;98001&quot;")},
+      {with(with(two_actions, "FIRST", "it's one"), "SECOND", "it's two"),
+       with(with(two_actions, "FIRST", "it&apos;s one"), "SECOND",
+            "it&apos;s two")},
+  };
+  CheckOptions dry;
+  dry.apply = false;
+  auto check = [&](const std::string& text) {
+    auto db = fixtures::MakeBookDatabase();
+    EXPECT_TRUE(db.ok());
+    auto uf = UFilter::Create(db->get(), fixtures::BookViewQuery());
+    EXPECT_TRUE(uf.ok());
+    return (*uf)->Check(text, dry);
+  };
+  for (const auto& [raw, escaped] : cases) {
+    CheckReport got = check(raw);
+    CheckReport want = check(escaped);
+    EXPECT_EQ(got.outcome, want.outcome) << raw << "\n" << got.Describe();
+    EXPECT_EQ(got.error.ToString(), want.error.ToString()) << raw;
+    EXPECT_EQ(relational::UpdateSequenceToSql(got.translation),
+              relational::UpdateSequenceToSql(want.translation))
+        << raw;
+    EXPECT_EQ(got.rows_affected, want.rows_affected) << raw;
+  }
+  // The raw apostrophe reaches the translation as written.
+  EXPECT_NE(relational::UpdateSequenceToSql(check(cases[0].first).translation)
+                .find("Brien"),
+            std::string::npos);
 }
 
 }  // namespace

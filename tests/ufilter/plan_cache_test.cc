@@ -1,11 +1,16 @@
-// Plan cache behavior: repeated updates compile once, LRU eviction order,
-// cached rejections skip STAR, and plans cannot leak across UFilter
-// instances (view re-creation invalidates them).
+// Plan cache behavior: updates of one shape compile once, LRU eviction
+// order, cached rejections skip STAR, a cached shape serves each request its
+// own values, and plans cannot leak across UFilter instances (view
+// re-creation invalidates them).
 #include <gtest/gtest.h>
 
 #include "fixtures/bookdb.h"
+#include "fixtures/tpch_views.h"
 #include "obs/metrics.h"
+#include "relational/sqlgen.h"
+#include "relational/tpch.h"
 #include "ufilter/checker.h"
+#include "xquery/normalize.h"
 
 namespace ufilter {
 namespace {
@@ -90,14 +95,72 @@ TEST_F(PlanCacheTest, CachedUntranslatableRejectedWithoutStar) {
   EXPECT_EQ(counters.Delta("engine_updates_compiled"), 0u);
 }
 
-TEST_F(PlanCacheTest, CachedParseErrorStaysInvalid) {
+TEST_F(PlanCacheTest, ParseErrorsAreNeverCached) {
+  // A parse error quotes source offsets, so it is the request's own: each
+  // malformed text compiles for itself, and none can evict a good plan.
   CheckReport first = uf_->Check("THIS IS NOT AN UPDATE");
   EXPECT_EQ(first.outcome, CheckOutcome::kInvalid);
-  obs::CounterWindow counters(db_->registry());
   CheckReport second = uf_->Check("THIS  IS   NOT AN UPDATE");
   EXPECT_EQ(second.outcome, CheckOutcome::kInvalid);
-  EXPECT_TRUE(second.from_plan_cache);
+  EXPECT_FALSE(second.from_plan_cache);
+  EXPECT_EQ(second.error.ToString(), first.error.ToString());
+  EXPECT_EQ(uf_->plan_cache().size(), 0u);
+}
+
+TEST_F(PlanCacheTest, SameShapeDifferentValuesSharesOnePlan) {
+  // u11 and u12 differ only in a title: one compile serves both, and each
+  // gets its own verdict (data conflict vs zero-tuple warning).
+  CheckOptions options;
+  options.apply = false;
+  CheckReport u11 = uf_->Check(fixtures::PaperUpdate(11), options);
+  EXPECT_EQ(u11.outcome, CheckOutcome::kDataConflict) << u11.Describe();
+  obs::CounterWindow counters(db_->registry());
+  CheckReport u12 = uf_->Check(fixtures::PaperUpdate(12), options);
+  EXPECT_TRUE(u12.from_plan_cache);
   EXPECT_EQ(counters.Delta("engine_updates_compiled"), 0u);
+  EXPECT_EQ(u12.outcome, CheckOutcome::kExecuted) << u12.Describe();
+  EXPECT_TRUE(u12.zero_tuple_warning);
+}
+
+// Whitespace inside payload text is part of the value: a cached plan must
+// apply exactly the text this request sent, in either order.
+TEST(PlanCachePayloadTest, WhitespaceInsidePayloadTextIsKept) {
+  relational::tpch::TpchOptions tpch;
+  tpch.scale = 0.2;
+  auto db = relational::tpch::MakeDatabase(tpch);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto replace = [](const std::string& name) {
+    return "FOR $customer IN document(\"V.xml\")/region/nation/customer\n"
+           "WHERE $customer/c_custkey/text() = 5\nUPDATE $customer {\n"
+           "  REPLACE $customer/c_name WITH <c_name>" +
+           name + "</c_name>\n}";
+  };
+  const std::string spaced = replace("Ann   Lee");
+  const std::string single = replace("Ann Lee");
+  CheckOptions dry;
+  dry.apply = false;
+  auto alone = [&](const std::string& text) {
+    auto uf = UFilter::Create(db->get(), fixtures::VFailQuery("region"));
+    EXPECT_TRUE(uf.ok());
+    return relational::UpdateSequenceToSql((*uf)->Check(text, dry).translation);
+  };
+  const std::string want_spaced = alone(spaced);
+  const std::string want_single = alone(single);
+  EXPECT_NE(want_spaced.find("'Ann   Lee'"), std::string::npos) << want_spaced;
+  EXPECT_NE(want_single.find("'Ann Lee'"), std::string::npos) << want_single;
+  for (bool spaced_first : {true, false}) {
+    auto uf = UFilter::Create(db->get(), fixtures::VFailQuery("region"));
+    ASSERT_TRUE(uf.ok());
+    const std::string& a = spaced_first ? spaced : single;
+    const std::string& b = spaced_first ? single : spaced;
+    CheckReport first = (*uf)->Check(a, dry);
+    CheckReport second = (*uf)->Check(b, dry);
+    EXPECT_TRUE(second.from_plan_cache);
+    EXPECT_EQ(relational::UpdateSequenceToSql(first.translation),
+              spaced_first ? want_spaced : want_single);
+    EXPECT_EQ(relational::UpdateSequenceToSql(second.translation),
+              spaced_first ? want_single : want_spaced);
+  }
 }
 
 TEST_F(PlanCacheTest, LruEvictionOrder) {
@@ -131,12 +194,12 @@ TEST_F(PlanCacheTest, LookupRefreshesRecency) {
 
 TEST_F(PlanCacheTest, KeysByRecencyReportsMruFirst) {
   uf_->plan_cache().Configure(/*capacity=*/4, /*shards=*/1);
-  (void)uf_->Prepare("DELETE $a");
-  (void)uf_->Prepare("DELETE $b");
+  (void)uf_->Prepare(fixtures::PaperUpdate(8));
+  (void)uf_->Prepare(fixtures::PaperUpdate(9));
   std::vector<std::string> keys = uf_->plan_cache().KeysByRecency();
   ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], "DELETE $b");
-  EXPECT_EQ(keys[1], "DELETE $a");
+  EXPECT_EQ(keys[0], xq::NormalizeUpdateText(fixtures::PaperUpdate(9)));
+  EXPECT_EQ(keys[1], xq::NormalizeUpdateText(fixtures::PaperUpdate(8)));
 }
 
 TEST_F(PlanCacheTest, CountersTrackHitsMissesEvictions) {
@@ -164,7 +227,8 @@ TEST_F(PlanCacheTest, ShardedCacheStillServesEveryTemplate) {
     (void)uf_->Prepare(fixtures::PaperUpdate(u), &hit);
     EXPECT_TRUE(hit) << "u" << u;
   }
-  EXPECT_EQ(uf_->plan_cache().size(), 5u);
+  // u11 and u12 differ only in a literal: five updates, four shapes.
+  EXPECT_EQ(uf_->plan_cache().size(), 4u);
 }
 
 TEST_F(PlanCacheTest, ClearEmptiesTheCache) {

@@ -146,5 +146,37 @@ TEST(UpdateParserTest, PayloadWithPunctuationLexes) {
             "Easy read & useful. 5/5 stars!?");
 }
 
+TEST(UpdateParserTest, PayloadQuotesAreCharacterData) {
+  auto stmt = ParseUpdate(
+      "FOR $c IN document(\"V\")/c UPDATE $c { REPLACE $c/n WITH "
+      "<n>O'Brien</n>, REPLACE $c/m WITH <m>5\" tall</m> }");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  ASSERT_EQ(stmt->actions.size(), 2u);
+  EXPECT_EQ(stmt->actions[0].payload->TextContent(), "O'Brien");
+  EXPECT_EQ(stmt->actions[1].payload->TextContent(), "5\" tall");
+}
+
+TEST(UpdateParserTest, LiteralsTakeParameterSlotsInSourceOrder) {
+  auto stmt = ParseUpdate(
+      "FOR $b IN document(\"v\")/book WHERE $b/price > 10 AND "
+      "\"x\" = $b/title UPDATE $b { INSERT <review><id>1</id>"
+      "<c>two</c></review>, INSERT <review><id>3</id></review> }");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  EXPECT_EQ(stmt->conditions[0].rhs.param, 0);
+  EXPECT_EQ(stmt->conditions[1].lhs.param, 1);
+  EXPECT_EQ(stmt->conditions[0].lhs.param, -1);  // a path
+  EXPECT_EQ(stmt->actions[0].payload_param, 2);   // "1", then "two"
+  EXPECT_EQ(stmt->actions[1].payload_param, 4);   // "3"
+}
+
+TEST(UpdateParserTest, UnclosedPayloadIsAParseError) {
+  auto stmt = ParseUpdate(
+      "FOR $x IN document(\"v\") UPDATE $x { INSERT <a><b></b> }");
+  ASSERT_FALSE(stmt.ok());
+  EXPECT_NE(stmt.status().message().find("unterminated XML payload"),
+            std::string::npos)
+      << stmt.status().ToString();
+}
+
 }  // namespace
 }  // namespace ufilter::xq
