@@ -105,26 +105,47 @@ QueryResult DisjunctiveResult::Extract(size_t b) const {
 }
 
 Result<QueryResult> QueryEvaluator::Execute(const SelectQuery& query) {
-  UFILTER_ASSIGN_OR_RETURN(DisjunctiveResult result, ExecuteImpl(query, {}));
+  DisjunctiveResult result;
+  UFILTER_RETURN_NOT_OK(ExecuteImpl(query, {}, &result).status());
   return std::move(result.merged);
+}
+
+Result<bool> QueryEvaluator::Exists(const SelectQuery& query) {
+  return ExecuteImpl(query, {}, nullptr);
 }
 
 Result<DisjunctiveResult> QueryEvaluator::ExecuteDisjunctive(
     const DisjunctiveQuery& dq) {
-  return ExecuteImpl(dq.base, dq.branches);
+  DisjunctiveResult result;
+  UFILTER_RETURN_NOT_OK(ExecuteImpl(dq.base, dq.branches, &result).status());
+  return result;
 }
 
-Result<DisjunctiveResult> QueryEvaluator::ExecuteImpl(
+Result<bool> QueryEvaluator::ExecuteImpl(
     const SelectQuery& query,
-    const std::vector<std::vector<FilterPredicate>>& branches) {
+    const std::vector<std::vector<FilterPredicate>>& branches,
+    DisjunctiveResult* out) {
   Planner planner(db_, ctx_);
   UFILTER_ASSIGN_OR_RETURN(PhysicalPlan plan,
                            planner.CompileDisjunctive(query, branches));
-  return RunPlan(plan, nullptr);
+  return RunPlan(plan, nullptr, out);
 }
 
 Result<DisjunctiveResult> QueryEvaluator::ExecutePlan(
     const PhysicalPlan& plan, const std::vector<Value>& params) {
+  DisjunctiveResult result;
+  UFILTER_RETURN_NOT_OK(ReplayPlan(plan, params, &result).status());
+  return result;
+}
+
+Result<bool> QueryEvaluator::ExistsPlan(const PhysicalPlan& plan,
+                                        const std::vector<Value>& params) {
+  return ReplayPlan(plan, params, nullptr);
+}
+
+Result<bool> QueryEvaluator::ReplayPlan(const PhysicalPlan& plan,
+                                        const std::vector<Value>& params,
+                                        DisjunctiveResult* out) {
   if (params.size() < plan.param_count) {
     return Status::InvalidArgument(
         "plan has " + std::to_string(plan.param_count) +
@@ -132,15 +153,16 @@ Result<DisjunctiveResult> QueryEvaluator::ExecutePlan(
         " value(s) were bound");
   }
   db_->counters().plan_replays->Inc();
-  return RunPlan(plan, &params);
+  return RunPlan(plan, &params, out);
 }
 
 // ---------------------------------------------------------------------------
 // Iterative compiled-plan executor
 // ---------------------------------------------------------------------------
 
-Result<DisjunctiveResult> QueryEvaluator::RunPlan(
-    const PhysicalPlan& plan, const std::vector<Value>* params) {
+Result<bool> QueryEvaluator::RunPlan(const PhysicalPlan& plan,
+                                     const std::vector<Value>* params,
+                                     DisjunctiveResult* out) {
   const EngineCounters* counters = &db_->counters();
   // A filter's value: its parameter slot when the plan runs with
   // parameters, else its own literal.
@@ -155,9 +177,10 @@ Result<DisjunctiveResult> QueryEvaluator::RunPlan(
     counters->batch_branches_merged->Add(plan.branch_count);
   }
 
-  DisjunctiveResult out;
-  out.branch_rows.resize(plan.branch_count);
-  out.merged.column_names = plan.column_names;
+  if (out != nullptr) {
+    out->branch_rows.resize(plan.branch_count);
+    out->merged.column_names = plan.column_names;
+  }
 
   // Re-resolve tables by name once per execution (plans outlive temp-table
   // re-creations); the arity check rejects structurally stale plans.
@@ -174,7 +197,7 @@ Result<DisjunctiveResult> QueryEvaluator::RunPlan(
     tables[i] = t;
   }
   const size_t depth = plan.levels.size();
-  if (depth == 0) return out;
+  if (depth == 0) return false;
 
   // Per-level runtime state of the backtracking loop.
   struct LevelRt {
@@ -388,14 +411,15 @@ Result<DisjunctiveResult> QueryEvaluator::RunPlan(
     }
     if (!any_alive) continue;  // no live branch can produce a result row
     if (k + 1 == depth) {
+      if (out == nullptr) return true;  // existence: the first row settles it
       Row row_out;
       row_out.reserve(plan.selects.size());
       for (auto [t, c] : plan.selects) {
         row_out.push_back(
             (*rows[static_cast<size_t>(t)])[static_cast<size_t>(c)]);
       }
-      out.merged.rows.push_back(std::move(row_out));
-      out.merged.row_ids.push_back(current);
+      out->merged.rows.push_back(std::move(row_out));
+      out->merged.row_ids.push_back(current);
       if (plan.branch_count > 0) emitted_alive.push_back(level.next_alive);
       continue;
     }
@@ -404,13 +428,15 @@ Result<DisjunctiveResult> QueryEvaluator::RunPlan(
     EnterLevel(k);
   }
 
+  if (out == nullptr) return false;
+
   // Restore the reference interpreter's deterministic output order:
   // lexicographic by contributing row ids in FROM order. (The reference
   // enumerates sorted candidate lists in FROM order, which produces exactly
   // this order; the compiled join order and unsorted index probes do not.)
-  const size_t result_count = out.merged.rows.size();
+  const size_t result_count = out->merged.rows.size();
   auto ids_less = [&](size_t a, size_t b) {
-    return out.merged.row_ids[a] < out.merged.row_ids[b];
+    return out->merged.row_ids[a] < out->merged.row_ids[b];
   };
   std::vector<size_t> perm(result_count);
   std::iota(perm.begin(), perm.end(), 0);
@@ -421,18 +447,18 @@ Result<DisjunctiveResult> QueryEvaluator::RunPlan(
     sorted_rows.reserve(result_count);
     sorted_ids.reserve(result_count);
     for (size_t i : perm) {
-      sorted_rows.push_back(std::move(out.merged.rows[i]));
-      sorted_ids.push_back(std::move(out.merged.row_ids[i]));
+      sorted_rows.push_back(std::move(out->merged.rows[i]));
+      sorted_ids.push_back(std::move(out->merged.row_ids[i]));
     }
-    out.merged.rows = std::move(sorted_rows);
-    out.merged.row_ids = std::move(sorted_ids);
+    out->merged.rows = std::move(sorted_rows);
+    out->merged.row_ids = std::move(sorted_ids);
   }
   for (size_t b = 0; b < plan.branch_count; ++b) {
     for (size_t i = 0; i < result_count; ++i) {
-      if (emitted_alive[perm[i]][b]) out.branch_rows[b].push_back(i);
+      if (emitted_alive[perm[i]][b]) out->branch_rows[b].push_back(i);
     }
   }
-  return out;
+  return result_count > 0;
 }
 
 // ---------------------------------------------------------------------------

@@ -137,6 +137,11 @@ class QueryEvaluator {
 
   Result<QueryResult> Execute(const SelectQuery& query);
 
+  /// Whether `query` has a result row. The executor stops at the first row
+  /// its join order meets, so the answer costs that row, not the result;
+  /// which row it was is not reported.
+  Result<bool> Exists(const SelectQuery& query);
+
   /// Evaluates a merged multi-predicate probe in one pass. Candidate
   /// generation can still use indexes: when every branch constrains a table
   /// with an equality on an indexed column, the scan is replaced by the
@@ -150,6 +155,11 @@ class QueryEvaluator {
   /// and must cover all of them.
   Result<DisjunctiveResult> ExecutePlan(const PhysicalPlan& plan,
                                         const std::vector<Value>& params = {});
+
+  /// ExecutePlan's existence form: whether the plan yields a row, found the
+  /// way Exists finds it.
+  Result<bool> ExistsPlan(const PhysicalPlan& plan,
+                          const std::vector<Value>& params = {});
 
   /// The pre-planner recursive interpreter (left-deep in FROM order),
   /// retained as the semantic reference for differential testing and as
@@ -167,15 +177,25 @@ class QueryEvaluator {
 
  private:
   /// Shared core: compile `base` (+ optional OR of predicate branches)
-  /// into a PhysicalPlan and run it.
-  Result<DisjunctiveResult> ExecuteImpl(
+  /// into a PhysicalPlan and run it (RunPlan).
+  Result<bool> ExecuteImpl(
       const SelectQuery& base,
-      const std::vector<std::vector<FilterPredicate>>& branches);
+      const std::vector<std::vector<FilterPredicate>>& branches,
+      DisjunctiveResult* out);
+
+  /// ExecutePlan/ExistsPlan's core: checks `params` covers the plan's
+  /// slots, counts the replay and runs the plan (RunPlan).
+  Result<bool> ReplayPlan(const PhysicalPlan& plan,
+                          const std::vector<Value>& params,
+                          DisjunctiveResult* out);
 
   /// The iterative compiled-plan executor (no replay counting). With null
-  /// `params` every filter reads its own literal.
-  Result<DisjunctiveResult> RunPlan(const PhysicalPlan& plan,
-                                    const std::vector<Value>* params);
+  /// `params` every filter reads its own literal. Returns whether the plan
+  /// yields a row; fills `out` with every row, or with a null `out` stops
+  /// at the first one.
+  Result<bool> RunPlan(const PhysicalPlan& plan,
+                       const std::vector<Value>* params,
+                       DisjunctiveResult* out);
 
   Database* db_;
   ExecutionContext* ctx_;

@@ -50,20 +50,34 @@ Result<QueryResult> DataChecker::RunProbe(
   return evaluator.Execute(query);
 }
 
-Result<QueryResult> DataChecker::CheckContext(const BoundUpdate& update,
-                                              SelectQuery* query,
-                                              DataCheckReport* report,
-                                              const InjectedProbes* injected,
-                                              const CompiledProbeSet* compiled) {
+Result<bool> DataChecker::ProbeExists(const SelectQuery& query,
+                                      const relational::PhysicalPlan* plan) {
+  QueryEvaluator evaluator(db_, ctx_);
+  if (plan != nullptr) return evaluator.ExistsPlan(*plan, *params_);
+  return evaluator.Exists(query);
+}
+
+namespace {
+
+Status ContextMissing(const BoundUpdate& update) {
+  return Status::DataConflict(
+      "update context <" + update.context->tag +
+      "> matches nothing in the view (probe returned no rows)");
+}
+
+}  // namespace
+
+Status DataChecker::CheckContext(const BoundUpdate& update, SelectQuery* query,
+                                 DataCheckReport* report,
+                                 const InjectedProbes* injected,
+                                 const CompiledProbeSet* compiled,
+                                 QueryResult* rows) {
   if (injected != nullptr && injected->has_anchor) {
     *query = injected->anchor_query;
     report->probes.push_back(injected->anchor_sql);
-    if (injected->anchors.empty()) {
-      return Status::DataConflict(
-          "update context <" + update.context->tag +
-          "> matches nothing in the view (probe returned no rows)");
-    }
-    return injected->anchors;
+    if (injected->anchors.empty()) return ContextMissing(update);
+    if (rows != nullptr) *rows = injected->anchors;
+    return Status::OK();
   }
   std::string sql;
   UFILTER_ASSIGN_OR_RETURN(
@@ -73,16 +87,17 @@ Result<QueryResult> DataChecker::CheckContext(const BoundUpdate& update,
                 &sql));
   if (query->tables.empty()) {
     // Root-anchored update: the context trivially exists.
-    return QueryResult{};
+    return Status::OK();
   }
   report->probes.push_back(std::move(sql));
-  UFILTER_ASSIGN_OR_RETURN(QueryResult result, RunProbe(*query, plan));
-  if (result.empty()) {
-    return Status::DataConflict(
-        "update context <" + update.context->tag +
-        "> matches nothing in the view (probe returned no rows)");
+  bool exists = false;
+  if (rows != nullptr) {
+    UFILTER_ASSIGN_OR_RETURN(*rows, RunProbe(*query, plan));
+    exists = !rows->empty();
+  } else {
+    UFILTER_ASSIGN_OR_RETURN(exists, ProbeExists(*query, plan));
   }
-  return result;
+  return exists ? Status::OK() : ContextMissing(update);
 }
 
 Result<QueryResult> DataChecker::FetchVictims(const BoundUpdate& update,
@@ -195,10 +210,8 @@ Result<DataCheckReport> DataChecker::RunDelete(const BoundUpdate& update,
                                                const CompiledProbeSet* compiled) {
   DataCheckReport report;
   SelectQuery anchor_query;
-  UFILTER_ASSIGN_OR_RETURN(
-      QueryResult anchors,
-      CheckContext(update, &anchor_query, &report, injected, compiled));
-  (void)anchors;
+  UFILTER_RETURN_NOT_OK(CheckContext(update, &anchor_query, &report, injected,
+                                     compiled, /*rows=*/nullptr));
 
   SelectQuery victim_query;
   UFILTER_ASSIGN_OR_RETURN(
@@ -236,9 +249,10 @@ Result<DataCheckReport> DataChecker::RunInsert(const BoundUpdate& update,
                                                const CompiledProbeSet* compiled) {
   DataCheckReport report;
   SelectQuery anchor_query;
-  UFILTER_ASSIGN_OR_RETURN(
-      QueryResult anchors,
-      CheckContext(update, &anchor_query, &report, injected, compiled));
+  // One insert per context row (TranslateInsert): read them all.
+  QueryResult anchors;
+  UFILTER_RETURN_NOT_OK(CheckContext(update, &anchor_query, &report, injected,
+                                     compiled, &anchors));
 
   if (strategy == DataCheckStrategy::kInternal) {
     // Build the complete relational-view tuple: wide probe over the chain
@@ -290,9 +304,8 @@ Result<DataCheckReport> DataChecker::RunReplace(
     const CompiledProbeSet* compiled) {
   DataCheckReport report;
   SelectQuery anchor_query;
-  UFILTER_ASSIGN_OR_RETURN(
-      QueryResult anchors,
-      CheckContext(update, &anchor_query, &report, injected, compiled));
+  UFILTER_RETURN_NOT_OK(CheckContext(update, &anchor_query, &report, injected,
+                                     compiled, /*rows=*/nullptr));
 
   const asg::ViewNode& target = gv_->node(update.target_node);
   SelectQuery victim_query;

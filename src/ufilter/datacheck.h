@@ -145,12 +145,15 @@ class DataChecker {
                                      const InjectedProbes* injected,
                                      const CompiledProbeSet* compiled);
 
-  /// Context check (6.1): returns the anchor probe result; DataConflict when
-  /// the context element does not exist in the view.
-  Result<relational::QueryResult> CheckContext(
-      const BoundUpdate& update, relational::SelectQuery* query_out,
-      DataCheckReport* report, const InjectedProbes* injected,
-      const CompiledProbeSet* compiled);
+  /// Context check (6.1): DataConflict when the context element does not
+  /// exist in the view. Insert reads every context row into `rows`; delete
+  /// and replace pass a null `rows` and only ask whether one exists, which
+  /// stops the probe at its first row.
+  Status CheckContext(const BoundUpdate& update,
+                      relational::SelectQuery* query_out,
+                      DataCheckReport* report, const InjectedProbes* injected,
+                      const CompiledProbeSet* compiled,
+                      relational::QueryResult* rows);
 
   /// Victim probe (query + rows), honoring an injected result.
   Result<relational::QueryResult> FetchVictims(
@@ -176,6 +179,9 @@ class DataChecker {
   Result<relational::QueryResult> RunProbe(
       const relational::SelectQuery& query,
       const relational::PhysicalPlan* plan);
+  /// RunProbe's existence form: whether the probe has a row.
+  Result<bool> ProbeExists(const relational::SelectQuery& query,
+                           const relational::PhysicalPlan* plan);
 
   /// Executes translated ops and fills rows_affected — in kReadOnly mode
   /// on DryRunOps's overlay.

@@ -363,8 +363,8 @@ Result<bool> Translator::TupleReferencedElsewhere(
         }
       }
     }
-    UFILTER_ASSIGN_OR_RETURN(QueryResult result, evaluator.Execute(query));
-    if (!result.empty()) return true;
+    UFILTER_ASSIGN_OR_RETURN(bool referenced, evaluator.Exists(query));
+    if (referenced) return true;
   }
   return false;
 }

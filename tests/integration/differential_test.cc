@@ -3,7 +3,9 @@
 // bookdb and TPC-H fixtures must produce byte-identical results — rows,
 // per-table row ids and branch demultiplexing — including the NULL
 // semantics (NULL never joins or matches). Index-free temp tables are
-// mixed in so the hash-join and join-reorder paths are exercised.
+// mixed in so the hash-join and join-reorder paths are exercised. The
+// executor's existence mode must answer "has a row" exactly when the full
+// result is non-empty, on the row path and on the pinned columnar path.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -12,6 +14,7 @@
 
 #include "fixtures/bookdb.h"
 #include "obs/metrics.h"
+#include "relational/planner.h"
 #include "relational/query.h"
 #include "relational/tpch.h"
 
@@ -134,10 +137,31 @@ class QueryFuzzer {
   std::mt19937 rng_;
 };
 
-void ExpectIdentical(Database* db, const DisjunctiveQuery& dq) {
+/// How often the existence mode answered each way across a fuzz run.
+struct ExistenceTally {
+  int rows = 0;
+  int empty = 0;
+};
+
+/// The existence-mode answers for `dq` in the root context's current
+/// state: the compiled plan replayed (branches included, so IN-list
+/// levels too) and, for a plain query, Exists planning it on demand.
+std::vector<Result<bool>> ExistenceAnswers(Database* db,
+                                           const DisjunctiveQuery& dq) {
+  QueryEvaluator eval(db);
+  auto plan = Planner(db).CompileDisjunctive(dq.base, dq.branches);
+  if (!plan.ok()) return {plan.status()};
+  std::vector<Result<bool>> answers = {eval.ExistsPlan(*plan)};
+  if (dq.branches.empty()) answers.push_back(eval.Exists(dq.base));
+  return answers;
+}
+
+void ExpectIdentical(Database* db, const DisjunctiveQuery& dq,
+                     ExistenceTally* tally) {
   QueryEvaluator eval(db);
   auto compiled = eval.ExecuteDisjunctive(dq);
   auto reference = eval.ExecuteReference(dq.base, dq.branches);
+  std::vector<Result<bool>> exists = ExistenceAnswers(db, dq);
   // Third run, same query, with the context pinned to an MVCC snapshot:
   // base-table scans and unindexed hash-join builds now serve from the
   // columnar read path (temp tables like TAB_fuzz stay on the row path).
@@ -145,11 +169,20 @@ void ExpectIdentical(Database* db, const DisjunctiveQuery& dq) {
   // shape — including temp joins — replays under all three executions.
   db->root_context()->PinReadSnapshot(db->OpenSnapshot());
   auto columnar = eval.ExecuteDisjunctive(dq);
+  for (Result<bool>& pinned : ExistenceAnswers(db, dq)) {
+    exists.push_back(std::move(pinned));
+  }
   db->root_context()->ClearReadSnapshot();
   ASSERT_EQ(compiled.ok(), reference.ok()) << dq.ToSql();
   ASSERT_EQ(columnar.ok(), reference.ok()) << dq.ToSql();
+  for (const Result<bool>& e : exists) {
+    ASSERT_EQ(e.ok(), reference.ok()) << dq.ToSql();
+  }
   if (!compiled.ok()) return;
   SCOPED_TRACE(dq.ToSql());
+  const bool has_rows = !reference->merged.rows.empty();
+  for (const Result<bool>& e : exists) EXPECT_EQ(*e, has_rows);
+  ++(has_rows ? tally->rows : tally->empty);
   ASSERT_EQ(compiled->merged.column_names, reference->merged.column_names);
   ASSERT_EQ(compiled->merged.rows.size(), reference->merged.rows.size());
   // Both executors emit rows lexicographically by contributing row ids in
@@ -198,10 +231,14 @@ TEST(DifferentialTest, RandomizedBookDbQueries) {
   QueryFuzzer fuzzer(db->get(),
                      {"book", "publisher", "review", "book", "TAB_fuzz"},
                      test_support::FuzzSeed("bookdb-differential", 20260728));
+  ExistenceTally tally;
   for (int i = 0; i < 300; ++i) {
-    ExpectIdentical(db->get(), fuzzer.Generate());
+    ExpectIdentical(db->get(), fuzzer.Generate(), &tally);
     if (::testing::Test::HasFatalFailure()) break;
   }
+  // Both existence answers were exercised.
+  EXPECT_GT(tally.rows, 0);
+  EXPECT_GT(tally.empty, 0);
   // The pinned third run must actually have exercised the columnar path
   // (scans of unindexed columns / cross products are all but guaranteed
   // across 300 fuzzed shapes).
@@ -225,10 +262,13 @@ TEST(DifferentialTest, RandomizedTpchQueries) {
       db->get(), {"customer", "orders", "lineitem", "nation", "TAB_orders"},
       test_support::FuzzSeed("tpch-differential", 611),
       /*cheap_tables=*/false);
+  ExistenceTally tally;
   for (int i = 0; i < 120; ++i) {
-    ExpectIdentical(db->get(), fuzzer.Generate());
+    ExpectIdentical(db->get(), fuzzer.Generate(), &tally);
     if (::testing::Test::HasFatalFailure()) break;
   }
+  EXPECT_GT(tally.rows, 0);
+  EXPECT_GT(tally.empty, 0);
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 // blind-baseline side-effect detection).
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "fixtures/tpch_views.h"
+#include "obs/metrics.h"
 #include "relational/tpch.h"
 #include "ufilter/blind.h"
 #include "ufilter/checker.h"
@@ -202,6 +205,73 @@ TEST(TpchViewsTest, DryRunLeavesDatabaseUntouched) {
   EXPECT_EQ(r.outcome, CheckOutcome::kExecuted) << r.Describe();
   EXPECT_GT(r.rows_affected, 0);
   EXPECT_EQ(db->TotalRows(), before);
+}
+
+// The index lookups of one check-only `update` on Vfail (scale 1), run the
+// way the check service's fast path runs it: prepared, then checked
+// read-only against a pinned snapshot. `extra_nations` nations, one
+// customer each, join the generator's 25 first.
+uint64_t ReadOnlyCheckLookups(const std::string& update, int extra_nations) {
+  auto db = Db(1.0);
+  for (int n = 0; n < extra_nations; ++n) {
+    const std::string name = "EXTRA_" + std::to_string(n);
+    EXPECT_TRUE(db->InsertValues("nation",
+                                 {{"n_nationkey", Value::Int(1000 + n)},
+                                  {"n_name", Value::String(name)},
+                                  {"n_regionkey", Value::Int(n % 5)}})
+                    .ok());
+    EXPECT_TRUE(db->InsertValues("customer",
+                                 {{"c_custkey", Value::Int(100000 + n)},
+                                  {"c_name", Value::String(name)},
+                                  {"c_nationkey", Value::Int(1000 + n)}})
+                    .ok());
+  }
+  auto uf = UFilter::Create(db.get(), fixtures::VFailQuery("region"));
+  EXPECT_TRUE(uf.ok()) << uf.status().ToString();
+  if (!uf.ok()) return 0;
+  check::CheckOptions dry;
+  dry.apply = false;
+  auto ctx = db->CreateContext();
+  ctx->PinReadSnapshot(db->OpenSnapshot());
+  auto plan = (*uf)->Prepare(update, nullptr, ctx.get());
+  obs::CounterWindow window(db->registry());
+  std::optional<CheckReport> r = (*uf)->TryCheckReadOnly(*plan, dry, ctx.get());
+  uint64_t lookups = window.Delta("engine_index_lookups");
+  ctx->ClearReadSnapshot();
+  EXPECT_TRUE(r.has_value());
+  if (r.has_value()) {
+    EXPECT_EQ(r->outcome, CheckOutcome::kExecuted) << r->Describe();
+    EXPECT_GT(r->rows_affected, 0);
+  }
+  return lookups;
+}
+
+// An order delete's WHERE binds $order, not its context $customer, so the
+// context probe region x nation x customer has no filter. Delete only asks
+// whether a customer exists: the probe stops at its first row instead of
+// making one lookup per region and per nation.
+TEST(TpchViewsTest, ReadOnlyOrderDeleteStopsAtTheFirstContextRow) {
+  const std::string update = fixtures::DeleteElementUpdate("order", 10);
+  uint64_t lookups = ReadOnlyCheckLookups(update, 0);
+  EXPECT_EQ(ReadOnlyCheckLookups(update, 50), lookups);
+  EXPECT_LT(lookups, 25u);  // fewer than one per nation
+}
+
+// The same for an element replace whose WHERE binds a descendant ($order)
+// of its context ($customer).
+TEST(TpchViewsTest, ReadOnlyReplaceStopsAtTheFirstContextRow) {
+  const std::string update =
+      "FOR $root IN document(\"V.xml\"), $region IN $root/region,\n"
+      "    $nation IN $region/nation, $customer IN $nation/customer,\n"
+      "    $order IN $customer/order\n"
+      "WHERE $order/o_orderkey/text() = 10\n"
+      "UPDATE $customer {\n"
+      "  REPLACE $order WITH <order><o_orderkey>10</o_orderkey>"
+      "<o_totalprice>7.50</o_totalprice></order>\n"
+      "}";
+  uint64_t lookups = ReadOnlyCheckLookups(update, 0);
+  EXPECT_EQ(ReadOnlyCheckLookups(update, 50), lookups);
+  EXPECT_LT(lookups, 25u);
 }
 
 TEST(TpchViewsTest, MarkingIsCheapRelativeToData) {

@@ -8,6 +8,8 @@ Usage:
   compare_bench.py CURRENT.json --pair A B --min-speedup 5
       # assert mean(real_time of benchmarks starting with A)
       #      / mean(real_time of benchmarks starting with B) >= 5
+  compare_bench.py CURRENT.json --counter-min A off_on_cpu_ratio 0.97
+      # assert every benchmark starting with A reports that counter >= 0.97
 
 --check fails (exit 1) when the file is missing, unparsable, or contains no
 benchmarks — the CI perf-smoke step uses it to guarantee the benchmark both
@@ -16,6 +18,8 @@ unless at least one benchmark with that name prefix is present, so a series
 silently dropped from a sweep (e.g. the writers=1 mixed series) is a CI
 failure too. --pair/--min-speedup additionally turn a performance
 regression (e.g. the hash-join rescue disappearing) into a CI failure.
+--counter-min gates a figure a benchmark computes itself, such as bench_obs's
+median paired off/on CPU ratio.
 """
 
 import argparse
@@ -109,6 +113,18 @@ def pair_speedup(benches, slow_prefix, fast_prefix):
     return (sum(slow) / len(slow)) / (sum(fast) / len(fast))
 
 
+def check_counter(benches, prefix, counter, floor):
+    hits = [b for b in benches if b["name"].startswith(prefix)]
+    if not hits:
+        sys.exit(f"error: --counter-min found no benchmarks for '{prefix}'")
+    for b in hits:
+        if counter not in b:
+            sys.exit(f"error: '{b['name']}' reports no counter '{counter}'")
+        print(f"{b['name']}: {counter} = {b[counter]:.3f} (floor {floor})")
+        if b[counter] < floor:
+            sys.exit(f"error: {counter} {b[counter]:.3f} < required {floor}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("current", help="BENCH_<name>.json to read")
@@ -137,6 +153,15 @@ def main():
         type=float,
         default=None,
         help="fail unless the --pair speedup reaches this factor",
+    )
+    parser.add_argument(
+        "--counter-min",
+        nargs=3,
+        action="append",
+        default=[],
+        metavar=("NAME_PREFIX", "COUNTER", "MIN"),
+        help="fail unless every benchmark with this name prefix reports "
+        "COUNTER >= MIN (repeatable)",
     )
     parser.add_argument(
         "--fail-on-regression",
@@ -173,6 +198,9 @@ def main():
         print(f"pair speedup {args.pair[0]} / {args.pair[1]}: {speedup:.3f}x")
         if speedup < need:
             sys.exit(f"error: pair speedup {speedup:.3f}x < required {need}x")
+
+    for prefix, counter, floor in args.counter_min:
+        check_counter(benches, prefix, counter, float(floor))
 
 
 if __name__ == "__main__":
