@@ -222,11 +222,12 @@ int main(int argc, char** argv) {
       "Workload: %d cached leaf-delete templates over a depth-%d chain view\n"
       "(apply=false), 2 workers per service. BM_CachedCheck runs %d paired\n"
       "rounds of %d checks: each round times the same checks by process CPU\n"
-      "through a service with metrics_enabled=false (no clock reads on the\n"
-      "check path) and one with the production default (latency + stage\n"
-      "histograms, queue-wait timing, 1-in-64 trace sampling), in\n"
-      "alternating order. The CI gate requires the median per-round\n"
-      "CPU(off)/CPU(on), off_on_cpu_ratio, >= 0.97, i.e. <3%% overhead.\n\n",
+      "through a service with metrics_enabled=false (the clock is read only\n"
+      "for the reader/writer wait counters) and one with the production\n"
+      "default (latency + stage histograms, queue-wait timing, 1-in-64 trace\n"
+      "sampling), in alternating order. The CI gate requires the median\n"
+      "per-round CPU(off)/CPU(on), off_on_cpu_ratio, >= 0.97, i.e. <3%%\n"
+      "overhead.\n\n",
       kBatchSize, kDepth, kRounds, kChecksPerIter);
   benchmark::RegisterBenchmark("BM_CachedCheck", BM_CachedCheck)
       ->Iterations(1)

@@ -81,12 +81,10 @@ TraceContext Tracer::Begin(uint64_t request_id) {
   return t;
 }
 
-void Tracer::Finish(TraceContext& trace, uint64_t total_ns) {
+void Tracer::Finish(TraceContext& trace) {
   if (!trace.active_) return;
   trace.active_ = false;
-  if (trace.total_ns_ == 0) {
-    trace.total_ns_ = total_ns != 0 ? total_ns : trace.NowRelNs();
-  }
+  if (trace.total_ns_ == 0) trace.total_ns_ = trace.NowRelNs();
   if (!trace.sampled_) return;
   sampled_.fetch_add(1, std::memory_order_relaxed);
   CompletedTrace done;

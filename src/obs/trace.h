@@ -191,10 +191,9 @@ class Tracer {
   /// always accumulated); sampled 1-in-M per options.
   TraceContext Begin(uint64_t request_id);
 
-  /// Seals the trace: fixes total_ns (birth -> now, unless already set;
-  /// a non-zero `total_ns` is the caller's own reading of it) and, if
-  /// sampled, pushes it into the ring. Idempotent via active().
-  void Finish(TraceContext& trace, uint64_t total_ns = 0);
+  /// Seals the trace: fixes total_ns (birth -> now, unless already set)
+  /// and, if sampled, pushes it into the ring. Idempotent via active().
+  void Finish(TraceContext& trace);
 
   std::vector<CompletedTrace> Snapshot() const;
 

@@ -11,14 +11,11 @@ using check::CheckReport;
 
 namespace {
 
-uint64_t NsBetween(std::chrono::steady_clock::time_point from,
-                   std::chrono::steady_clock::time_point to) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
-}
-
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
-  return NsBetween(since, std::chrono::steady_clock::now());
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - since)
+          .count());
 }
 
 CheckReport DeadlineExceededReport(const char* where) {
@@ -150,11 +147,10 @@ std::unique_ptr<CheckService::Request> CheckService::MakeRequest(
   req->update_text = std::move(update_text);
   req->options = options;
   if (trace != nullptr) {
-    req->shared_trace = std::move(trace);
-    req->trace = req->shared_trace.get();
+    req->trace = std::move(trace);
   } else if (options_.metrics_enabled) {
-    req->own_trace = tracer_.Begin(next_request_id_++);
-    req->trace = &req->own_trace;
+    req->trace =
+        std::make_shared<obs::TraceContext>(tracer_.Begin(next_request_id_++));
   }
   return req;
 }
@@ -271,7 +267,7 @@ void CheckService::FinishRequest(Request* req, CheckReport report) {
     deadline_expired_->Inc();
   }
   completed_->Inc();
-  obs::TraceContext* trace = req->trace;
+  obs::TraceContext* trace = req->trace.get();
   if (options_.metrics_enabled && trace != nullptr) {
     // End-to-end latency as seen by the service (response write, if any,
     // is appended by the network front end before it finishes the trace).
@@ -299,7 +295,7 @@ void CheckService::FinishRequest(Request* req, CheckReport report) {
       slow_log_.Log(rec);
     }
     if (!trace->defer_finish()) {
-      tracer_.Finish(*trace, total);
+      tracer_.Finish(*trace);
     }
   }
   // Resolve the caller's future last: for the network path the writer
@@ -315,7 +311,7 @@ CheckReport CheckService::Process(Request* req) {
   std::lock_guard<std::mutex> session_lock(
       req->session->processing_mutex());
   relational::ExecutionContext* ctx = req->session->context();
-  obs::TraceContext* trace = req->trace;
+  obs::TraceContext* trace = req->trace.get();
   std::shared_ptr<const check::PreparedUpdate> plan;
   bool tried_fast_path = false;
   {
@@ -324,21 +320,18 @@ CheckReport CheckService::Process(Request* req) {
     // the whole check read-only against the pinned tables. Opening the
     // snapshot is the only synchronization point — after it, no lock is
     // held, so this runs concurrently with every other reader *and* with a
-    // writer-lane occupant committing new versions. One pair of clock
-    // reads times the open for both the reader-wait counter and the
-    // snapshot_pin span.
+    // writer-lane occupant committing new versions.
     auto wait_start = std::chrono::steady_clock::now();
-    std::shared_ptr<const relational::Snapshot> snapshot =
-        db_->OpenSnapshot();
-    auto opened = std::chrono::steady_clock::now();
-    if (trace != nullptr) {
-      trace->RecordSpan(obs::Stage::kSnapshotPin, wait_start, opened);
+    std::shared_ptr<const relational::Snapshot> snapshot;
+    {
+      obs::ScopedSpan span(trace, obs::Stage::kSnapshotPin);
+      snapshot = db_->OpenSnapshot();
     }
     tried_fast_path = !req->options.apply;
     // Only genuine fast-path candidates account into the reader-wait
     // counter: an apply=true request's snapshot open is writer-side work
     // and must not pollute the readers-never-block metric.
-    if (tried_fast_path) reader_wait_ns_->Add(NsBetween(wait_start, opened));
+    if (tried_fast_path) reader_wait_ns_->Add(ElapsedNs(wait_start));
     ctx->PinReadSnapshot(std::move(snapshot));
     bool cache_hit = false;
     plan = filter_->Prepare(req->update_text, &cache_hit, ctx, trace);

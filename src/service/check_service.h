@@ -190,13 +190,9 @@ class CheckService {
     /// this instant answers kDeadlineExceeded instead of executing.
     std::optional<SteadyTime> deadline;
     std::promise<check::CheckReport> promise;
-    /// The request's trace; null when metrics are disabled. It is
-    /// `shared_trace` when the network front end owns the finish
-    /// (defer_finish), else `own_trace`, which rides in the request and
-    /// costs no allocation of its own.
-    obs::TraceContext* trace = nullptr;
-    std::shared_ptr<obs::TraceContext> shared_trace;
-    obs::TraceContext own_trace;
+    /// Null when metrics are disabled. Shared with the network front end
+    /// when it owns the finish (defer_finish).
+    std::shared_ptr<obs::TraceContext> trace;
     /// Set by Process for the slow-check log (the plan fingerprint).
     std::shared_ptr<const check::PreparedUpdate> plan;
     bool plan_from_cache = false;

@@ -39,22 +39,22 @@ Result<const relational::PhysicalPlan*> DataChecker::BindProbe(
   return nullptr;
 }
 
-Result<QueryResult> DataChecker::RunProbe(
-    const SelectQuery& query, const relational::PhysicalPlan* plan) {
+Result<bool> DataChecker::RunProbe(const SelectQuery& query,
+                                   const relational::PhysicalPlan* plan,
+                                   QueryResult* rows) {
   QueryEvaluator evaluator(db_, ctx_);
+  if (rows == nullptr) {
+    if (plan != nullptr) return evaluator.ExistsPlan(*plan, *params_);
+    return evaluator.Exists(query);
+  }
   if (plan != nullptr) {
     UFILTER_ASSIGN_OR_RETURN(relational::DisjunctiveResult merged,
                              evaluator.ExecutePlan(*plan, *params_));
-    return std::move(merged.merged);
+    *rows = std::move(merged.merged);
+  } else {
+    UFILTER_ASSIGN_OR_RETURN(*rows, evaluator.Execute(query));
   }
-  return evaluator.Execute(query);
-}
-
-Result<bool> DataChecker::ProbeExists(const SelectQuery& query,
-                                      const relational::PhysicalPlan* plan) {
-  QueryEvaluator evaluator(db_, ctx_);
-  if (plan != nullptr) return evaluator.ExistsPlan(*plan, *params_);
-  return evaluator.Exists(query);
+  return !rows->empty();
 }
 
 namespace {
@@ -90,13 +90,7 @@ Status DataChecker::CheckContext(const BoundUpdate& update, SelectQuery* query,
     return Status::OK();
   }
   report->probes.push_back(std::move(sql));
-  bool exists = false;
-  if (rows != nullptr) {
-    UFILTER_ASSIGN_OR_RETURN(*rows, RunProbe(*query, plan));
-    exists = !rows->empty();
-  } else {
-    UFILTER_ASSIGN_OR_RETURN(exists, ProbeExists(*query, plan));
-  }
+  UFILTER_ASSIGN_OR_RETURN(bool exists, RunProbe(*query, plan, rows));
   return exists ? Status::OK() : ContextMissing(update);
 }
 
@@ -117,7 +111,9 @@ Result<QueryResult> DataChecker::FetchVictims(const BoundUpdate& update,
                 [&] { return translator_.ComposeVictimProbe(update); }, query,
                 &sql));
   report->probes.push_back(std::move(sql));
-  return RunProbe(*query, plan);
+  QueryResult victims;
+  UFILTER_RETURN_NOT_OK(RunProbe(*query, plan, &victims).status());
+  return victims;
 }
 
 Status DataChecker::RunWideProbe(const BoundUpdate& update,
@@ -131,9 +127,8 @@ Status DataChecker::RunWideProbe(const BoundUpdate& update,
                 [&] { return translator_.ComposeWideProbe(update); }, &query,
                 &sql));
   report->probes.push_back(std::move(sql));
-  UFILTER_ASSIGN_OR_RETURN(QueryResult result, RunProbe(query, plan));
-  (void)result;
-  return Status::OK();
+  QueryResult result;
+  return RunProbe(query, plan, &result).status();
 }
 
 Status DataChecker::ExecuteOps(const std::vector<UpdateOp>& ops,

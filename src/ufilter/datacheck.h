@@ -175,13 +175,12 @@ class DataChecker {
       relational::SelectQuery* query, std::string* sql);
 
   /// Runs a probe query, replaying `plan` with the request's values when
-  /// there is one.
-  Result<relational::QueryResult> RunProbe(
-      const relational::SelectQuery& query,
-      const relational::PhysicalPlan* plan);
-  /// RunProbe's existence form: whether the probe has a row.
-  Result<bool> ProbeExists(const relational::SelectQuery& query,
-                           const relational::PhysicalPlan* plan);
+  /// there is one, and returns whether it has a row. Fills `rows` with
+  /// every row; with a null `rows` it asks only whether one exists, which
+  /// stops at the first row.
+  Result<bool> RunProbe(const relational::SelectQuery& query,
+                        const relational::PhysicalPlan* plan,
+                        relational::QueryResult* rows);
 
   /// Executes translated ops and fills rows_affected — in kReadOnly mode
   /// on DryRunOps's overlay.
