@@ -1,14 +1,11 @@
-// Batch/cached throughput of the prepared-update architecture: updates/sec
-// for the same delete workload through three paths —
-//   - Cold:    every Check compiles from scratch (plan cache bypassed),
-//   - Cached:  Check hits the plan cache (zero parse/bind/STAR per update),
-//   - Batched: CheckBatch merges the step-3 anchor/victim probes of the
-//              whole batch into OR-of-predicates queries.
-// Measured order (Release, shared 4-vCPU VM): Batched < Cold < Cached —
-// ~12-13k, ~25-27k and ~110k updates/s. The merged probes cost more than
-// the sequential cached checks they replace, although
-// probe-queries-per-update drops from 2 (cold/cached) to 2/batch_size
-// (batched); see docs/BENCHMARKS.md.
+// Cold against cached throughput of the prepared-update architecture:
+// updates/sec for the same delete workload through two paths —
+//   - Cold:   every Check compiles from scratch (plan cache bypassed),
+//   - Cached: Check hits the plan cache (zero parse/bind/STAR per update).
+// perfbench's check_cold workload hits the plan cache on every request
+// (shapes are literal-lifted), so these two series are the one measurement
+// of a compile against a cache hit. Measured (Release, shared 4-vCPU VM):
+// Cold ~22-24k, Cached ~100-107k updates/s; see docs/BENCHMARKS.md.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.h"
@@ -32,12 +29,12 @@ using ufilter::obs::CounterWindow;
 
 constexpr int kDepth = 4;
 constexpr int kRowsPerLevel = 200;
-constexpr int kBatchSize = 64;
+constexpr int kUpdates = 64;
 
 struct Setup {
   std::unique_ptr<ufilter::relational::Database> db;
   std::unique_ptr<UFilter> uf;
-  std::vector<std::string> updates;  // kBatchSize distinct leaf deletes
+  std::vector<std::string> updates;  // kUpdates distinct leaf deletes
 };
 
 Setup& SharedSetup() {
@@ -48,7 +45,7 @@ Setup& SharedSetup() {
     auto uf = UFilter::Create(s.db.get(),
                               ufilter::fixtures::ChainViewQuery(kDepth));
     if (uf.ok()) s.uf = std::move(*uf);
-    for (int k = 0; k < kBatchSize; ++k) {
+    for (int k = 0; k < kUpdates; ++k) {
       s.updates.push_back(ufilter::fixtures::ChainDeleteUpdate(kDepth - 1, k));
     }
     return s;
@@ -124,45 +121,18 @@ void BM_Cached(benchmark::State& state) {
   ReportCounters(state, counters, checked);
 }
 
-void BM_Batched(benchmark::State& state) {
-  Setup& setup = SharedSetup();
-  CheckOptions options;
-  options.apply = false;
-  setup.uf->plan_cache().Clear();
-  for (const std::string& update : setup.updates) {
-    (void)setup.uf->Prepare(update);
-  }
-  CounterWindow counters(setup.db->registry());
-  int64_t checked = 0;
-  for (auto _ : state) {
-    std::vector<CheckReport> reports =
-        setup.uf->CheckBatch(setup.updates, options);
-    for (const CheckReport& r : reports) {
-      if (r.outcome != CheckOutcome::kExecuted) {
-        state.SkipWithError(r.Describe().c_str());
-        return;
-      }
-    }
-    checked += static_cast<int64_t>(reports.size());
-    benchmark::DoNotOptimize(reports);
-  }
-  ReportCounters(state, counters, checked);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::printf(
-      "=== Batch throughput: cold vs. cached vs. batched ===\n"
+      "=== Batch throughput: cold vs. cached ===\n"
       "Workload: %d distinct leaf deletes over a depth-%d chain view\n"
-      "(apply=false). Cold re-compiles per check; Cached hits the plan\n"
-      "cache; Batched additionally merges step-3 probes (batch size %d).\n"
-      "Measured (Release, shared 4-vCPU VM): items_per_second Batched\n"
-      "~12-13k < Cold ~25-27k < Cached ~110k; probe_queries_per_update\n"
-      "falls from 2 to 2/batch, yet Batched is the slowest path.\n\n",
-      kBatchSize, kDepth, kBatchSize);
+      "(apply=false), checked one at a time. Cold re-compiles per check;\n"
+      "Cached hits the plan cache.\n"
+      "Measured (Release, shared 4-vCPU VM): items_per_second Cold\n"
+      "~22-24k < Cached ~100-107k.\n\n",
+      kUpdates, kDepth);
   benchmark::RegisterBenchmark("BatchThroughput/Cold", BM_Cold);
   benchmark::RegisterBenchmark("BatchThroughput/Cached", BM_Cached);
-  benchmark::RegisterBenchmark("BatchThroughput/Batched", BM_Batched);
   return ufilter::bench::RunWithJson(argc, argv, "batch_throughput");
 }

@@ -1,6 +1,6 @@
-// Planner benchmark: interpreted (reference nested-loop interpreter) vs.
-// compiled (cost-based plan + iterative executor) evaluation of the probe
-// shapes that matter for U-Filter:
+// Planner benchmark: interpreted (the reference nested-loop interpreter of
+// tests/support/reference_eval.h) vs. compiled (cost-based plan + iterative
+// executor) evaluation of the probe shapes that matter for U-Filter:
 //
 //   - TempTempJoin: two index-free temp tables equi-joined — the worst case
 //     of the outside strategy's materializations. The interpreter rescans
@@ -24,6 +24,7 @@
 #include <memory>
 #include <string>
 
+#include "../tests/support/reference_eval.h"
 #include "obs/metrics.h"
 #include "relational/planner.h"
 #include "relational/query.h"
@@ -104,10 +105,10 @@ SelectQuery TempTempQuery(Database* db, int small_rows) {
 void BM_TempTempJoin_Interpreted(benchmark::State& state) {
   Database* db = Db();
   SelectQuery q = TempTempQuery(db, static_cast<int>(state.range(0)));
-  QueryEvaluator evaluator(db);
   CounterWindow counters(db->registry());
   for (auto _ : state) {
-    auto rows = evaluator.ExecuteReference(q, {});
+    auto rows =
+        ufilter::test_support::ExecuteReference(db, db->root_context(), q);
     benchmark::DoNotOptimize(rows);
   }
   ReportWork(state, counters);
@@ -139,10 +140,10 @@ SelectQuery BaseTempQuery(Database* db, int temp_rows) {
 void BM_BaseTempJoin_Interpreted(benchmark::State& state) {
   Database* db = Db();
   SelectQuery q = BaseTempQuery(db, static_cast<int>(state.range(0)));
-  QueryEvaluator evaluator(db);
   CounterWindow counters(db->registry());
   for (auto _ : state) {
-    auto rows = evaluator.ExecuteReference(q, {});
+    auto rows =
+        ufilter::test_support::ExecuteReference(db, db->root_context(), q);
     benchmark::DoNotOptimize(rows);
   }
   ReportWork(state, counters);

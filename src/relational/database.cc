@@ -313,10 +313,6 @@ EngineCounters EngineCounters::Bind(obs::Registry* registry) {
   c.rows_updated = registry->GetCounter("engine_rows_updated");
   c.undo_records = registry->GetCounter("engine_undo_records");
   c.queries_executed = registry->GetCounter("engine_queries_executed");
-  c.batch_queries_executed =
-      registry->GetCounter("engine_batch_queries_executed");
-  c.batch_branches_merged =
-      registry->GetCounter("engine_batch_branches_merged");
   c.updates_compiled = registry->GetCounter("engine_updates_compiled");
   c.star_checks = registry->GetCounter("engine_star_checks");
   c.snapshots_opened = registry->GetCounter("mvcc_snapshots_opened");

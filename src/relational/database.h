@@ -97,12 +97,6 @@ struct EngineCounters {
   obs::Counter* undo_records;
   /// SELECT evaluations issued against the engine (probe queries included).
   obs::Counter* queries_executed;
-  /// Merged OR-of-predicates probes evaluated (each counts once in
-  /// queries_executed too).
-  obs::Counter* batch_queries_executed;
-  /// Individual probe branches served by merged queries (savings =
-  /// batch_branches_merged - batch_queries_executed).
-  obs::Counter* batch_branches_merged;
   /// Full compiles (parse + bind + validate) actually performed.
   obs::Counter* updates_compiled;
   /// STAR dynamic-checking runs actually performed.

@@ -12,8 +12,6 @@ const char* AccessPathName(AccessPath p) {
       return "unique-lookup";
     case AccessPath::kIndexLookup:
       return "index-lookup";
-    case AccessPath::kInListUnion:
-      return "in-list-union";
     case AccessPath::kHashJoin:
       return "hash-join";
     case AccessPath::kScan:
@@ -36,18 +34,11 @@ struct AccessChoice {
   int key_src_column = -1;
   int driver_filter = -1;  ///< index into filters when literal-driven
   int driver_join = -1;    ///< index into joins when join-driven
-  std::vector<CompiledFilter> pins;  ///< kInListUnion per-branch pins
 };
 
 }  // namespace
 
 Result<PhysicalPlan> Planner::Compile(const SelectQuery& query) {
-  return CompileDisjunctive(query, {});
-}
-
-Result<PhysicalPlan> Planner::CompileDisjunctive(
-    const SelectQuery& query,
-    const std::vector<std::vector<FilterPredicate>>& query_branches) {
   PhysicalPlan plan;
 
   // ---- Name resolution: aliases and columns become integer slots. --------
@@ -95,21 +86,11 @@ Result<PhysicalPlan> Planner::CompileDisjunctive(
           std::max(plan.param_count, static_cast<size_t>(f.param) + 1);
     }
   }
-  std::vector<std::vector<CompiledFilter>> branches;
-  for (const std::vector<FilterPredicate>& branch : query_branches) {
-    std::vector<CompiledFilter> rbranch;
-    for (const FilterPredicate& f : branch) {
-      UFILTER_ASSIGN_OR_RETURN(auto c, resolve(f.col));
-      rbranch.push_back({c.first, c.second, f.op, f.literal});
-    }
-    branches.push_back(std::move(rbranch));
-  }
   for (const ColRef& s : query.selects) {
     UFILTER_ASSIGN_OR_RETURN(auto c, resolve(s));
     plan.selects.push_back(c);
     plan.column_names.push_back(s.ToString());
   }
-  plan.branch_count = branches.size();
 
   // ---- Greedy join ordering + per-level access-path selection. -----------
   const size_t table_count = tables.size();
@@ -176,39 +157,6 @@ Result<PhysicalPlan> Planner::CompileDisjunctive(
     }
     if (have_index_path) return best;
 
-    // IN-list union: every branch pins this table with an equality on an
-    // indexed column, so the scan becomes the union of the branches' index
-    // lookups (how a merged probe keeps per-update index access).
-    if (!branches.empty()) {
-      std::vector<CompiledFilter> pins;
-      pins.reserve(branches.size());
-      double est = 0;
-      bool all_pinned = true;
-      for (const std::vector<CompiledFilter>& branch : branches) {
-        const CompiledFilter* pin = nullptr;
-        for (const CompiledFilter& f : branch) {
-          if (f.table == t && f.op == CompareOp::kEq &&
-              tab->HasIndexOnColumn(f.column)) {
-            pin = &f;
-            break;
-          }
-        }
-        if (pin == nullptr) {
-          all_pinned = false;
-          break;
-        }
-        pins.push_back(*pin);
-        est += tab->EstimateEqMatches(pin->column);
-      }
-      if (all_pinned) {
-        best = AccessChoice{};
-        best.path = AccessPath::kInListUnion;
-        best.est = est;
-        best.pins = std::move(pins);
-        return best;
-      }
-    }
-
     // Hash join: equi-join to a placed table with no index on this side —
     // build a one-shot hash table over this table instead of re-scanning it
     // per outer row (the temp-table rescue).
@@ -262,7 +210,6 @@ Result<PhysicalPlan> Planner::CompileDisjunctive(
     level.key_param = choice.key_param;
     level.key_src_table = choice.key_src_table;
     level.key_src_column = choice.key_src_column;
-    level.branch_pins = std::move(choice.pins);
     level.estimated_rows = choice.est;
     level.columnar = (choice.path == AccessPath::kScan ||
                       choice.path == AccessPath::kHashJoin) &&
@@ -286,14 +233,6 @@ Result<PhysicalPlan> Planner::CompileDisjunctive(
         continue;
       }
       level.joins.push_back(j);
-    }
-    // All branch conjuncts on this table (pins included — IN-list
-    // candidates are a cross-branch union, so membership is rechecked).
-    level.branch_filters.resize(branches.size());
-    for (size_t b = 0; b < branches.size(); ++b) {
-      for (const CompiledFilter& f : branches[b]) {
-        if (f.table == pick) level.branch_filters[b].push_back(f);
-      }
     }
     plan.levels.push_back(std::move(level));
   }

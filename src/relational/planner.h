@@ -1,11 +1,11 @@
-// Cost-based probe planner: compiles a SelectQuery/DisjunctiveQuery once
-// into a PhysicalPlan — all alias/column names resolved to integer slots, a
-// join order chosen greedily by estimated cardinality, and a per-level
-// access path picked from {unique/non-unique index lookup, IN-list union,
-// hash join, scan}. The compiled plan is replayed by the QueryEvaluator's
-// iterative executor with zero name resolution, which is what makes probe
-// checking cheap relative to execute-detect-rollback (the paper's whole
-// argument, Figs. 13-17): prepared probes compile once and only replay.
+// Cost-based probe planner: compiles a SelectQuery once into a
+// PhysicalPlan — all alias/column names resolved to integer slots, a join
+// order chosen greedily by estimated cardinality, and a per-level access
+// path picked from {unique/non-unique index lookup, hash join, scan}. The
+// compiled plan is replayed by the QueryEvaluator's iterative executor
+// with zero name resolution, which is what makes probe checking cheap
+// relative to execute-detect-rollback (the paper's whole argument, Figs.
+// 13-17): prepared probes compile once and only replay.
 //
 // The hash-join path is what rescues the outside strategy's temp-table
 // joins (the paper's "TAB_book", Section 6): an index-free materialization
@@ -28,7 +28,6 @@ namespace ufilter::relational {
 enum class AccessPath {
   kUniqueLookup,  ///< equality probe into a unique index (<= 1 candidate)
   kIndexLookup,   ///< equality probe into a non-unique index
-  kInListUnion,   ///< union of per-branch index lookups (merged probes)
   kHashJoin,      ///< one-shot hash table on this (unindexed) equi-join side
   kScan,          ///< full table scan
 };
@@ -72,9 +71,6 @@ struct PlanLevel {
   int key_src_table = -1;   ///< FROM position of the already-bound side
   int key_src_column = -1;
 
-  /// kInListUnion: per-branch indexed equality pin (size == branch count).
-  std::vector<CompiledFilter> branch_pins;
-
   /// Residual literal filters on this table (the probe-driving filter, when
   /// any, is excluded: the index probe already verified it).
   std::vector<CompiledFilter> filters;
@@ -82,10 +78,6 @@ struct PlanLevel {
   /// the driving join stays here: the hash matches by Value::Hash and the
   /// recheck rules out collisions.
   std::vector<CompiledJoin> joins;
-  /// Per-branch conjuncts on this table (outer index = branch). All branch
-  /// conjuncts are rechecked — IN-list candidates are a union across
-  /// branches, so membership per branch must be re-established.
-  std::vector<std::vector<CompiledFilter>> branch_filters;
 
   /// The planner's cardinality estimate for this level (diagnostics).
   double estimated_rows = 0;
@@ -112,7 +104,6 @@ struct PhysicalPlan {
   /// Output projection: (FROM position, column index) per select.
   std::vector<std::pair<int, int>> selects;
   std::vector<PlanLevel> levels;          ///< chosen join order
-  size_t branch_count = 0;
   /// Parameter slots the plan reads (highest slot + 1); ExecutePlan must
   /// bind at least this many values.
   size_t param_count = 0;
@@ -125,9 +116,8 @@ struct PhysicalPlan {
 /// bucket (live rows / distinct keys), else live_row_count. No estimate
 /// reads a filter's literal, so a plan compiled for one value of a
 /// parameter is the plan for every value. Access paths are picked per
-/// level in that cost order, falling back to IN-list union (every branch
-/// pins this table with an indexed equality), then hash join (equi-join to
-/// a bound table with no index on this side), then scan.
+/// level in that cost order, falling back to hash join (equi-join to a
+/// bound table with no index on this side), then scan.
 class Planner {
  public:
   /// Plans against `db`'s base tables plus `ctx`'s temp tables; a null
@@ -137,11 +127,6 @@ class Planner {
 
   /// Compiles a conjunctive query.
   Result<PhysicalPlan> Compile(const SelectQuery& query);
-
-  /// Compiles a merged multi-predicate probe (base AND (b0 OR b1 OR ...)).
-  Result<PhysicalPlan> CompileDisjunctive(
-      const SelectQuery& base,
-      const std::vector<std::vector<FilterPredicate>>& branches);
 
  private:
   Database* db_;

@@ -87,34 +87,6 @@ struct QueryResult {
   size_t size() const { return rows.size(); }
 };
 
-/// \brief A merged multi-predicate probe: one SPJ base (FROM/joins/shared
-/// filters) plus N predicate *branches*, evaluated as
-/// `base AND (branch_0 OR branch_1 OR ...)`.
-///
-/// This is how U-Filter's CheckBatch folds the per-update probe queries of N
-/// updates that target the same relation chain into a single engine query:
-/// the base is the shared view chain, each branch carries one update's WHERE
-/// conjuncts. A result row belongs to every branch whose conjuncts it
-/// satisfies (demultiplexed in DisjunctiveResult). An empty branch list
-/// degenerates to the plain SelectQuery.
-struct DisjunctiveQuery {
-  SelectQuery base;
-  std::vector<std::vector<FilterPredicate>> branches;
-
-  std::string ToSql() const;
-};
-
-/// \brief Merged probe output: the union result plus the per-branch
-/// demultiplexing map.
-struct DisjunctiveResult {
-  QueryResult merged;
-  /// branch_rows[b] = indexes into merged.rows satisfying branch b.
-  std::vector<std::vector<size_t>> branch_rows;
-
-  /// Extracts branch `b` as a standalone QueryResult (copies its rows).
-  QueryResult Extract(size_t b) const;
-};
-
 struct PhysicalPlan;  // relational/planner.h
 
 /// \brief Evaluates SPJ queries against a Database.
@@ -122,11 +94,11 @@ struct PhysicalPlan;  // relational/planner.h
 /// Every query is compiled by the cost-based Planner (relational/planner.h)
 /// into a PhysicalPlan — names resolved to slots, join order chosen by
 /// estimated cardinality, per-level access paths picked from
-/// {unique/non-unique index lookup, IN-list union, hash join, scan} — and
-/// run by an iterative executor. Callers holding a long-lived query replay
-/// a cached plan through ExecutePlan with zero name resolution. Result rows
-/// are ordered lexicographically by contributing row ids in FROM order
-/// (identical to the retained reference interpreter).
+/// {unique/non-unique index lookup, hash join, scan} — and run by an
+/// iterative executor. Callers holding a long-lived query replay a cached
+/// plan through ExecutePlan with zero name resolution. Result rows are
+/// ordered lexicographically by contributing row ids in FROM order, the
+/// order a left-deep nested loop over the FROM list would produce.
 class QueryEvaluator {
  public:
   /// Evaluates against `db`'s base tables plus `ctx`'s temp tables; a null
@@ -142,32 +114,18 @@ class QueryEvaluator {
   /// which row it was is not reported.
   Result<bool> Exists(const SelectQuery& query);
 
-  /// Evaluates a merged multi-predicate probe in one pass. Candidate
-  /// generation can still use indexes: when every branch constrains a table
-  /// with an equality on an indexed column, the scan is replaced by the
-  /// union of the branches' index lookups (an IN-list probe).
-  Result<DisjunctiveResult> ExecuteDisjunctive(const DisjunctiveQuery& query);
-
   /// Replays a previously compiled plan (counts as a plan replay: zero
   /// name resolution or planning happens here). Tables are re-resolved by
   /// name, so a plan stays valid across temp-table re-creations as long as
   /// the arities still match. `params` fills the plan's parameter slots
   /// and must cover all of them.
-  Result<DisjunctiveResult> ExecutePlan(const PhysicalPlan& plan,
-                                        const std::vector<Value>& params = {});
+  Result<QueryResult> ExecutePlan(const PhysicalPlan& plan,
+                                  const std::vector<Value>& params = {});
 
   /// ExecutePlan's existence form: whether the plan yields a row, found the
   /// way Exists finds it.
   Result<bool> ExistsPlan(const PhysicalPlan& plan,
                           const std::vector<Value>& params = {});
-
-  /// The pre-planner recursive interpreter (left-deep in FROM order),
-  /// retained as the semantic reference for differential testing and as
-  /// the interpreted baseline in bench_planner. Produces identical rows /
-  /// row_ids / branch demux as the compiled executor.
-  Result<DisjunctiveResult> ExecuteReference(
-      const SelectQuery& base,
-      const std::vector<std::vector<FilterPredicate>>& branches);
 
   /// Executes `query` and materializes the full result (all selected
   /// columns) into a temp table named `temp_name` with no indexes. Column
@@ -176,18 +134,15 @@ class QueryEvaluator {
                          const std::string& temp_name);
 
  private:
-  /// Shared core: compile `base` (+ optional OR of predicate branches)
-  /// into a PhysicalPlan and run it (RunPlan).
-  Result<bool> ExecuteImpl(
-      const SelectQuery& base,
-      const std::vector<std::vector<FilterPredicate>>& branches,
-      DisjunctiveResult* out);
+  /// Execute/Exists's core: compiles `query` into a PhysicalPlan and runs
+  /// it (RunPlan).
+  Result<bool> ExecuteImpl(const SelectQuery& query, QueryResult* out);
 
   /// ExecutePlan/ExistsPlan's core: checks `params` covers the plan's
   /// slots, counts the replay and runs the plan (RunPlan).
   Result<bool> ReplayPlan(const PhysicalPlan& plan,
                           const std::vector<Value>& params,
-                          DisjunctiveResult* out);
+                          QueryResult* out);
 
   /// The iterative compiled-plan executor (no replay counting). With null
   /// `params` every filter reads its own literal. Returns whether the plan
@@ -195,7 +150,7 @@ class QueryEvaluator {
   /// at the first one.
   Result<bool> RunPlan(const PhysicalPlan& plan,
                        const std::vector<Value>* params,
-                       DisjunctiveResult* out);
+                       QueryResult* out);
 
   Database* db_;
   ExecutionContext* ctx_;

@@ -1,7 +1,6 @@
 #include "ufilter/checker.h"
 
 #include <chrono>
-#include <map>
 #include <utility>
 
 #include "relational/planner.h"
@@ -18,16 +17,6 @@ double Now() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Whether executing `action` under `options` would run step 3 (the only
-/// phase that touches data). Shared by TryCheckReadOnly's punt decision and
-/// CheckBatch's probe-merge planning so neither can drift from
-/// ExecuteAction's actual gating.
-bool ReachesStep3(const PreparedAction& action, const CheckOptions& options) {
-  return action.bound_ok && options.run_data_check &&
-         !(options.run_star && action.star_computed() &&
-           action.shape->star.result == Translatability::kUntranslatable);
 }
 
 /// Calls `f(slot, lexical class, literal operand or payload text node)` for
@@ -393,12 +382,16 @@ std::optional<CheckReport> UFilter::TryCheckReadOnly(
   const PreparedAction& action = actions[0];
   // Only the outside strategy checks before executing; hybrid/internal rely
   // on engine execution to surface conflicts and keep executing for real,
-  // in the writer lane.
-  if (ReachesStep3(action, options) &&
-      options.strategy != DataCheckStrategy::kOutside) {
+  // in the writer lane. The test mirrors ExecuteAction's gates: only an
+  // action that reaches step 3 touches data.
+  const bool reaches_step3 =
+      action.bound_ok && options.run_data_check &&
+      !(options.run_star && action.star_computed() &&
+        action.shape->star.result == Translatability::kUntranslatable);
+  if (reaches_step3 && options.strategy != DataCheckStrategy::kOutside) {
     return std::nullopt;
   }
-  return ExecuteAction(action, prepared.params(), options, ctx, nullptr,
+  return ExecuteAction(action, prepared.params(), options, ctx,
                        /*read_only=*/true);
 }
 
@@ -461,7 +454,6 @@ CheckReport UFilter::ExecuteAction(const PreparedAction& action,
                                    const std::vector<Value>& params,
                                    const CheckOptions& options,
                                    relational::ExecutionContext* ctx,
-                                   const InjectedProbes* injected,
                                    bool read_only) {
   CheckReport report;
   if (!action.bound_ok) {
@@ -503,8 +495,7 @@ CheckReport UFilter::ExecuteAction(const PreparedAction& action,
                    : options.apply ? ApplyMode::kApply
                                    : ApplyMode::kDryRun;
   auto data = checker.CheckAndExecute(action.bound, verdict, options.strategy,
-                                      mode, injected, &action.shape->probes,
-                                      &params);
+                                      mode, &action.shape->probes, &params);
   report.step3_seconds = Now() - t0;
   if (!data.ok()) {
     report.outcome = CheckOutcome::kDataConflict;
@@ -525,7 +516,7 @@ CheckReport UFilter::ExecuteAction(const PreparedAction& action,
 }
 
 // ---------------------------------------------------------------------------
-// Compatibility shim and batch front ends
+// Compatibility shim
 // ---------------------------------------------------------------------------
 
 CheckReport UFilter::Check(const std::string& update_text,
@@ -551,185 +542,6 @@ CheckReport UFilter::Check(const std::string& update_text,
     }
   }
   return report;
-}
-
-std::vector<CheckReport> UFilter::CheckBatch(
-    const std::vector<std::string>& updates, const CheckOptions& options,
-    relational::ExecutionContext* ctx) {
-  if (ctx == nullptr) ctx = db_->root_context();
-  const size_t n = updates.size();
-  std::vector<CheckReport> reports(n);
-
-  // Phase 1: prepare every update (through the plan cache).
-  std::vector<std::shared_ptr<const PreparedUpdate>> plans(n);
-  std::vector<char> hits(n, 0);
-  std::vector<double> prepare_seconds(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    double t0 = Now();
-    if (options.use_plan_cache) {
-      bool hit = false;
-      plans[i] = Prepare(updates[i], &hit, ctx);
-      hits[i] = hit ? 1 : 0;
-    } else {
-      plans[i] = CompileUpdate(updates[i], nullptr, options.run_star, ctx);
-    }
-    prepare_seconds[i] = Now() - t0;
-  }
-
-  // Phase 2: classify. Updates that reach step 3 with a single action get
-  // their anchor/victim probes composed (schema work only — no queries yet);
-  // everything else resolves immediately or falls back to Execute.
-  enum class Mode { kDone, kFallback, kPending };
-  struct Pending {
-    size_t index = 0;
-    const PreparedAction* action = nullptr;
-    bool merge_anchor = false;
-    relational::SelectQuery anchor_query;
-    bool merge_victim = false;
-    relational::SelectQuery victim_query;
-    InjectedProbes probes;
-  };
-  std::vector<Mode> modes(n, Mode::kDone);
-  std::vector<Pending> pending;
-  pending.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const PreparedUpdate& plan = *plans[i];
-    if (!plan.parsed()) {
-      reports[i].outcome = CheckOutcome::kInvalid;
-      reports[i].error = plan.parse_error();
-      continue;
-    }
-    if (plan.actions().size() != 1) {
-      // Multi-action blocks keep the atomic savepoint protocol unbatched.
-      modes[i] = Mode::kFallback;
-      continue;
-    }
-    const PreparedAction& action = plan.actions()[0];
-    if (!ReachesStep3(action, options)) {
-      reports[i] = ExecuteAction(action, plan.params(), options, ctx);
-      continue;
-    }
-    // The probe queries were composed (and physically compiled) with the
-    // shape; an absent slot means composition failed there, and the
-    // unbatched path will surface the same error. Merging needs them bound
-    // to this update's values.
-    const CompiledProbeSet& probes = action.shape->probes;
-    Pending p;
-    p.index = i;
-    p.action = &action;
-    if (!probes.anchor.present) {
-      modes[i] = Mode::kFallback;
-      continue;
-    }
-    p.merge_anchor = !probes.anchor.query.tables.empty();
-    if (p.merge_anchor) p.anchor_query = probes.anchor.query.Bind(plan.params());
-    if (action.bound.op == xq::UpdateOpType::kDelete ||
-        action.bound.op == xq::UpdateOpType::kReplace) {
-      if (!probes.victim.present) {
-        modes[i] = Mode::kFallback;
-        continue;
-      }
-      p.merge_victim = true;
-      p.victim_query = probes.victim.query.Bind(plan.params());
-    }
-    modes[i] = Mode::kPending;
-    pending.push_back(std::move(p));
-  }
-
-  // Phase 3: group probes sharing a base shape (selects + tables + joins —
-  // i.e. the same target relation chain) and issue one merged
-  // OR-of-predicates query per group, demultiplexing rows per update.
-  auto ShapeKey = [](const relational::SelectQuery& q) {
-    std::string key;
-    for (const relational::ColRef& s : q.selects) key += s.ToString() + ",";
-    key += "#";
-    for (const auto& t : q.tables) key += t.table + " " + t.alias + ",";
-    key += "#";
-    for (const relational::JoinPredicate& j : q.joins) {
-      key += j.a.ToString() + CompareOpSymbol(j.op) + j.b.ToString() + ",";
-    }
-    return key;
-  };
-  struct Group {
-    relational::SelectQuery base;  // group shape, filters cleared
-    std::vector<std::vector<relational::FilterPredicate>> branches;
-    std::vector<std::pair<Pending*, bool /*is_victim*/>> members;
-  };
-  std::map<std::string, Group> groups;
-  auto AddMember = [&](Pending* p, const relational::SelectQuery& query,
-                       bool is_victim) {
-    std::string key = (is_victim ? "victim:" : "anchor:") + ShapeKey(query);
-    Group& group = groups[key];
-    if (group.members.empty()) {
-      group.base = query;
-      group.base.filters.clear();
-    }
-    group.branches.push_back(query.filters);
-    group.members.push_back({p, is_victim});
-  };
-  for (Pending& p : pending) {
-    if (p.merge_anchor) AddMember(&p, p.anchor_query, false);
-    if (p.merge_victim) AddMember(&p, p.victim_query, true);
-  }
-  relational::QueryEvaluator evaluator(db_, ctx);
-  for (auto& [key, group] : groups) {
-    relational::DisjunctiveQuery dq;
-    dq.base = group.base;
-    dq.branches = group.branches;
-    auto merged = evaluator.ExecuteDisjunctive(dq);
-    if (!merged.ok()) {
-      // Engine-level failure: let each member re-probe individually.
-      for (auto& [p, is_victim] : group.members) {
-        modes[p->index] = Mode::kFallback;
-      }
-      continue;
-    }
-    std::string sql = dq.ToSql();
-    for (size_t b = 0; b < group.members.size(); ++b) {
-      auto& [p, is_victim] = group.members[b];
-      if (modes[p->index] != Mode::kPending) continue;
-      if (is_victim) {
-        p->probes.has_victim = true;
-        p->probes.victim_query = p->victim_query;
-        p->probes.victims = merged->Extract(b);
-        p->probes.victim_sql = sql;
-      } else {
-        p->probes.has_anchor = true;
-        p->probes.anchor_query = p->anchor_query;
-        p->probes.anchors = merged->Extract(b);
-        p->probes.anchor_sql = sql;
-      }
-    }
-  }
-
-  // Phase 4: execute every update in batch order against the demultiplexed
-  // probe rows (pending) or through the unbatched path (fallback).
-  std::vector<Pending*> pending_by_index(n, nullptr);
-  for (Pending& p : pending) pending_by_index[p.index] = &p;
-  for (size_t i = 0; i < n; ++i) {
-    switch (modes[i]) {
-      case Mode::kDone:
-        break;
-      case Mode::kFallback:
-        reports[i] = Execute(*plans[i], options, ctx);
-        break;
-      case Mode::kPending: {
-        Pending* p = pending_by_index[i];
-        reports[i] = ExecuteAction(*p->action, plans[i]->params(), options,
-                                   ctx, &p->probes);
-        break;
-      }
-    }
-    reports[i].prepare_seconds = prepare_seconds[i];
-    reports[i].from_plan_cache = hits[i] != 0;
-    if (hits[i] == 0) {
-      reports[i].step1_seconds += plans[i]->compile_step1_seconds();
-      if (options.run_star) {
-        reports[i].step2_seconds += plans[i]->compile_step2_seconds();
-      }
-    }
-  }
-  return reports;
 }
 
 Result<xml::NodePtr> UFilter::MaterializeView() {

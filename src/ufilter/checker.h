@@ -6,8 +6,7 @@
 // plan the step-3 probes with parameter slots) into a bounded LRU plan
 // cache keyed by the shape, and binds each request's literal values into
 // the cached shape (WHERE predicates, payload, probe slots) before running
-// the request's own step-1 validation. CheckBatch merges the step-3 probes
-// of many updates into OR-of-predicates queries against the database.
+// the request's own step-1 validation.
 //
 // This is the library's primary public entry point:
 //
@@ -21,9 +20,6 @@
 //   // Prepared-statement style:
 //   auto plan = uf->Prepare("FOR $b IN document(...)...");
 //   for (...) { CheckReport r = uf->Execute(*plan); ... }
-//
-//   // Batch style (merged probe queries):
-//   std::vector<CheckReport> rs = uf->CheckBatch({u1, u2, ...});
 #ifndef UFILTER_UFILTER_CHECKER_H_
 #define UFILTER_UFILTER_CHECKER_H_
 
@@ -73,8 +69,8 @@ struct CheckOptions {
   /// unconditionally translatable — the "Update" (no checking) baseline of
   /// Figs. 13/14. Default on.
   bool run_star = true;
-  /// When false, Check/CheckBatch compile each text for itself without
-  /// consulting or populating the plan cache (cold-path benchmarking).
+  /// When false, Check compiles each text for itself without consulting
+  /// or populating the plan cache (cold-path benchmarking).
   bool use_plan_cache = true;
 };
 
@@ -161,27 +157,6 @@ class UFilter {
                     const CheckOptions& options = {},
                     relational::ExecutionContext* ctx = nullptr);
 
-  /// Checks N updates, merging the step-3 anchor/victim probes of updates
-  /// that share a probe shape (same target relation chain) into single
-  /// OR-of-predicates queries with per-update result demultiplexing.
-  /// Reports align positionally with `updates`; updates are executed in
-  /// order. Multi-action statements fall back to the unbatched path.
-  ///
-  /// Snapshot semantics: all merged probes run against the batch-entry
-  /// state, *before* any update of the batch executes. Insert key conflicts
-  /// introduced within the batch are still caught at execute time (engine
-  /// constraints / duplication consistency), but anchor existence and
-  /// delete/replace victim sets are judged against the entry snapshot — if
-  /// an earlier update of the same batch moves rows into or out of a later
-  /// update's predicate scope, the later translation acts on the stale
-  /// victim set instead of re-probing. Batches whose members may interfere
-  /// through overlapping predicates should be checked sequentially with
-  /// Check, or validated with apply=false first.
-  std::vector<CheckReport> CheckBatch(const std::vector<std::string>& updates,
-                                      const CheckOptions& options = {},
-                                      relational::ExecutionContext* ctx =
-                                          nullptr);
-
   /// Materializes the current view content.
   Result<xml::NodePtr> MaterializeView();
 
@@ -239,15 +214,13 @@ class UFilter {
                              relational::ExecutionContext* ctx);
 
   /// Runs one prepared action (gates + step 3); `params` are its request's
-  /// literal values. `injected`, when non-null, supplies batch-merged probe
-  /// results to the data checker. `read_only` runs step 3 in
-  /// ApplyMode::kReadOnly (the translated ops run on a throwaway overlay)
-  /// with the same verdict as kDryRun.
+  /// literal values. `read_only` runs step 3 in ApplyMode::kReadOnly (the
+  /// translated ops run on a throwaway overlay) with the same verdict as
+  /// kDryRun.
   CheckReport ExecuteAction(const PreparedAction& action,
                             const std::vector<Value>& params,
                             const CheckOptions& options,
                             relational::ExecutionContext* ctx,
-                            const InjectedProbes* injected = nullptr,
                             bool read_only = false);
 
   relational::Database* db_ = nullptr;

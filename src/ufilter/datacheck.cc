@@ -48,37 +48,17 @@ Result<bool> DataChecker::RunProbe(const SelectQuery& query,
     return evaluator.Exists(query);
   }
   if (plan != nullptr) {
-    UFILTER_ASSIGN_OR_RETURN(relational::DisjunctiveResult merged,
-                             evaluator.ExecutePlan(*plan, *params_));
-    *rows = std::move(merged.merged);
+    UFILTER_ASSIGN_OR_RETURN(*rows, evaluator.ExecutePlan(*plan, *params_));
   } else {
     UFILTER_ASSIGN_OR_RETURN(*rows, evaluator.Execute(query));
   }
   return !rows->empty();
 }
 
-namespace {
-
-Status ContextMissing(const BoundUpdate& update) {
-  return Status::DataConflict(
-      "update context <" + update.context->tag +
-      "> matches nothing in the view (probe returned no rows)");
-}
-
-}  // namespace
-
 Status DataChecker::CheckContext(const BoundUpdate& update, SelectQuery* query,
                                  DataCheckReport* report,
-                                 const InjectedProbes* injected,
                                  const CompiledProbeSet* compiled,
                                  QueryResult* rows) {
-  if (injected != nullptr && injected->has_anchor) {
-    *query = injected->anchor_query;
-    report->probes.push_back(injected->anchor_sql);
-    if (injected->anchors.empty()) return ContextMissing(update);
-    if (rows != nullptr) *rows = injected->anchors;
-    return Status::OK();
-  }
   std::string sql;
   UFILTER_ASSIGN_OR_RETURN(
       const relational::PhysicalPlan* plan,
@@ -91,19 +71,16 @@ Status DataChecker::CheckContext(const BoundUpdate& update, SelectQuery* query,
   }
   report->probes.push_back(std::move(sql));
   UFILTER_ASSIGN_OR_RETURN(bool exists, RunProbe(*query, plan, rows));
-  return exists ? Status::OK() : ContextMissing(update);
+  if (exists) return Status::OK();
+  return Status::DataConflict(
+      "update context <" + update.context->tag +
+      "> matches nothing in the view (probe returned no rows)");
 }
 
 Result<QueryResult> DataChecker::FetchVictims(const BoundUpdate& update,
                                               SelectQuery* query,
                                               DataCheckReport* report,
-                                              const InjectedProbes* injected,
                                               const CompiledProbeSet* compiled) {
-  if (injected != nullptr && injected->has_victim) {
-    *query = injected->victim_query;
-    report->probes.push_back(injected->victim_sql);
-    return injected->victims;
-  }
   std::string sql;
   UFILTER_ASSIGN_OR_RETURN(
       const relational::PhysicalPlan* plan,
@@ -201,17 +178,16 @@ Status DataChecker::ProbeInsertConflicts(const std::vector<UpdateOp>& ops,
 Result<DataCheckReport> DataChecker::RunDelete(const BoundUpdate& update,
                                                const StarVerdict& verdict,
                                                DataCheckStrategy strategy,
-                                               const InjectedProbes* injected,
                                                const CompiledProbeSet* compiled) {
   DataCheckReport report;
   SelectQuery anchor_query;
-  UFILTER_RETURN_NOT_OK(CheckContext(update, &anchor_query, &report, injected,
-                                     compiled, /*rows=*/nullptr));
+  UFILTER_RETURN_NOT_OK(CheckContext(update, &anchor_query, &report, compiled,
+                                     /*rows=*/nullptr));
 
   SelectQuery victim_query;
   UFILTER_ASSIGN_OR_RETURN(
       QueryResult victims,
-      FetchVictims(update, &victim_query, &report, injected, compiled));
+      FetchVictims(update, &victim_query, &report, compiled));
   if (strategy == DataCheckStrategy::kInternal) {
     // The internal strategy would delete through the flat relational view:
     // fetch the full-width tuples first.
@@ -240,14 +216,13 @@ Result<DataCheckReport> DataChecker::RunDelete(const BoundUpdate& update,
 Result<DataCheckReport> DataChecker::RunInsert(const BoundUpdate& update,
                                                const StarVerdict& verdict,
                                                DataCheckStrategy strategy,
-                                               const InjectedProbes* injected,
                                                const CompiledProbeSet* compiled) {
   DataCheckReport report;
   SelectQuery anchor_query;
   // One insert per context row (TranslateInsert): read them all.
   QueryResult anchors;
-  UFILTER_RETURN_NOT_OK(CheckContext(update, &anchor_query, &report, injected,
-                                     compiled, &anchors));
+  UFILTER_RETURN_NOT_OK(
+      CheckContext(update, &anchor_query, &report, compiled, &anchors));
 
   if (strategy == DataCheckStrategy::kInternal) {
     // Build the complete relational-view tuple: wide probe over the chain
@@ -295,18 +270,17 @@ Result<DataCheckReport> DataChecker::RunReplace(
     // Replace rewrites one bound leaf in place, so the probe and the
     // translation coincide for every strategy: there is no wide tuple to
     // assemble (internal) and no conflict set to pre-probe (outside).
-    DataCheckStrategy /*strategy*/, const InjectedProbes* injected,
-    const CompiledProbeSet* compiled) {
+    DataCheckStrategy /*strategy*/, const CompiledProbeSet* compiled) {
   DataCheckReport report;
   SelectQuery anchor_query;
-  UFILTER_RETURN_NOT_OK(CheckContext(update, &anchor_query, &report, injected,
-                                     compiled, /*rows=*/nullptr));
+  UFILTER_RETURN_NOT_OK(CheckContext(update, &anchor_query, &report, compiled,
+                                     /*rows=*/nullptr));
 
   const asg::ViewNode& target = gv_->node(update.target_node);
   SelectQuery victim_query;
   UFILTER_ASSIGN_OR_RETURN(
       QueryResult victims,
-      FetchVictims(update, &victim_query, &report, injected, compiled));
+      FetchVictims(update, &victim_query, &report, compiled));
   if (victims.empty()) {
     report.passed = true;
     report.zero_tuple_warning = true;
@@ -384,8 +358,7 @@ Result<DataCheckReport> DataChecker::RunReplace(
 Result<DataCheckReport> DataChecker::CheckAndExecute(
     const BoundUpdate& update, const StarVerdict& verdict,
     DataCheckStrategy strategy, ApplyMode mode,
-    const InjectedProbes* injected, const CompiledProbeSet* compiled,
-    const std::vector<Value>* params) {
+    const CompiledProbeSet* compiled, const std::vector<Value>* params) {
   mode_ = mode;
   params_ = params;
   // Read-only mode touches no data, so there is nothing to roll back (and
@@ -395,11 +368,11 @@ Result<DataCheckReport> DataChecker::CheckAndExecute(
   Result<DataCheckReport> result = [&]() -> Result<DataCheckReport> {
     switch (update.op) {
       case xq::UpdateOpType::kDelete:
-        return RunDelete(update, verdict, strategy, injected, compiled);
+        return RunDelete(update, verdict, strategy, compiled);
       case xq::UpdateOpType::kInsert:
-        return RunInsert(update, verdict, strategy, injected, compiled);
+        return RunInsert(update, verdict, strategy, compiled);
       case xq::UpdateOpType::kReplace:
-        return RunReplace(update, verdict, strategy, injected, compiled);
+        return RunReplace(update, verdict, strategy, compiled);
     }
     return Status::Internal("unknown update op");
   }();

@@ -60,21 +60,6 @@ struct CompiledProbeSet {
   CompiledProbe wide;    ///< internal strategy's full-width tuple probe
 };
 
-/// Step-3 probe results computed externally — UFilter::CheckBatch merges
-/// the anchor/victim probes of several updates into OR-of-predicates
-/// queries and injects each update's demultiplexed slice here, so the
-/// checker consumes them instead of issuing its own probe queries.
-struct InjectedProbes {
-  bool has_anchor = false;
-  relational::SelectQuery anchor_query;  ///< per-update probe (alias layout)
-  relational::QueryResult anchors;
-  std::string anchor_sql;  ///< SQL of the merged query actually issued
-  bool has_victim = false;
-  relational::SelectQuery victim_query;
-  relational::QueryResult victims;
-  std::string victim_sql;
-};
-
 /// Outcome of step 3 plus translation/execution: the same report under
 /// kDryRun and kReadOnly.
 struct DataCheckReport {
@@ -105,26 +90,18 @@ class DataChecker {
         // the same commit epoch.
         translator_(db, view, gv, ctx_) {}
 
-  DataChecker(relational::Database* db, const view::AnalyzedView* view,
-              const asg::ViewAsg* gv)
-      : DataChecker(db, nullptr, view, gv) {}
-
   /// Checks and executes `update` (which already passed steps 1 and 2 with
   /// `verdict`). With kDryRun the database is rolled back to its initial
   /// state afterwards; with kReadOnly it is never touched at all (the
   /// translated ops run on relational/dryrun.h's overlay — check-only
   /// traffic runs against a pinned snapshot with no lock held). On
-  /// failure the database is always left unchanged. When `injected` is
-  /// non-null its probe results replace the checker's own anchor/victim
-  /// queries (batch mode); the internal strategy's wide probe is always
-  /// issued locally. When `compiled` is non-null its prepared plans are
-  /// bound to `params` (the request's literal values by parameter slot)
-  /// and replayed instead of composing and planning the probe queries from
-  /// scratch.
+  /// failure the database is always left unchanged. When `compiled` is
+  /// non-null its prepared plans are bound to `params` (the request's
+  /// literal values by parameter slot) and replayed instead of composing
+  /// and planning the probe queries from scratch.
   Result<DataCheckReport> CheckAndExecute(
       const BoundUpdate& update, const StarVerdict& verdict,
       DataCheckStrategy strategy, ApplyMode mode,
-      const InjectedProbes* injected = nullptr,
       const CompiledProbeSet* compiled = nullptr,
       const std::vector<Value>* params = nullptr);
 
@@ -132,17 +109,14 @@ class DataChecker {
   Result<DataCheckReport> RunDelete(const BoundUpdate& update,
                                     const StarVerdict& verdict,
                                     DataCheckStrategy strategy,
-                                    const InjectedProbes* injected,
                                     const CompiledProbeSet* compiled);
   Result<DataCheckReport> RunInsert(const BoundUpdate& update,
                                     const StarVerdict& verdict,
                                     DataCheckStrategy strategy,
-                                    const InjectedProbes* injected,
                                     const CompiledProbeSet* compiled);
   Result<DataCheckReport> RunReplace(const BoundUpdate& update,
                                      const StarVerdict& verdict,
                                      DataCheckStrategy strategy,
-                                     const InjectedProbes* injected,
                                      const CompiledProbeSet* compiled);
 
   /// Context check (6.1): DataConflict when the context element does not
@@ -151,15 +125,14 @@ class DataChecker {
   /// stops the probe at its first row.
   Status CheckContext(const BoundUpdate& update,
                       relational::SelectQuery* query_out,
-                      DataCheckReport* report, const InjectedProbes* injected,
+                      DataCheckReport* report,
                       const CompiledProbeSet* compiled,
                       relational::QueryResult* rows);
 
-  /// Victim probe (query + rows), honoring an injected result.
+  /// Victim probe: fills the query and returns its rows.
   Result<relational::QueryResult> FetchVictims(
       const BoundUpdate& update, relational::SelectQuery* query_out,
-      DataCheckReport* report, const InjectedProbes* injected,
-      const CompiledProbeSet* compiled);
+      DataCheckReport* report, const CompiledProbeSet* compiled);
 
   /// Internal strategy's wide probe (full-width relational-view tuple):
   /// replays the compiled plan when available, else composes + plans.

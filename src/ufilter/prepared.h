@@ -38,8 +38,7 @@ class UFilter;
 /// and `bind_error` carries the step-1 rejection (binding reads no value).
 /// STAR and the probes are compiled for every action that binds; `probes`
 /// holds the step-3 probe queries composed and physically compiled
-/// (cost-based plan), so Execute/CheckBatch replay them with zero name
-/// resolution.
+/// (cost-based plan), so Execute replays them with zero name resolution.
 struct ShapeAction {
   BoundUpdate bound;  ///< predicates hold parameter slots, payload no text
   Status bind_error;

@@ -1,11 +1,11 @@
-// Differential test of the compiled plan executor against the retained
-// reference interpreter: randomized SPJ and disjunctive queries over the
-// bookdb and TPC-H fixtures must produce byte-identical results — rows,
-// per-table row ids and branch demultiplexing — including the NULL
-// semantics (NULL never joins or matches). Index-free temp tables are
-// mixed in so the hash-join and join-reorder paths are exercised. The
-// executor's existence mode must answer "has a row" exactly when the full
-// result is non-empty, on the row path and on the pinned columnar path.
+// Differential test of the compiled plan executor against the reference
+// interpreter (tests/support/reference_eval.h): randomized SPJ queries over
+// the bookdb and TPC-H fixtures must produce byte-identical results — rows
+// and per-table row ids — including the NULL semantics (NULL never joins or
+// matches). Index-free temp tables are mixed in so the hash-join and
+// join-reorder paths are exercised. The executor's existence mode must
+// answer "has a row" exactly when the full result is non-empty, on the row
+// path and on the pinned columnar path.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -19,6 +19,7 @@
 #include "relational/tpch.h"
 
 #include "../support/fuzz_seed.h"
+#include "../support/reference_eval.h"
 
 namespace ufilter::relational {
 namespace {
@@ -33,9 +34,8 @@ class QueryFuzzer {
       : db_(db), pool_(std::move(pool)), cheap_tables_(cheap_tables),
         rng_(seed) {}
 
-  DisjunctiveQuery Generate() {
-    DisjunctiveQuery dq;
-    SelectQuery& q = dq.base;
+  SelectQuery Generate() {
+    SelectQuery q;
     const int table_count = 1 + static_cast<int>(rng_() % 3);
     from_.clear();
     for (int i = 0; i < table_count; ++i) {
@@ -67,23 +67,7 @@ class QueryFuzzer {
       int t = static_cast<int>(rng_() % q.tables.size());
       q.selects.push_back({Alias(t), RandomColumn(t)});
     }
-    // Branches: OR-of-conjunctions over random tables/columns. An empty
-    // conjunction is a TRUE branch (every result row belongs to it).
-    if (rng_() % 2 == 0) {
-      const int branch_count = 1 + static_cast<int>(rng_() % 3);
-      for (int b = 0; b < branch_count; ++b) {
-        std::vector<FilterPredicate> branch;
-        const int conj = static_cast<int>(rng_() % 3);
-        for (int i = 0; i < conj; ++i) {
-          int t = static_cast<int>(rng_() % q.tables.size());
-          std::string col = RandomColumn(t);
-          branch.push_back(
-              {{Alias(t), col}, RandomOp(), SampleLiteral(t, col)});
-        }
-        dq.branches.push_back(std::move(branch));
-      }
-    }
-    return dq;
+    return q;
   }
 
  private:
@@ -143,71 +127,68 @@ struct ExistenceTally {
   int empty = 0;
 };
 
-/// The existence-mode answers for `dq` in the root context's current
-/// state: the compiled plan replayed (branches included, so IN-list
-/// levels too) and, for a plain query, Exists planning it on demand.
+/// The existence-mode answers for `q` in the root context's current
+/// state: the compiled plan replayed, and Exists planning it on demand.
 std::vector<Result<bool>> ExistenceAnswers(Database* db,
-                                           const DisjunctiveQuery& dq) {
+                                           const SelectQuery& q) {
   QueryEvaluator eval(db);
-  auto plan = Planner(db).CompileDisjunctive(dq.base, dq.branches);
+  auto plan = Planner(db).Compile(q);
   if (!plan.ok()) return {plan.status()};
-  std::vector<Result<bool>> answers = {eval.ExistsPlan(*plan)};
-  if (dq.branches.empty()) answers.push_back(eval.Exists(dq.base));
-  return answers;
+  return {eval.ExistsPlan(*plan), eval.Exists(q)};
 }
 
-void ExpectIdentical(Database* db, const DisjunctiveQuery& dq,
+void ExpectIdentical(Database* db, const SelectQuery& q,
                      ExistenceTally* tally) {
   QueryEvaluator eval(db);
-  auto compiled = eval.ExecuteDisjunctive(dq);
-  auto reference = eval.ExecuteReference(dq.base, dq.branches);
-  std::vector<Result<bool>> exists = ExistenceAnswers(db, dq);
+  auto compiled = eval.Execute(q);
+  auto reference =
+      test_support::ExecuteReference(db, db->root_context(), q);
+  std::vector<Result<bool>> exists = ExistenceAnswers(db, q);
   // Third run, same query, with the context pinned to an MVCC snapshot:
   // base-table scans and unindexed hash-join builds now serve from the
   // columnar read path (temp tables like TAB_fuzz stay on the row path).
   // The root context keeps its temp tables while pinned, so every fuzzed
   // shape — including temp joins — replays under all three executions.
   db->root_context()->PinReadSnapshot(db->OpenSnapshot());
-  auto columnar = eval.ExecuteDisjunctive(dq);
-  for (Result<bool>& pinned : ExistenceAnswers(db, dq)) {
+  auto columnar = eval.Execute(q);
+  for (Result<bool>& pinned : ExistenceAnswers(db, q)) {
     exists.push_back(std::move(pinned));
   }
   db->root_context()->ClearReadSnapshot();
-  ASSERT_EQ(compiled.ok(), reference.ok()) << dq.ToSql();
-  ASSERT_EQ(columnar.ok(), reference.ok()) << dq.ToSql();
+  ASSERT_EQ(compiled.ok(), reference.ok()) << q.ToSql();
+  ASSERT_EQ(columnar.ok(), reference.ok()) << q.ToSql();
   for (const Result<bool>& e : exists) {
-    ASSERT_EQ(e.ok(), reference.ok()) << dq.ToSql();
+    ASSERT_EQ(e.ok(), reference.ok()) << q.ToSql();
   }
   if (!compiled.ok()) return;
-  SCOPED_TRACE(dq.ToSql());
-  const bool has_rows = !reference->merged.rows.empty();
+  SCOPED_TRACE(q.ToSql());
+  const bool has_rows = !reference->rows.empty();
   for (const Result<bool>& e : exists) EXPECT_EQ(*e, has_rows);
   ++(has_rows ? tally->rows : tally->empty);
-  ASSERT_EQ(compiled->merged.column_names, reference->merged.column_names);
-  ASSERT_EQ(compiled->merged.rows.size(), reference->merged.rows.size());
+  ASSERT_EQ(compiled->column_names, reference->column_names);
+  ASSERT_EQ(compiled->rows.size(), reference->rows.size());
   // Both executors emit rows lexicographically by contributing row ids in
   // FROM order, so the comparison is positional, not set-based.
-  EXPECT_EQ(compiled->merged.row_ids, reference->merged.row_ids);
-  for (size_t i = 0; i < compiled->merged.rows.size(); ++i) {
-    const Row& a = compiled->merged.rows[i];
-    const Row& b = reference->merged.rows[i];
+  EXPECT_EQ(compiled->row_ids, reference->row_ids);
+  for (size_t i = 0; i < compiled->rows.size(); ++i) {
+    const Row& a = compiled->rows[i];
+    const Row& b = reference->rows[i];
     ASSERT_EQ(a.size(), b.size());
     for (size_t j = 0; j < a.size(); ++j) {
       EXPECT_TRUE(a[j].is_null() ? b[j].is_null() : a[j] == b[j])
           << "row " << i << " col " << j;
     }
   }
-  EXPECT_EQ(compiled->branch_rows, reference->branch_rows);
   // Columnar vs row path: byte-identical, including value *types* (the
   // columnar path must fetch surviving rows from the row store, never
   // materialize from widened arrays — an int stored in a DOUBLE column has
   // to come back as an int).
-  EXPECT_EQ(columnar->merged.column_names, compiled->merged.column_names);
-  EXPECT_EQ(columnar->merged.row_ids, compiled->merged.row_ids);
-  ASSERT_EQ(columnar->merged.rows.size(), compiled->merged.rows.size());
-  for (size_t i = 0; i < columnar->merged.rows.size(); ++i) {
-    const Row& a = columnar->merged.rows[i];
-    const Row& b = compiled->merged.rows[i];
+  EXPECT_EQ(columnar->column_names, compiled->column_names);
+  EXPECT_EQ(columnar->row_ids, compiled->row_ids);
+  ASSERT_EQ(columnar->rows.size(), compiled->rows.size());
+  for (size_t i = 0; i < columnar->rows.size(); ++i) {
+    const Row& a = columnar->rows[i];
+    const Row& b = compiled->rows[i];
     ASSERT_EQ(a.size(), b.size());
     for (size_t j = 0; j < a.size(); ++j) {
       EXPECT_TRUE(a[j].type() == b[j].type() &&
@@ -215,14 +196,13 @@ void ExpectIdentical(Database* db, const DisjunctiveQuery& dq,
           << "columnar row " << i << " col " << j;
     }
   }
-  EXPECT_EQ(columnar->branch_rows, compiled->branch_rows);
 }
 
 TEST(DifferentialTest, RandomizedBookDbQueries) {
   auto db = fixtures::MakeBookDatabase();
   ASSERT_TRUE(db.ok());
   // An index-free materialization joins the pool: temp-table joins must
-  // demux identically through the hash-join / reorder paths.
+  // match through the hash-join / reorder paths.
   QueryEvaluator eval(db->get());
   SelectQuery mat;
   mat.tables = {{"book", "b"}};

@@ -392,8 +392,8 @@ TEST(ServerClientTest, BadMagicDropsOnlyThatConnection) {
 // --- Full registry over the wire -----------------------------------------
 
 /// The series contract: every series the benchmark (perfbench/) and CI's
-/// live scrapes read by name, with its kind, plus the undo-record and
-/// batch-probe engine counters that CI only checks for presence.
+/// live scrapes read by name, with its kind, plus the undo-record engine
+/// counter that CI only checks for presence.
 /// Readers treat a missing series as 0, so a rename fails nowhere else.
 /// (CI's follower-only repl_* / replication_lag_* series are pinned in
 /// tests/net/replication_test.cc, where a follower exists.)
@@ -404,8 +404,6 @@ struct SeriesContract {
 constexpr SeriesContract kSeriesContract[] = {
     {"columnar_builds", obs::MetricKind::kCounter},
     {"db_commit_epoch", obs::MetricKind::kGauge},
-    {"engine_batch_branches_merged", obs::MetricKind::kCounter},
-    {"engine_batch_queries_executed", obs::MetricKind::kCounter},
     {"engine_index_lookups", obs::MetricKind::kCounter},
     {"engine_rows_inserted", obs::MetricKind::kCounter},
     {"engine_rows_scanned", obs::MetricKind::kCounter},

@@ -66,7 +66,7 @@ TEST(PlannerTest, JoinOrderFollowsEstimatedCardinality) {
   QueryEvaluator eval(db.get());
   auto r = eval.ExecutePlan(*plan);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->merged.size(), 4u);  // 4 lineitems per order
+  EXPECT_EQ(r->size(), 4u);  // 4 lineitems per order
   EXPECT_EQ(counters.Delta("engine_rows_scanned"), 0u);
   EXPECT_GE(counters.Delta("engine_index_lookups"), 2u);
   EXPECT_EQ(counters.Delta("engine_plan_replays"), 1u);
@@ -123,29 +123,11 @@ TEST(PlannerTest, UnindexedEquiJoinUsesHashJoin) {
   QueryEvaluator eval(db.get());
   auto r = eval.ExecutePlan(*plan);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->merged.size(), 50u);  // 0..49 match
+  EXPECT_EQ(r->size(), 50u);  // 0..49 match
   EXPECT_EQ(counters.Delta("engine_hash_join_builds"), 1u);
   EXPECT_EQ(counters.Delta("engine_hash_join_probes"), 50u);
   // Outer scan (50) + one-time build scan (200) — not 50 * 200.
   EXPECT_EQ(counters.Delta("engine_rows_scanned"), 250u);
-}
-
-TEST(PlannerTest, DisjunctiveBranchesCompileToInListUnion) {
-  auto db = BookDb();
-  SelectQuery base;
-  base.tables = {{"book", "b"}};
-  base.selects = {{"b", "bookid"}};
-  std::vector<std::vector<FilterPredicate>> branches;
-  branches.push_back(
-      {{{"b", "bookid"}, CompareOp::kEq, Value::String("98001")}});
-  branches.push_back(
-      {{{"b", "bookid"}, CompareOp::kEq, Value::String("98002")}});
-  Planner planner(db.get());
-  auto plan = planner.CompileDisjunctive(base, branches);
-  ASSERT_TRUE(plan.ok());
-  ASSERT_EQ(plan->levels.size(), 1u);
-  EXPECT_EQ(plan->levels[0].path, AccessPath::kInListUnion);
-  ASSERT_EQ(plan->levels[0].branch_pins.size(), 2u);
 }
 
 TEST(PlannerTest, ReplayCountersDistinguishCompileFromReplay) {
@@ -185,7 +167,7 @@ TEST(PlannerTest, StalePlanRejectedAfterTempTableReshape) {
   MakeIntTemp(db.get(), "TAB_s", 5, 2);
   auto replay = eval.ExecutePlan(*plan);
   ASSERT_TRUE(replay.ok());
-  EXPECT_EQ(replay->merged.size(), 5u);
+  EXPECT_EQ(replay->size(), 5u);
 
   // Different arity: replay must be rejected, not misread slots.
   ASSERT_TRUE(db->DropTempTable("TAB_s").ok());
