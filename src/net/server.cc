@@ -1,5 +1,9 @@
 #include "net/server.h"
 
+#include <poll.h>
+
+#include <condition_variable>
+#include <deque>
 #include <utility>
 
 namespace ufilter::net {
@@ -9,7 +13,6 @@ namespace {
 using check::CheckOutcome;
 using check::CheckReport;
 using service::AdmitResult;
-using service::QueueWaitResult;
 
 constexpr int kIdlePollMs = 100;
 
@@ -55,6 +58,207 @@ CheckResponseMsg ServiceResponse(uint64_t request_id, Verdict verdict,
 
 }  // namespace
 
+// The outbox holds one slot per request the reader has numbered, from the
+// oldest response not yet written in full (head_seq_) to the newest. Every
+// send happens under mu_ and after a check of failed_, so frames never
+// interleave and, once the reader has closed the fd, a late completion can
+// never write to a reused fd number.
+class Server::Outbox : public service::Completion {
+ public:
+  Outbox(Server* server, int fd) : server_(server), fd_(fd) {}
+  ~Outbox() override { CloseFd(fd_); }
+
+  Outbox(const Outbox&) = delete;
+  Outbox& operator=(const Outbox&) = delete;
+
+  /// The socket; only the reader thread polls and reads it, and only
+  /// before it calls Close.
+  int fd() const { return fd_; }
+
+  /// What the reader waits for next.
+  struct State {
+    size_t pending = 0;    ///< numbered responses not yet written in full
+    bool blocked = false;  ///< the head response waits for socket room
+    bool failed = false;   ///< dropped: nothing more will be written
+  };
+
+  /// Reader: the state now. A head response that has waited longer than
+  /// write_timeout for socket room drops the connection here.
+  State Poll() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (blocked_since_.has_value() &&
+        std::chrono::steady_clock::now() - *blocked_since_ >=
+            server_->options_.write_timeout) {
+      FailLocked();
+    }
+    return State{slots_.size(), blocked_since_.has_value(), failed_};
+  }
+
+  /// Numbered responses not yet written in full.
+  size_t pending() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return slots_.size();
+  }
+
+  /// Reader: numbers the next request. `request_id` is what an admitted
+  /// check's response will carry.
+  uint64_t Reserve(uint64_t request_id) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (failed_) return next_seq_++;
+    slots_.emplace_back();
+    slots_.back().request_id = request_id;
+    return next_seq_++;
+  }
+
+  /// Reader: the immediate answer for slot `seq`.
+  void Put(uint64_t seq, const std::string& payload) {
+    std::lock_guard<std::mutex> lock(mu_);
+    Slot* slot = SlotLocked(seq);
+    if (slot == nullptr) return;
+    slot->frame = FramePayload(payload);
+    slot->ready = true;
+    WriteLocked();
+  }
+
+  /// Worker: the verdict for slot `seq`, written now if it is at the head
+  /// of the line and the socket takes it.
+  void Complete(uint64_t seq, CheckReport report,
+                obs::TraceContext trace) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    Slot* slot = SlotLocked(seq);
+    if (slot == nullptr) {
+      // The connection is gone: nothing to write, but the trace is sealed.
+      server_->service_->tracer().Finish(trace);
+      return;
+    }
+    if (trace.active()) slot->write_start = obs::TraceClock::now();
+    slot->frame = FramePayload(
+        EncodeCheckResponse(ResponseFromReport(slot->request_id, report)));
+    slot->trace = std::move(trace);
+    slot->ready = true;
+    WriteLocked();
+  }
+
+  /// Reader, on POLLOUT: writes what the socket takes now.
+  void Flush() {
+    std::lock_guard<std::mutex> lock(mu_);
+    WriteLocked();
+  }
+
+  /// Reader: waits up to `timeout` for fewer than `pending` responses to
+  /// be left, for the head to block on the socket, or for the outbox to
+  /// fail.
+  void WaitForProgress(size_t pending, std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    reader_waiting_ = true;
+    progress_.wait_for(lock, timeout, [&] {
+      return slots_.size() < pending || blocked_since_.has_value() ||
+             failed_;
+    });
+    reader_waiting_ = false;
+  }
+
+  /// Reader: stops writing and discards every response not yet written.
+  void Fail() {
+    std::lock_guard<std::mutex> lock(mu_);
+    FailLocked();
+  }
+
+  /// Reader, last: closes the fd. Later completions find the outbox
+  /// failed and discard their responses.
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    FailLocked();
+    CloseFd(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  struct Slot {
+    uint64_t request_id = 0;
+    bool ready = false;
+    std::string frame;
+    /// An admitted check's trace: the response_write span runs from
+    /// write_start until the frame's last byte is sent, then it finishes.
+    obs::TraceContext trace;
+    obs::TraceClock::time_point write_start{};
+  };
+
+  Slot* SlotLocked(uint64_t seq) {
+    if (failed_ || seq < head_seq_) return nullptr;
+    return &slots_[seq - head_seq_];
+  }
+
+  // Writes ready responses from the head of the line until one is not
+  // ready or the socket is full.
+  void WriteLocked() {
+    while (!failed_ && !slots_.empty() && slots_.front().ready) {
+      Slot& head = slots_.front();
+      while (head_sent_ < head.frame.size()) {
+        auto n = SendNow(fd_, head.frame.data() + head_sent_,
+                         head.frame.size() - head_sent_);
+        if (!n.ok()) {
+          FailLocked();  // the peer is gone
+          return;
+        }
+        if (*n == 0) {
+          if (!blocked_since_.has_value()) {
+            blocked_since_ = std::chrono::steady_clock::now();
+            if (reader_waiting_) progress_.notify_one();
+          }
+          return;
+        }
+        head_sent_ += *n;
+      }
+      server_->responses_->Inc();
+      if (head.trace.active()) {
+        auto written = obs::TraceClock::now();
+        head.trace.RecordSpan(obs::Stage::kResponseWrite, head.write_start,
+                              written);
+        server_->service_->ObserveStage(
+            obs::Stage::kResponseWrite,
+            static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    written - head.write_start)
+                    .count()));
+        server_->service_->tracer().Finish(head.trace);
+      }
+      slots_.pop_front();
+      ++head_seq_;
+      head_sent_ = 0;
+      blocked_since_.reset();
+      if (reader_waiting_) progress_.notify_one();
+    }
+  }
+
+  void FailLocked() {
+    if (!failed_) {
+      failed_ = true;
+      for (Slot& slot : slots_) server_->service_->tracer().Finish(slot.trace);
+      slots_.clear();
+      head_seq_ = next_seq_;
+      head_sent_ = 0;
+      blocked_since_.reset();
+    }
+    if (reader_waiting_) progress_.notify_one();
+  }
+
+  Server* const server_;
+  int fd_;
+
+  std::mutex mu_;
+  std::condition_variable progress_;
+  std::deque<Slot> slots_;
+  uint64_t head_seq_ = 0;
+  uint64_t next_seq_ = 0;
+  /// Bytes of the head frame already sent.
+  size_t head_sent_ = 0;
+  /// When the head response first found the socket full.
+  std::optional<std::chrono::steady_clock::time_point> blocked_since_;
+  bool reader_waiting_ = false;
+  bool failed_ = false;
+};
+
 Result<std::unique_ptr<Server>> Server::Start(check::UFilter* filter,
                                               ServerOptions options) {
   auto listen = ListenTcp(options.port, options.backlog);
@@ -99,8 +303,8 @@ void Server::AcceptLoop() {
       break;  // listener gone: drain in progress
     }
     connections_accepted_->Inc();
-    auto conn = std::make_unique<Conn>(options_.max_pipeline);
-    conn->fd = *fd;
+    auto conn = std::make_unique<Conn>();
+    conn->outbox = std::make_shared<Outbox>(this, *fd);
     conn->session = service_->OpenSession();
     Conn* raw = conn.get();
     {
@@ -108,7 +312,6 @@ void Server::AcceptLoop() {
       conns_.push_back(std::move(conn));
     }
     raw->reader = std::thread([this, raw] { ReaderLoop(raw); });
-    raw->writer = std::thread([this, raw] { WriterLoop(raw); });
   }
 }
 
@@ -116,10 +319,9 @@ void Server::ReapFinished() {
   std::lock_guard<std::mutex> lock(conns_mu_);
   for (auto it = conns_.begin(); it != conns_.end();) {
     Conn* c = it->get();
-    if (c->live_loops.load(std::memory_order_acquire) == 0) {
+    if (c->finished.load(std::memory_order_acquire)) {
+      // Its requests still queued in the service keep the outbox alive.
       if (c->reader.joinable()) c->reader.join();
-      if (c->writer.joinable()) c->writer.join();
-      CloseFd(c->fd);
       it = conns_.erase(it);
     } else {
       ++it;
@@ -128,134 +330,148 @@ void Server::ReapFinished() {
 }
 
 void Server::ReaderLoop(Conn* conn) {
+  Outbox& out = *conn->outbox;
+  const int fd = out.fd();
   FrameReader frames(/*expect_magic=*/true, options_.max_frame_bytes);
   char buf[4096];
   bool protocol_error = false;
-  while (!conn->stop.load(std::memory_order_relaxed)) {
-    auto got = RecvSome(conn->fd, buf, sizeof(buf),
-                        std::chrono::steady_clock::now() +
-                            std::chrono::milliseconds(kIdlePollMs));
-    if (!got.ok()) {
-      if (got.status().IsDeadlineExceeded()) continue;  // idle tick
-      break;  // peer gone (EOF / reset) — normal for a severed client
-    }
-    frames.Feed(buf, *got);
-    bool drop = false;
-    while (true) {
+  // Cleared on EOF, wire damage or drain. After that the loop only
+  // flushes: every admitted request is answered and flushed before the fd
+  // closes, unless the client fails first (a stuck one after
+  // write_timeout).
+  bool reading = true;
+  while (true) {
+    if (conn->stop.load(std::memory_order_relaxed)) reading = false;
+    // Decode what is buffered while the pipeline has room; the rest waits
+    // in the frame reader (backpressure on this socket only).
+    while (reading && out.pending() < options_.max_pipeline) {
       auto next = frames.Next();
       if (!next.ok()) {
         // Wire damage (bad magic, corrupt length, CRC mismatch): there is
-        // no resynchronization point — drop this connection only.
+        // no resynchronization point — stop reading this connection.
         protocol_error = true;
-        drop = true;
+        reading = false;
         break;
       }
       if (!next->has_value()) break;  // torn mid-frame: wait for more bytes
       Status st = HandlePayload(conn, *std::move(*next));
       if (!st.ok()) {
-        // ParseError = wire damage (counted); anything else (e.g. the
-        // connection closing under us mid-drain) is a quiet drop.
-        protocol_error = st.IsParseError();
-        drop = true;
+        protocol_error = st.IsParseError();  // wire damage: counted
+        reading = false;
+      }
+    }
+    Outbox::State state = out.Poll();
+    if (state.failed || (!reading && state.pending == 0)) break;
+    bool room = reading && state.pending < options_.max_pipeline;
+    if (!room && !state.blocked) {
+      // The workers hold every response that is due next.
+      out.WaitForProgress(state.pending,
+                          std::chrono::milliseconds(kIdlePollMs));
+      continue;
+    }
+    auto events = PollFd(fd, (room ? POLLIN : 0) | (state.blocked ? POLLOUT : 0),
+                         kIdlePollMs);
+    if (!events.ok()) break;
+    // Any event on a blocked socket: room, or an error the send reports.
+    if (state.blocked && *events != 0) out.Flush();
+    if (room && (*events & (POLLIN | POLLHUP | POLLERR)) != 0) {
+      auto got = RecvNow(fd, buf, sizeof(buf));
+      if (got.ok() && *got > 0) {
+        frames.Feed(buf, *got);
+      } else if (got.ok()) {
+        reading = false;  // EOF: answer what was sent, then close
+      } else if (!got.status().IsDeadlineExceeded()) {
+        out.Fail();  // reset: the peer is gone, and so are its responses
         break;
       }
     }
-    if (drop) break;
   }
   if (protocol_error) protocol_errors_->Inc();
-  conn->stop.store(true, std::memory_order_relaxed);
-  // Writer drains whatever is still pending (futures resolve via the
-  // service), then exits on the closed-and-drained signal.
-  conn->pending.Close();
-  conn->live_loops.fetch_sub(1, std::memory_order_release);
+  out.Close();
+  conn->finished.store(true, std::memory_order_release);
 }
 
 Status Server::HandlePayload(Conn* conn, std::string payload) {
   auto type = PeekType(payload);
   if (!type.ok()) return type.status();
-  auto pending = std::make_unique<Pending>();
+  Outbox& out = *conn->outbox;
   switch (*type) {
     case MsgType::kPing: {
       auto id = DecodePingPong(payload);
       if (!id.ok()) return id.status();
-      pending->ready_payload = EncodePong(*id);
-      break;
+      out.Put(out.Reserve(0), EncodePong(*id));
+      return Status::OK();
     }
     case MsgType::kMetricsRequest: {
       // The full registry scrape: one Collect(), encoded sparse. This is
       // what ufilter_metrics and the parity test in
       // tests/net/server_client_test.cc consume.
-      pending->ready_payload = EncodeMetricsResponse(
-          MetricsFromSnapshot(service_->registry().Collect()));
-      break;
+      out.Put(out.Reserve(0),
+              EncodeMetricsResponse(
+                  MetricsFromSnapshot(service_->registry().Collect())));
+      return Status::OK();
     }
     case MsgType::kCheckRequest: {
       auto req = DecodeCheckRequest(payload);
       if (!req.ok()) return req.status();
       requests_->Inc();
-      pending->request_id = req->request_id;
+      // Numbered before admission: a worker may finish it at once.
+      uint64_t seq = out.Reserve(req->request_id);
+      CheckResponseMsg answer;
       if (draining_.load(std::memory_order_relaxed)) {
         draining_rejects_->Inc();
-        pending->ready_payload = EncodeCheckResponse(ServiceResponse(
-            req->request_id, Verdict::kDraining,
-            Status::Unavailable("server is draining"),
-            options_.drain_retry_after_ms));
-        break;
-      }
-      if (req->apply && !options_.redirect_primary.empty()) {
+        answer = ServiceResponse(req->request_id, Verdict::kDraining,
+                                 Status::Unavailable("server is draining"),
+                                 options_.drain_retry_after_ms);
+      } else if (req->apply && !options_.redirect_primary.empty()) {
         // Follower mode: applies never run here — the caller must go to
         // the primary named in the message. Deliberately not retry-safe:
         // retrying the same follower would loop forever.
         redirected_applies_->Inc();
-        pending->ready_payload = EncodeCheckResponse(ServiceResponse(
+        answer = ServiceResponse(
             req->request_id, Verdict::kRedirectToPrimary,
             Status::InvalidArgument("read-only follower: apply this update "
                                     "against the primary at " +
                                     options_.redirect_primary),
-            0));
-        break;
+            0);
+      } else {
+        std::optional<service::CheckService::SteadyTime> deadline;
+        if (req->deadline_ms != kNoDeadlineMs) {
+          deadline = std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(req->deadline_ms);
+        }
+        check::CheckOptions opts;
+        opts.apply = req->apply;
+        opts.strategy = static_cast<check::DataCheckStrategy>(req->strategy);
+        // The worker that finishes it writes the response (Complete).
+        AdmitResult admitted = service_->SubmitWithDeadline(
+            conn->session, std::move(req->update_text), opts, deadline,
+            conn->outbox, seq);
+        switch (admitted) {
+          case AdmitResult::kAdmitted:
+            return Status::OK();
+          case AdmitResult::kShed:
+            answer = ServiceResponse(
+                req->request_id, Verdict::kShed,
+                Status::Unavailable("admission queue full (load shed)"),
+                options_.shed_retry_after_ms);
+            break;
+          case AdmitResult::kExpired:
+            admission_expired_->Inc();
+            answer = ServiceResponse(
+                req->request_id, Verdict::kDeadlineExceeded,
+                Status::DeadlineExceeded("deadline expired at admission"), 0);
+            break;
+          case AdmitResult::kClosed:
+            answer = ServiceResponse(
+                req->request_id, Verdict::kDraining,
+                Status::Unavailable("check service is shut down"),
+                options_.drain_retry_after_ms);
+            break;
+        }
       }
-      std::optional<service::CheckService::SteadyTime> deadline;
-      if (req->deadline_ms != kNoDeadlineMs) {
-        deadline = std::chrono::steady_clock::now() +
-                   std::chrono::milliseconds(req->deadline_ms);
-      }
-      check::CheckOptions opts;
-      opts.apply = req->apply;
-      opts.strategy = static_cast<check::DataCheckStrategy>(req->strategy);
-      // Born here, before admission, so queue-wait is inside the trace;
-      // finished by the writer thread after the response write.
-      std::shared_ptr<obs::TraceContext> trace = service_->StartTrace();
-      std::future<CheckReport> future;
-      AdmitResult admitted = service_->SubmitWithDeadline(
-          conn->session, std::move(req->update_text), opts, deadline,
-          &future, trace);
-      switch (admitted) {
-        case AdmitResult::kAdmitted:
-          pending->has_future = true;
-          pending->future = std::move(future);
-          pending->trace = std::move(trace);
-          break;
-        case AdmitResult::kShed:
-          pending->ready_payload = EncodeCheckResponse(ServiceResponse(
-              req->request_id, Verdict::kShed,
-              Status::Unavailable("admission queue full (load shed)"),
-              options_.shed_retry_after_ms));
-          break;
-        case AdmitResult::kExpired:
-          admission_expired_->Inc();
-          pending->ready_payload = EncodeCheckResponse(ServiceResponse(
-              req->request_id, Verdict::kDeadlineExceeded,
-              Status::DeadlineExceeded("deadline expired at admission"), 0));
-          break;
-        case AdmitResult::kClosed:
-          pending->ready_payload = EncodeCheckResponse(ServiceResponse(
-              req->request_id, Verdict::kDraining,
-              Status::Unavailable("check service is shut down"),
-              options_.drain_retry_after_ms));
-          break;
-      }
-      break;
+      out.Put(seq, EncodeCheckResponse(answer));
+      return Status::OK();
     }
     case MsgType::kCheckResponse:
     case MsgType::kPong:
@@ -269,65 +485,7 @@ Status Server::HandlePayload(Conn* conn, std::string payload) {
       // these never belong on the request/response port.
       return Status::ParseError("replication message on the request plane");
   }
-  // Blocks when max_pipeline responses are unanswered: per-connection
-  // backpressure. Refused only when the connection is already closing.
-  if (!conn->pending.Push(std::move(pending))) {
-    return Status::Unavailable("connection closing");
-  }
-  return Status::OK();
-}
-
-void Server::WriterLoop(Conn* conn) {
-  bool write_failed = false;
-  std::unique_ptr<Pending> p;
-  while (true) {
-    QueueWaitResult got =
-        conn->pending.PopFor(&p, std::chrono::steady_clock::now() +
-                                     std::chrono::milliseconds(kIdlePollMs));
-    if (got == QueueWaitResult::kClosed) break;
-    if (got == QueueWaitResult::kTimedOut) continue;
-    std::string payload;
-    if (p->has_future) {
-      // Resolves unconditionally: a worker executes it, purges it at its
-      // deadline, or the service drain finishes it.
-      CheckReport report = p->future.get();
-      payload = EncodeCheckResponse(ResponseFromReport(p->request_id, report));
-    } else {
-      payload = std::move(p->ready_payload);
-    }
-    if (write_failed) {
-      // Drain mode: discard, keep futures resolved — but still seal any
-      // deferred trace so sampled traces aren't leaked half-open.
-      if (p->trace != nullptr) service_->tracer().Finish(*p->trace);
-      continue;
-    }
-    std::string frame = FramePayload(payload);
-    auto write_start = std::chrono::steady_clock::now();
-    Status st = SendAll(conn->fd, frame.data(), frame.size(),
-                        write_start + options_.write_timeout);
-    if (!st.ok()) {
-      // Slow or dead client: stop reading from it and discard the rest of
-      // its responses — but keep popping so admitted futures resolve.
-      write_failed = true;
-      conn->stop.store(true, std::memory_order_relaxed);
-    } else {
-      responses_->Inc();
-    }
-    if (p->trace != nullptr) {
-      // The last span of the request's trace, then the deferred finish
-      // (fixes total_ns = decode -> response written).
-      auto write_end = std::chrono::steady_clock::now();
-      p->trace->RecordSpan(obs::Stage::kResponseWrite, write_start, write_end);
-      service_->ObserveStage(
-          obs::Stage::kResponseWrite,
-          static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  write_end - write_start)
-                  .count()));
-      service_->tracer().Finish(*p->trace);
-    }
-  }
-  conn->live_loops.fetch_sub(1, std::memory_order_release);
+  return Status::ParseError("unknown message type");
 }
 
 void Server::Drain() {
@@ -345,39 +503,31 @@ void Server::Drain() {
 
   // 2. Bounded wait for in-flight work: every admitted request either
   // finishes or hits its deadline (the workers purge expired ones), and
-  // every response gets flushed.
+  // its outbox counts it until its response is written in full.
   auto grace_deadline = std::chrono::steady_clock::now() + options_.drain_grace;
   while (std::chrono::steady_clock::now() < grace_deadline) {
     bool busy = false;
     {
       std::lock_guard<std::mutex> lock(conns_mu_);
       for (const auto& c : conns_) {
-        if (c->pending.size() > 0) busy = true;
+        if (c->outbox->pending() > 0) busy = true;
       }
     }
     if (!busy) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 
-  // 3. Stop the connections: readers exit on the flag, writers flush the
-  // remaining pending responses, then everything joins.
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& c : conns_) {
-      c->stop.store(true, std::memory_order_relaxed);
-      c->pending.Close();
-    }
-  }
+  // 3. Stop the connections: each reader stops reading, waits until its
+  // admitted requests are answered and flushed (or the client fails),
+  // closes its socket and exits.
   std::vector<std::unique_ptr<Conn>> doomed;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
+    for (auto& c : conns_) c->stop.store(true, std::memory_order_relaxed);
     doomed.swap(conns_);
   }
   for (auto& c : doomed) {
     if (c->reader.joinable()) c->reader.join();
-    if (c->writer.joinable()) c->writer.join();
-    ShutdownFd(c->fd);
-    CloseFd(c->fd);
   }
 
   // 4. Drain the check service (workers finish or deadline-expire what is

@@ -18,16 +18,21 @@
 //     stop accepting, answer new requests kDraining, finish or
 //     deadline-expire everything in flight, sync the WAL, then stop.
 //
-// Threading: one accept loop; per connection one reader (decodes frames,
-// admits requests) and one writer (serializes responses — they may finish
-// out of submission order internally, but each connection's responses are
-// written in request order, matched by request_id either way).
+// Threading: one accept loop, and per connection one reader thread that
+// decodes frames and admits requests. There is no writer thread: each
+// connection has an outbox that numbers its requests in arrival order and
+// writes their responses in that order, with non-blocking sends, from
+// whichever thread completes the response at the head of the line — the
+// worker that finished a check, or the reader for its immediate answers
+// (pong, metrics, shed, expired, draining, redirect). Responses that
+// finish early wait in the outbox for the ones before them. Bytes the
+// socket will not take stay in the outbox until the reader sees POLLOUT
+// and flushes them, so no worker ever blocks on a client socket.
 #ifndef UFILTER_NET_SERVER_H_
 #define UFILTER_NET_SERVER_H_
 
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -50,11 +55,11 @@ struct ServerOptions {
   uint32_t shed_retry_after_ms = 50;
   uint32_t drain_retry_after_ms = 200;
   /// Per-connection response pipeline bound: a client with this many
-  /// unanswered requests stops being read (backpressure on one socket,
-  /// invisible to every other connection).
+  /// responses not yet written stops being read (backpressure on one
+  /// socket, invisible to every other connection).
   size_t max_pipeline = 64;
-  /// Bound on writing one response to a slow client; a socket that cannot
-  /// take a response within this window is dropped.
+  /// Bound on writing one response to a slow client: a connection whose
+  /// next response has waited this long for socket room is dropped.
   std::chrono::milliseconds write_timeout{5000};
   /// Drain(): how long to wait for in-flight work before forcing the rest
   /// through the deadline-expiry path.
@@ -84,36 +89,28 @@ class Server {
   bool draining() const { return draining_.load(std::memory_order_relaxed); }
 
   /// Graceful drain: stop accepting, answer new check requests kDraining,
-  /// wait (bounded by drain_grace) for in-flight work to finish or expire,
-  /// flush every response, shut the check service down (which syncs the
-  /// WAL), and join all threads. Idempotent; also the destructor's path.
+  /// wait (bounded by drain_grace) for in-flight work to finish or expire
+  /// and its responses to be written, close the connections once each has
+  /// answered and flushed every admitted request, shut the check service
+  /// down (which syncs the WAL), and join all threads. Idempotent; also
+  /// the destructor's path.
   void Drain();
 
  private:
-  struct Pending {
-    uint64_t request_id = 0;
-    /// Admitted into the check service: the verdict arrives via `future`.
-    bool has_future = false;
-    std::future<check::CheckReport> future;
-    /// Pre-encoded payload for immediate answers (shed, expired, draining,
-    /// pong, metrics) — no future involved.
-    std::string ready_payload;
-    /// The request's trace (deferred finish): the writer thread appends
-    /// the response_write span and seals it. Null when metrics are off or
-    /// the request never reached the service.
-    std::shared_ptr<obs::TraceContext> trace;
-  };
+  /// A connection's response queue and the only writer of its socket; it
+  /// owns the fd. Defined in server.cc.
+  class Outbox;
 
   struct Conn {
-    explicit Conn(size_t pipeline) : pending(pipeline) {}
-    int fd = -1;
+    /// Shared with every admitted request of the connection, so a late
+    /// completion finds the outbox (closed, it discards the response)
+    /// even after the connection is reaped.
+    std::shared_ptr<Outbox> outbox;
     std::shared_ptr<service::Session> session;
-    service::BoundedQueue<std::unique_ptr<Pending>> pending;
     std::thread reader;
-    std::thread writer;
     std::atomic<bool> stop{false};
-    /// Loops still running (2 at spawn); 0 = reapable.
-    std::atomic<int> live_loops{2};
+    /// The reader exited and closed the fd: reapable.
+    std::atomic<bool> finished{false};
   };
 
   Server(check::UFilter* filter, ServerOptions options, int listen_fd,
@@ -121,10 +118,9 @@ class Server {
 
   void AcceptLoop();
   void ReaderLoop(Conn* conn);
-  void WriterLoop(Conn* conn);
   /// Dispatches one decoded payload; non-OK drops the connection.
   Status HandlePayload(Conn* conn, std::string payload);
-  /// Joins and erases connections whose loops both exited.
+  /// Joins and erases connections whose reader exited.
   void ReapFinished();
 
   ServerOptions options_;
@@ -150,6 +146,7 @@ class Server {
   /// CRC-failing frames, undecodable or unknown messages.
   obs::Counter* protocol_errors_;
   obs::Counter* requests_;
+  /// Response frames written in full.
   obs::Counter* responses_;
   /// Check requests whose deadline was already expired at admission.
   obs::Counter* admission_expired_;

@@ -207,6 +207,38 @@ Result<size_t> RecvSome(int fd, void* buf, size_t cap, SteadyTime deadline) {
   }
 }
 
+Result<int> PollFd(int fd, int events, int timeout_ms) {
+  pollfd pf{fd, static_cast<short>(events), 0};
+  int rc = ::poll(&pf, 1, timeout_ms);
+  if (rc < 0) {
+    if (errno == EINTR) return 0;
+    return ErrnoStatus("poll", errno);
+  }
+  return rc == 0 ? 0 : static_cast<int>(pf.revents);
+}
+
+Result<size_t> SendNow(int fd, const void* data, size_t n) {
+  while (true) {
+    ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (w >= 0) return static_cast<size_t>(w);
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return size_t{0};
+    return Status::Unavailable(std::string("send: ") + ::strerror(errno));
+  }
+}
+
+Result<size_t> RecvNow(int fd, void* buf, size_t cap) {
+  while (true) {
+    ssize_t r = ::recv(fd, buf, cap, MSG_DONTWAIT);
+    if (r >= 0) return static_cast<size_t>(r);
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return Status::DeadlineExceeded("nothing to read");
+    }
+    return Status::Unavailable(std::string("recv: ") + ::strerror(errno));
+  }
+}
+
 void ShutdownFd(int fd) {
   if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
 }

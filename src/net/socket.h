@@ -1,7 +1,9 @@
 // Thin POSIX TCP helpers shared by the server, the client library and the
-// fault-injection proxy: listen/accept/connect with explicit timeouts, and
-// deadline-bounded send/recv loops built on poll(2). Everything fails into
-// Status instead of errno spaghetti:
+// fault-injection proxy: listen/accept/connect with explicit timeouts,
+// deadline-bounded send/recv loops built on poll(2), and one-shot
+// non-blocking send/recv for callers that poll for themselves (the
+// server's connections). Everything fails into Status instead of errno
+// spaghetti:
 //   - kDeadlineExceeded: the caller's deadline passed before the I/O
 //     completed (the byte stream is mid-frame and must be abandoned);
 //   - kUnavailable: the peer is gone (refused, reset, or closed) — the
@@ -47,6 +49,19 @@ Status SendAll(int fd, const void* data, size_t n, SteadyTime deadline);
 /// Reads *some* bytes (1..cap) before `deadline`. kUnavailable on EOF /
 /// reset (peer gone), kDeadlineExceeded when nothing arrived in time.
 Result<size_t> RecvSome(int fd, void* buf, size_t cap, SteadyTime deadline);
+
+/// Waits up to `timeout_ms` for `events` (POLLIN / POLLOUT) on `fd` and
+/// returns the poll revents: 0 when nothing happened in time.
+Result<int> PollFd(int fd, int events, int timeout_ms);
+
+/// One send that never blocks: the number of bytes the socket took, 0
+/// when its buffer is full. kUnavailable when the peer is gone.
+Result<size_t> SendNow(int fd, const void* data, size_t n);
+
+/// One recv that never blocks: bytes read (1..cap), or 0 when the peer has
+/// finished sending (EOF). kDeadlineExceeded when nothing is pending,
+/// kUnavailable on reset.
+Result<size_t> RecvNow(int fd, void* buf, size_t cap);
 
 /// shutdown(2) both directions — wakes any thread blocked on the fd.
 void ShutdownFd(int fd);

@@ -1,7 +1,7 @@
 // Per-check stage tracing. A TraceContext rides one check request from
 // net::Server decode through CheckService submit into UFilter::Prepare /
-// execute and WAL sync, attributing wall time to a fixed eight-stage
-// taxonomy:
+// execute and WAL sync to the response write, attributing wall time to a
+// fixed eight-stage taxonomy:
 //
 //   queue_wait      admission-queue residency (push -> worker pop)
 //   snapshot_pin    opening + pinning the MVCC read snapshot
@@ -12,7 +12,10 @@
 //   probe           the lock-free read-only U-Filter probe
 //   apply           writer-lane execution (probe + mutation)
 //   wal_sync        version publication + WAL append/fsync
-//   response_write  encoding + writing the response frame
+//   response_write  encoding the response and writing its frame, from the
+//                   worker's hand-off to the connection's outbox until the
+//                   last byte is sent (a wait behind earlier responses on
+//                   the connection counts here)
 //
 // Two outputs, two costs. Stage *histograms* are always on and cost one
 // histogram record per span — that is what bench_obs gates at <3%. Full
@@ -73,9 +76,12 @@ uint32_t CurrentThreadLane();
 /// \brief The per-request trace state.
 ///
 /// Created by Tracer::Begin (or default-constructed inactive, in which
-/// case every recording call is a no-op). Only one thread touches a
-/// TraceContext at a time — it is handed off along the request path
-/// (reader thread -> worker -> writer thread), never shared.
+/// case every recording call is a no-op). A check request holds its trace
+/// by value and is its only owner: the reader thread that admits it, the
+/// worker that runs it, and whichever thread writes its response touch it
+/// one after another, never at once. The request's completion finishes it:
+/// on the wire once the response is written, in process before the
+/// caller's future resolves.
 class TraceContext {
  public:
   TraceContext() = default;
@@ -83,12 +89,6 @@ class TraceContext {
   bool active() const { return active_; }
   bool sampled() const { return sampled_; }
   uint64_t request_id() const { return request_id_; }
-
-  /// When set, the layer that completes the check (CheckService) must NOT
-  /// finish the trace; a later layer (net::Server, after response write)
-  /// owns the finish. Keeps wal_sync and response_write inside one trace.
-  bool defer_finish() const { return defer_finish_; }
-  void set_defer_finish(bool v) { defer_finish_ = v; }
 
   /// Nanoseconds since the context was born.
   uint64_t NowRelNs() const {
@@ -131,7 +131,6 @@ class TraceContext {
   uint64_t request_id_ = 0;
   bool active_ = false;
   bool sampled_ = false;
-  bool defer_finish_ = false;
   TraceClock::time_point born_{};
   std::array<uint64_t, kStageCount> stage_totals_{};
   uint64_t total_ns_ = 0;

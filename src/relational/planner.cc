@@ -6,20 +6,6 @@
 
 namespace ufilter::relational {
 
-const char* AccessPathName(AccessPath p) {
-  switch (p) {
-    case AccessPath::kUniqueLookup:
-      return "unique-lookup";
-    case AccessPath::kIndexLookup:
-      return "index-lookup";
-    case AccessPath::kHashJoin:
-      return "hash-join";
-    case AccessPath::kScan:
-      return "scan";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Candidate access path for one table given the already-placed set.
@@ -210,7 +196,6 @@ Result<PhysicalPlan> Planner::Compile(const SelectQuery& query) {
     level.key_param = choice.key_param;
     level.key_src_table = choice.key_src_table;
     level.key_src_column = choice.key_src_column;
-    level.estimated_rows = choice.est;
     level.columnar = (choice.path == AccessPath::kScan ||
                       choice.path == AccessPath::kHashJoin) &&
                      !ctx_->IsTempTable(

@@ -32,8 +32,6 @@ enum class AccessPath {
   kScan,          ///< full table scan
 };
 
-const char* AccessPathName(AccessPath p);
-
 /// A literal filter with every name resolved to slots. `table` is the
 /// position in the *original* FROM list, `column` the column index within
 /// that table's schema.
@@ -78,9 +76,6 @@ struct PlanLevel {
   /// the driving join stays here: the hash matches by Value::Hash and the
   /// recheck rules out collisions.
   std::vector<CompiledJoin> joins;
-
-  /// The planner's cardinality estimate for this level (diagnostics).
-  double estimated_rows = 0;
 
   /// True when this level's table was a *base* table at compile time and
   /// its access path can serve from the columnar cache (kScan: vectorized

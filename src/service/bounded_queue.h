@@ -2,8 +2,8 @@
 // queue of the check service. Bounded on purpose — when clients outrun the
 // worker pool, Push blocks (backpressure) instead of letting the queue grow
 // without limit; TryPush refuses instead, for callers that prefer shedding
-// load; PushFor/PopFor give up at a deadline, for callers (the network
-// front end, the drain path) that must never block forever. Close() drains:
+// load; PushFor gives up at a deadline, for callers (the network front
+// end) that must never block forever. Close() drains:
 // producers are refused, consumers keep popping until the queue is empty,
 // then Pop returns false and workers exit.
 //
@@ -27,11 +27,11 @@
 
 namespace ufilter::service {
 
-/// Outcome of a deadline-bounded queue wait.
+/// Outcome of a deadline-bounded push.
 enum class QueueWaitResult {
-  kOk,        ///< pushed / popped
-  kTimedOut,  ///< the deadline passed first (item untouched / no item)
-  kClosed,    ///< push: queue refused; pop: closed *and* drained
+  kOk,        ///< pushed
+  kTimedOut,  ///< the deadline passed first (item untouched)
+  kClosed,    ///< the queue refused it
 };
 
 template <typename T>
@@ -71,17 +71,22 @@ class BoundedQueue {
   /// drained — the consumer's exit signal. When `pushed_at` is non-null it
   /// receives the steady-clock instant the item was pushed, so the
   /// consumer can attribute queue residency (the queue_wait histogram).
+  ///
+  /// The close-vs-push window: an item admitted before Close() makes
+  /// items_ non-empty, and closed_ is only ever set *after* such a push's
+  /// critical section, so the empty+closed exit condition can never be
+  /// observed while an admitted item is still queued — false really means
+  /// drained.
   bool Pop(T* out, SteadyTime* pushed_at = nullptr) {
-    return PopUntil(out, nullptr, pushed_at) == QueueWaitResult::kOk;
-  }
-
-  /// Deadline-bounded Pop: kTimedOut when nothing arrived by `deadline`
-  /// (the queue stays usable), kClosed when closed and drained. Lets a
-  /// draining consumer re-check its own stop conditions instead of
-  /// blocking forever on an empty-but-open queue.
-  QueueWaitResult PopFor(T* out, SteadyTime deadline,
-                         SteadyTime* pushed_at = nullptr) {
-    return PopUntil(out, &deadline, pushed_at);
+    std::unique_lock<std::mutex> lock(mu_);
+    not_empty_.wait(lock, [this] { return !items_.empty() || closed_; });
+    if (items_.empty()) return false;
+    *out = std::move(items_.front().item);
+    if (pushed_at != nullptr) *pushed_at = items_.front().pushed_at;
+    items_.pop_front();
+    lock.unlock();
+    not_full_.notify_one();
+    return true;
   }
 
   /// Refuses further pushes; consumers drain what is queued, then stop.
@@ -137,33 +142,6 @@ class BoundedQueue {
     if (items_.size() > high_water_) high_water_ = items_.size();
     lock.unlock();
     not_empty_.notify_one();
-    return QueueWaitResult::kOk;
-  }
-
-  // Shared pop body; `deadline` null = wait forever. The close-vs-push
-  // window: an item admitted before Close() makes items_ non-empty, and
-  // closed_ is only ever set *after* such a push's critical section, so the
-  // empty+closed exit condition can never be observed while an admitted
-  // item is still queued — kClosed really means drained.
-  QueueWaitResult PopUntil(T* out, const SteadyTime* deadline,
-                           SteadyTime* pushed_at) {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (true) {
-      if (!items_.empty()) break;
-      if (closed_) return QueueWaitResult::kClosed;
-      if (deadline == nullptr) {
-        not_empty_.wait(lock);
-      } else if (not_empty_.wait_until(lock, *deadline) ==
-                 std::cv_status::timeout) {
-        if (!items_.empty()) break;  // arrived with the timeout — take it
-        return closed_ ? QueueWaitResult::kClosed : QueueWaitResult::kTimedOut;
-      }
-    }
-    *out = std::move(items_.front().item);
-    if (pushed_at != nullptr) *pushed_at = items_.front().pushed_at;
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
     return QueueWaitResult::kOk;
   }
 

@@ -41,6 +41,25 @@ const char* AdmitResultName(AdmitResult r) {
   return "?";
 }
 
+class CheckService::PromiseCompletion : public Completion {
+ public:
+  explicit PromiseCompletion(obs::Tracer* tracer) : tracer_(tracer) {}
+
+  std::future<CheckReport> future() { return promise_.get_future(); }
+
+  void Complete(uint64_t /*tag*/, CheckReport report,
+                obs::TraceContext trace) override {
+    // Finished before the future resolves: a caller that reads tracer()
+    // after get() finds its trace in the ring.
+    tracer_->Finish(trace);
+    promise_.set_value(std::move(report));
+  }
+
+ private:
+  obs::Tracer* tracer_;
+  std::promise<CheckReport> promise_;
+};
+
 CheckService::CheckService(check::UFilter* filter, CheckServiceOptions options)
     : filter_(filter),
       db_(filter->database()),
@@ -125,14 +144,6 @@ std::shared_ptr<Session> CheckService::OpenSession(std::string name) {
   return std::make_shared<Session>(id, std::move(name), db_->CreateContext());
 }
 
-std::shared_ptr<obs::TraceContext> CheckService::StartTrace() {
-  if (!options_.metrics_enabled) return nullptr;
-  auto trace =
-      std::make_shared<obs::TraceContext>(tracer_.Begin(next_request_id_++));
-  trace->set_defer_finish(true);
-  return trace;
-}
-
 void CheckService::ObserveStage(obs::Stage stage, uint64_t dur_ns) {
   if (!options_.metrics_enabled) return;
   stage_hist_[static_cast<size_t>(stage)]->Record(dur_ns);
@@ -140,17 +151,16 @@ void CheckService::ObserveStage(obs::Stage stage, uint64_t dur_ns) {
 
 std::unique_ptr<CheckService::Request> CheckService::MakeRequest(
     std::shared_ptr<Session> session, std::string update_text,
-    check::CheckOptions options,
-    std::shared_ptr<obs::TraceContext> trace) {
+    check::CheckOptions options, std::shared_ptr<Completion> done,
+    uint64_t tag) {
   auto req = std::make_unique<Request>();
   req->session = std::move(session);
   req->update_text = std::move(update_text);
   req->options = options;
-  if (trace != nullptr) {
-    req->trace = std::move(trace);
-  } else if (options_.metrics_enabled) {
-    req->trace =
-        std::make_shared<obs::TraceContext>(tracer_.Begin(next_request_id_++));
+  req->done = std::move(done);
+  req->tag = tag;
+  if (options_.metrics_enabled) {
+    req->trace = tracer_.Begin(next_request_id_++);
   }
   return req;
 }
@@ -158,15 +168,16 @@ std::unique_ptr<CheckService::Request> CheckService::MakeRequest(
 std::future<CheckReport> CheckService::Submit(std::shared_ptr<Session> session,
                                               std::string update_text,
                                               CheckOptions options) {
+  auto done = std::make_shared<PromiseCompletion>(&tracer_);
+  std::future<CheckReport> future = done->future();
   auto req = MakeRequest(std::move(session), std::move(update_text), options,
-                         nullptr);
-  std::future<CheckReport> future = req->promise.get_future();
+                         std::move(done), 0);
   // Counted only once actually admitted, so submitted == completed holds
   // after a drain (a rejected push below is neither).
   submitted_->Inc();
   if (!queue_.Push(std::move(req))) {
     // Shut down: resolve immediately instead of hanging the caller. (Push
-    // moved the request out; rebuild the rejection inline.)
+    // dropped the request and its promise; rebuild the rejection inline.)
     completed_->Inc();
     std::promise<CheckReport> rejected;
     CheckReport report;
@@ -179,37 +190,18 @@ std::future<CheckReport> CheckService::Submit(std::shared_ptr<Session> session,
   return future;
 }
 
-bool CheckService::TrySubmit(std::shared_ptr<Session> session,
-                             std::string update_text, CheckOptions options,
-                             std::future<CheckReport>* out) {
-  auto req = MakeRequest(std::move(session), std::move(update_text), options,
-                         nullptr);
-  std::future<CheckReport> future = req->promise.get_future();
-  // Count before the push: once the queue owns the request a worker may
-  // finish it immediately, and completed must never overtake submitted.
-  submitted_->Inc();
-  if (!queue_.TryPush(std::move(req))) {
-    submitted_->Sub(1);
-    shed_->Inc();
-    return false;
-  }
-  *out = std::move(future);
-  return true;
-}
-
 AdmitResult CheckService::SubmitWithDeadline(
     std::shared_ptr<Session> session, std::string update_text,
     check::CheckOptions options, std::optional<SteadyTime> deadline,
-    std::future<CheckReport>* out, std::shared_ptr<obs::TraceContext> trace) {
+    std::shared_ptr<Completion> done, uint64_t tag) {
   if (deadline.has_value() &&
       std::chrono::steady_clock::now() >= *deadline) {
     deadline_expired_->Inc();
     return AdmitResult::kExpired;
   }
   auto req = MakeRequest(std::move(session), std::move(update_text), options,
-                         std::move(trace));
+                         std::move(done), tag);
   req->deadline = deadline;
-  std::future<CheckReport> future = req->promise.get_future();
   // Count before the push: once the queue owns the request a worker may
   // finish it immediately, and completed must never overtake submitted.
   submitted_->Inc();
@@ -227,7 +219,6 @@ AdmitResult CheckService::SubmitWithDeadline(
     shed_->Inc();
     return AdmitResult::kShed;
   }
-  *out = std::move(future);
   return AdmitResult::kAdmitted;
 }
 
@@ -244,10 +235,8 @@ void CheckService::WorkerLoop() {
           std::chrono::duration_cast<std::chrono::nanoseconds>(popped -
                                                                pushed_at)
               .count()));
-      if (req->trace != nullptr) {
-        req->trace->RecordSpanLane(obs::Stage::kQueueWait, pushed_at, popped,
-                                   obs::CurrentThreadLane());
-      }
+      req->trace.RecordSpanLane(obs::Stage::kQueueWait, pushed_at, popped,
+                                obs::CurrentThreadLane());
     }
     // Queue purge: a request whose deadline expired while it waited is
     // answered without executing — the client already gave up, and the
@@ -267,10 +256,10 @@ void CheckService::FinishRequest(Request* req, CheckReport report) {
     deadline_expired_->Inc();
   }
   completed_->Inc();
-  obs::TraceContext* trace = req->trace.get();
-  if (options_.metrics_enabled && trace != nullptr) {
+  obs::TraceContext* trace = &req->trace;
+  if (trace->active()) {
     // End-to-end latency as seen by the service (response write, if any,
-    // is appended by the network front end before it finishes the trace).
+    // is appended by the Completion before it finishes the trace).
     uint64_t total = trace->NowRelNs();
     check_latency_->Record(total);
     // Queue-wait was recorded at pop; response-write hasn't happened yet —
@@ -294,13 +283,10 @@ void CheckService::FinishRequest(Request* req, CheckReport report) {
       rec.from_plan_cache = req->plan_from_cache;
       slow_log_.Log(rec);
     }
-    if (!trace->defer_finish()) {
-      tracer_.Finish(*trace);
-    }
   }
-  // Resolve the caller's future last: for the network path the writer
-  // thread takes over (response write + deferred trace finish) from here.
-  req->promise.set_value(std::move(report));
+  // Last: the Completion may resolve a caller's future or write the
+  // response, and either can end the caller's wait.
+  req->done->Complete(req->tag, std::move(report), std::move(req->trace));
 }
 
 CheckReport CheckService::Process(Request* req) {
@@ -311,7 +297,7 @@ CheckReport CheckService::Process(Request* req) {
   std::lock_guard<std::mutex> session_lock(
       req->session->processing_mutex());
   relational::ExecutionContext* ctx = req->session->context();
-  obs::TraceContext* trace = req->trace.get();
+  obs::TraceContext* trace = &req->trace;
   std::shared_ptr<const check::PreparedUpdate> plan;
   bool tried_fast_path = false;
   {
@@ -355,7 +341,7 @@ CheckReport CheckService::Process(Request* req) {
   std::unique_lock<std::mutex> write_lock(writer_mu_);
   writer_wait_ns_->Add(ElapsedNs(wait_start));
   CheckReport report;
-  bool timing = trace != nullptr && trace->active();
+  bool timing = trace->active();
   obs::TraceClock::time_point publish_start{};
   {
     relational::Database::WriterGuard guard(db_);

@@ -4,8 +4,8 @@
 //
 // Architecture:
 //   - a fixed pool of worker threads drains a *bounded* MPMC admission
-//     queue (Submit blocks when it is full — backpressure — and TrySubmit
-//     sheds load instead);
+//     queue (Submit blocks when it is full — backpressure — and
+//     SubmitWithDeadline sheds load instead);
 //   - check-only traffic (apply=false, outside strategy) runs on the *fast
 //     path*: the worker pins an MVCC snapshot (Database::OpenSnapshot, a
 //     mutex-guarded pointer copy) on the session's context and then runs
@@ -81,13 +81,26 @@ struct CheckServiceOptions {
 
 /// How SubmitWithDeadline disposed of a request at admission.
 enum class AdmitResult {
-  kAdmitted,  ///< queued; the future resolves when a worker finishes it
+  kAdmitted,  ///< queued; its Completion runs when a worker finishes it
   kShed,      ///< queue full past its deadline budget — retry later
   kExpired,   ///< the deadline had already passed at admission
   kClosed,    ///< the service is shut down / draining
 };
 
 const char* AdmitResultName(AdmitResult r);
+
+/// Where a finished request goes. The worker that finishes an admitted
+/// request records the service's metrics for it, then calls Complete
+/// exactly once, on its own thread, with the tag the request was submitted
+/// with. From then on the hook owns `trace` and finishes it
+/// (tracer().Finish) after its last span; when metrics are off the trace
+/// is inactive and needs nothing.
+class Completion {
+ public:
+  virtual ~Completion() = default;
+  virtual void Complete(uint64_t tag, check::CheckReport report,
+                        obs::TraceContext trace) = 0;
+};
 
 class CheckService {
  public:
@@ -107,16 +120,12 @@ class CheckService {
   std::shared_ptr<Session> OpenSession(std::string name = "");
 
   /// Enqueues one check; blocks while the queue is full (backpressure).
-  /// The future resolves when a worker finishes the check. After Shutdown
-  /// the future resolves immediately with an InvalidArgument report.
+  /// The future resolves when a worker finishes the check, after the
+  /// check's trace is finished. After Shutdown the future resolves
+  /// immediately with an InvalidArgument report.
   std::future<check::CheckReport> Submit(std::shared_ptr<Session> session,
                                          std::string update_text,
                                          check::CheckOptions options = {});
-
-  /// Non-blocking Submit: false (and no future) when the queue is full.
-  bool TrySubmit(std::shared_ptr<Session> session, std::string update_text,
-                 check::CheckOptions options,
-                 std::future<check::CheckReport>* out);
 
   /// Deadline-carrying admission, the network front end's entry point.
   /// An already-expired deadline is rejected as kExpired without touching
@@ -126,14 +135,14 @@ class CheckService {
   /// it after expiry answers kDeadlineExceeded without executing (the queue
   /// purge), so the verdict is authoritative — an expired/shed request was
   /// *never* executed and is always safe to retry. `deadline` nullopt =
-  /// no deadline (plain TrySubmit admission).
+  /// no deadline: admitted only if the queue has room now. The request's
+  /// trace begins here, and only an admitted request reaches `done`.
   AdmitResult SubmitWithDeadline(std::shared_ptr<Session> session,
                                  std::string update_text,
                                  check::CheckOptions options,
                                  std::optional<SteadyTime> deadline,
-                                 std::future<check::CheckReport>* out,
-                                 std::shared_ptr<obs::TraceContext> trace =
-                                     nullptr);
+                                 std::shared_ptr<Completion> done,
+                                 uint64_t tag);
 
   /// Applies one replicated WAL record through the writer lane (follower
   /// mode). Serializing with the lane means a replica can keep serving
@@ -169,16 +178,10 @@ class CheckService {
   obs::SlowLog& slow_log() { return slow_log_; }
   bool metrics_enabled() const { return options_.metrics_enabled; }
 
-  /// Starts a trace for a request whose lifetime extends beyond the
-  /// service (the network front end: the response write belongs in the
-  /// trace). Returns nullptr when metrics are disabled. The returned
-  /// context has defer_finish set — the caller must call
-  /// tracer().Finish(*trace) after its final span.
-  std::shared_ptr<obs::TraceContext> StartTrace();
-
   /// Records an out-of-band stage duration into that stage's always-on
   /// histogram (no-op when metrics are disabled). Used by the network
-  /// front end for response_write, which happens after the worker is done.
+  /// front end for response_write, which happens after the service has
+  /// handed the request to its Completion.
   void ObserveStage(obs::Stage stage, uint64_t dur_ns);
 
  private:
@@ -189,20 +192,26 @@ class CheckService {
     /// Absolute execution deadline; a worker popping the request after
     /// this instant answers kDeadlineExceeded instead of executing.
     std::optional<SteadyTime> deadline;
-    std::promise<check::CheckReport> promise;
-    /// Null when metrics are disabled. Shared with the network front end
-    /// when it owns the finish (defer_finish).
-    std::shared_ptr<obs::TraceContext> trace;
+    /// Receives the verdict (with `tag`) when a worker finishes.
+    std::shared_ptr<Completion> done;
+    uint64_t tag = 0;
+    /// Inactive when metrics are disabled.
+    obs::TraceContext trace;
     /// Set by Process for the slow-check log (the plan fingerprint).
     std::shared_ptr<const check::PreparedUpdate> plan;
     bool plan_from_cache = false;
   };
 
+  /// Submit's Completion: finishes the trace, then resolves the future.
+  class PromiseCompletion;
+
   void WorkerLoop();
   check::CheckReport Process(Request* req);
-  std::unique_ptr<Request> MakeRequest(
-      std::shared_ptr<Session> session, std::string update_text,
-      check::CheckOptions options, std::shared_ptr<obs::TraceContext> trace);
+  std::unique_ptr<Request> MakeRequest(std::shared_ptr<Session> session,
+                                       std::string update_text,
+                                       check::CheckOptions options,
+                                       std::shared_ptr<Completion> done,
+                                       uint64_t tag);
   void FinishRequest(Request* req, check::CheckReport report);
 
   check::UFilter* filter_;

@@ -1,11 +1,13 @@
 // End-to-end tests of the network front end against a live TCP server:
 // verdict parity with the in-process checker, deadline admission /
 // queue-purge behavior, load shedding with retry-after, graceful drain,
-// per-connection protocol-error isolation, and the metrics scrape over the
-// wire (the series contract its readers depend on).
+// per-connection protocol-error isolation, the response-order, slow-client
+// and fd-reuse rules of a connection's outbox, and the metrics scrape over
+// the wire (the series contract its readers depend on).
 #include "net/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <atomic>
@@ -22,6 +24,7 @@
 #include "net/frame.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace ufilter::net {
 namespace {
@@ -341,6 +344,242 @@ TEST(ServerClientTest, DrainFinishesInFlightAndRejectsNewWork) {
   auto refused =
       ConnectTcp("127.0.0.1", (*server)->port(), std::chrono::milliseconds(200));
   EXPECT_FALSE(refused.ok());
+}
+
+// --- Response order and slow clients ------------------------------------
+
+/// A check request frame's payload.
+std::string CheckPayload(uint64_t id, const std::string& text, bool apply) {
+  CheckRequestMsg req;
+  req.request_id = id;
+  req.apply = apply;
+  req.update_text = text;
+  return EncodeCheckRequest(req);
+}
+
+// Responses leave a connection in request order whoever finishes them:
+// here a Ping and a Metrics request, answered at once, wait behind a check
+// and a writer-lane apply held for 200ms.
+TEST(ServerClientTest, PipelinedResponsesKeepRequestOrder) {
+  Instance inst = MakeChainInstance(2, 16);
+  ServerOptions opts;
+  opts.service.worker_threads = 2;
+  opts.service.writer_lane_hold_ms_for_testing = 200;
+  auto server = Server::Start(inst.uf.get(), opts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  RawConn conn = RawConn::Open((*server)->port());
+  ASSERT_TRUE(conn.Send(CheckPayload(
+                            1, fixtures::ChainReplaceUpdate(1, 1, "ordered"),
+                            /*apply=*/true))
+                  .ok());
+  ASSERT_TRUE(
+      conn.Send(CheckPayload(2, fixtures::ChainDeleteUpdate(1, 2), false))
+          .ok());
+  ASSERT_TRUE(conn.Send(EncodePing(3)).ok());
+  ASSERT_TRUE(conn.Send(EncodeMetricsRequest()).ok());
+
+  for (uint64_t id = 1; id <= 2; ++id) {
+    auto raw = conn.Recv();
+    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+    auto resp = DecodeCheckResponse(*raw);
+    ASSERT_TRUE(resp.ok()) << "response " << id << " is not a check response";
+    EXPECT_EQ(resp->request_id, id);
+    EXPECT_EQ(resp->verdict, Verdict::kExecuted) << resp->message;
+  }
+  auto pong = conn.Recv();
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  ASSERT_EQ(PeekType(*pong).value(), MsgType::kPong);
+  EXPECT_EQ(DecodePingPong(*pong).value(), 3u);
+  auto metrics = conn.Recv();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_EQ(PeekType(*metrics).value(), MsgType::kMetricsResponse);
+}
+
+// A client that stops reading holds no worker: with one worker, the
+// responses to its checks wait in its connection while a second client's
+// checks complete, and the connection is dropped once its next response
+// has waited write_timeout for socket room.
+TEST(ServerClientTest, StuckClientHoldsNoWorkerAndIsDropped) {
+  Instance inst = MakeChainInstance(2, 16);
+  ServerOptions opts;
+  opts.service.worker_threads = 1;
+  opts.max_pipeline = 4096;
+  opts.write_timeout = std::chrono::milliseconds(2000);
+  auto server = Server::Start(inst.uf.get(), opts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  RawConn stuck = RawConn::Open((*server)->port());
+  // A fixed receive buffer, so the fill below does not depend on
+  // autotuning. It stays above the loopback MSS (64 KiB): a smaller window
+  // makes the final read crawl through zero-window probes.
+  int rcvbuf = 128 * 1024;
+  ASSERT_EQ(::setsockopt(stuck.fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         sizeof(rcvbuf)),
+            0);
+  // Metrics responses (the full registry each) until the server's writes
+  // stall: it has read them all, but stopped getting responses out.
+  uint64_t sent = 0;
+  bool stalled = false;
+  while (!stalled && sent < 20000) {
+    for (int i = 0; i < 64; ++i, ++sent) {
+      ASSERT_TRUE(stuck.Send(EncodeMetricsRequest()).ok());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    uint64_t written = Series(**server, "server_responses");
+    if (written + 32 < sent) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      stalled = Series(**server, "server_responses") == written;
+    }
+  }
+  ASSERT_TRUE(stalled) << "the server wrote all " << sent << " responses";
+  auto stall_seen = std::chrono::steady_clock::now();
+
+  // Checks on the stuck connection: the one worker finishes all four.
+  const uint64_t completed = Series(**server, "service_completed");
+  for (uint64_t id = 1; id <= 4; ++id) {
+    ASSERT_TRUE(stuck
+                    .Send(CheckPayload(id, fixtures::ChainDeleteUpdate(1, 1),
+                                       false))
+                    .ok());
+  }
+  auto start = std::chrono::steady_clock::now();
+  while (Series(**server, "service_completed") < completed + 4 &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(10)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_GE(Series(**server, "service_completed"), completed + 4);
+  // Meanwhile a second client is served by the same worker.
+  Client client(ClientFor(**server));
+  for (int i = 0; i < 8; ++i) {
+    auto resp = client.Check(fixtures::ChainDeleteUpdate(1, i), false);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_EQ(resp->verdict, Verdict::kExecuted) << resp->message;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(1000))
+      << "a worker waited on the stuck client's socket";
+
+  // Past write_timeout the server closes the stuck connection: reading it
+  // now ends in EOF or a reset, not in silence.
+  std::this_thread::sleep_until(stall_seen + opts.write_timeout +
+                                std::chrono::milliseconds(1000));
+  char buf[65536];
+  Status end = Status::OK();
+  auto read_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (end.ok()) {
+    auto got = RecvSome(stuck.fd, buf, sizeof(buf), read_deadline);
+    if (!got.ok()) end = got.status();
+  }
+  EXPECT_TRUE(end.IsUnavailable()) << end.ToString();
+}
+
+// A connection closed with requests still queued behind a held writer
+// lane: their late verdicts are dropped, and a new connection (which may
+// get the same fd number) receives only its own responses.
+TEST(ServerClientTest, LateResponsesNeverReachANewConnection) {
+  Instance inst = MakeChainInstance(2, 16);
+  ServerOptions opts;
+  opts.service.worker_threads = 1;
+  opts.service.writer_lane_hold_ms_for_testing = 150;
+  auto server = Server::Start(inst.uf.get(), opts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  {
+    RawConn old = RawConn::Open((*server)->port());
+    for (uint64_t id = 101; id <= 103; ++id) {
+      ASSERT_TRUE(old.Send(CheckPayload(
+                               id, fixtures::ChainReplaceUpdate(1, 1, "late"),
+                               /*apply=*/true))
+                      .ok());
+    }
+    auto start = std::chrono::steady_clock::now();
+    while (Series(**server, "server_requests") < 3 &&
+           std::chrono::steady_clock::now() - start <
+               std::chrono::seconds(10)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    ASSERT_EQ(Series(**server, "server_requests"), 3u);
+    // Abort with a reset: the server sees the peer gone at once.
+    linger abort_close{1, 0};
+    ASSERT_EQ(::setsockopt(old.fd, SOL_SOCKET, SO_LINGER, &abort_close,
+                           sizeof(abort_close)),
+              0);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  RawConn fresh = RawConn::Open((*server)->port());
+  ASSERT_TRUE(fresh.Send(EncodePing(7)).ok());
+  ASSERT_TRUE(
+      fresh.Send(CheckPayload(8, fixtures::ChainDeleteUpdate(1, 2), false))
+          .ok());
+  auto pong = fresh.Recv();
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  ASSERT_EQ(PeekType(*pong).value(), MsgType::kPong);
+  EXPECT_EQ(DecodePingPong(*pong).value(), 7u);
+  auto raw = fresh.Recv(std::chrono::milliseconds(10000));
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  auto resp = DecodeCheckResponse(*raw);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->request_id, 8u);
+  EXPECT_EQ(resp->verdict, Verdict::kExecuted) << resp->message;
+  // Nothing else arrives: the old connection's verdicts went nowhere.
+  auto stray = fresh.Recv(std::chrono::milliseconds(300));
+  EXPECT_FALSE(stray.ok());
+  EXPECT_TRUE(stray.status().IsDeadlineExceeded()) << stray.status().ToString();
+}
+
+// A wire request's trace ends with its response write: response_write is
+// the last span and in its stage histogram, total_ns covers it, and the
+// spans of one lane never overlap.
+TEST(ServerClientTest, WireTracesEndWithTheResponseWrite) {
+  Instance inst = MakeChainInstance(3, 32);
+  ServerOptions opts;
+  opts.service.worker_threads = 2;
+  opts.service.trace.sample_every = 1;
+  auto server = Server::Start(inst.uf.get(), opts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  constexpr uint64_t kChecks = 6;
+  Client client(ClientFor(**server));
+  for (uint64_t i = 0; i < kChecks; ++i) {
+    auto resp = client.Check(fixtures::ChainDeleteUpdate(2, i), false);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  }
+  // The trace finishes just after the last byte is sent, which can be
+  // after the client has read it.
+  obs::Tracer& tracer = (*server)->service().tracer();
+  auto start = std::chrono::steady_clock::now();
+  while (tracer.sampled_count() < kChecks &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(10)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::vector<obs::CompletedTrace> traces = tracer.Snapshot();
+  ASSERT_EQ(traces.size(), kChecks);
+  for (const obs::CompletedTrace& t : traces) {
+    ASSERT_FALSE(t.spans.empty());
+    const obs::TraceSpan& last = t.spans.back();
+    EXPECT_EQ(last.stage, obs::Stage::kResponseWrite);
+    EXPECT_GE(t.total_ns, last.start_ns + last.dur_ns);
+    for (size_t i = 0; i < t.spans.size(); ++i) {
+      for (size_t j = i + 1; j < t.spans.size(); ++j) {
+        const obs::TraceSpan& a = t.spans[i];
+        const obs::TraceSpan& b = t.spans[j];
+        if (a.lane != b.lane) continue;
+        EXPECT_TRUE(a.start_ns + a.dur_ns <= b.start_ns ||
+                    b.start_ns + b.dur_ns <= a.start_ns)
+            << "request " << t.request_id << ": "
+            << obs::StageName(a.stage) << " overlaps "
+            << obs::StageName(b.stage) << " on lane " << a.lane;
+      }
+    }
+  }
+  obs::RegistrySnapshot scrape = (*server)->service().registry().Collect();
+  const obs::MetricSample* write_hist =
+      obs::FindSample(scrape, "stage_response_write_ns");
+  ASSERT_NE(write_hist, nullptr);
+  EXPECT_EQ(write_hist->hist.count, kChecks);
 }
 
 // --- Protocol damage ------------------------------------------------------

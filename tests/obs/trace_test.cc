@@ -283,7 +283,6 @@ TEST(TraceServiceTest, MetricsDisabledServiceStillServes) {
             .get();
     ASSERT_EQ(report.outcome, check::CheckOutcome::kExecuted);
   }
-  EXPECT_EQ(svc.StartTrace(), nullptr);
   EXPECT_EQ(svc.tracer().sampled_count(), 0u);
   obs::RegistrySnapshot reg = svc.registry().Collect();
   const obs::MetricSample* lat = obs::FindSample(reg, "check_latency_ns");

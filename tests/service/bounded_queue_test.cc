@@ -1,7 +1,7 @@
 // BoundedQueue semantics under contention: close/drain guarantees (no
 // admitted item is ever lost, even when Close() races pushes — the
 // regression for the closed-but-racing-push window), deadline-bounded
-// PushFor/PopFor (neither producers nor the drain path can block forever),
+// PushFor (a producer never blocks forever),
 // and high_water accounting under 8-thread storms. Runs under
 // ThreadSanitizer in CI.
 #include <gtest/gtest.h>
@@ -51,16 +51,6 @@ TEST(BoundedQueueTest, PopReturnsPushTimestamp) {
   EXPECT_LE(pushed_at, after_push);
   // Residency covers the sleep between push and pop.
   EXPECT_GE(popped_at - pushed_at, milliseconds(20));
-
-  // PopFor reports the stamp too (the drain path uses it).
-  ASSERT_TRUE(q.TryPush(2));
-  steady_clock::time_point pushed_at2{};
-  EXPECT_EQ(q.PopFor(&out, steady_clock::now() + milliseconds(1000),
-                     &pushed_at2),
-            QueueWaitResult::kOk);
-  EXPECT_EQ(out, 2);
-  EXPECT_GE(pushed_at2, after_push);
-  EXPECT_LE(pushed_at2, steady_clock::now());
 }
 
 TEST(BoundedQueueTest, TryPushShedsWhenFull) {
@@ -104,25 +94,9 @@ TEST(BoundedQueueTest, PushForSucceedsWhenRoomAppears) {
   EXPECT_EQ(out, 2);
 }
 
-TEST(BoundedQueueTest, PopForTimesOutWithoutClosing) {
-  BoundedQueue<int> q(4);
-  int out = 0;
-  auto start = steady_clock::now();
-  EXPECT_EQ(q.PopFor(&out, start + milliseconds(30)),
-            QueueWaitResult::kTimedOut);
-  // Timed out, not closed: a later push is still delivered.
-  EXPECT_TRUE(q.Push(7));
-  EXPECT_EQ(q.PopFor(&out, steady_clock::now() + milliseconds(1000)),
-            QueueWaitResult::kOk);
-  EXPECT_EQ(out, 7);
-}
-
-TEST(BoundedQueueTest, PopForDistinguishesClosedFromTimeout) {
+TEST(BoundedQueueTest, PushForRefusedWhenClosed) {
   BoundedQueue<int> q(4);
   q.Close();
-  int out = 0;
-  EXPECT_EQ(q.PopFor(&out, steady_clock::now() + milliseconds(10)),
-            QueueWaitResult::kClosed);
   EXPECT_EQ(q.PushFor(1, steady_clock::now() + milliseconds(10)),
             QueueWaitResult::kClosed);
 }

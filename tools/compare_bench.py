@@ -10,6 +10,8 @@ Usage:
       #      / mean(real_time of benchmarks starting with B) >= 5
   compare_bench.py CURRENT.json --counter-min A off_on_cpu_ratio 0.97
       # assert every benchmark starting with A reports that counter >= 0.97
+  compare_bench.py CURRENT.json --counter-max A client_errors_per_iter 0
+      # assert every benchmark starting with A reports that counter <= 0
 
 --check fails (exit 1) when the file is missing, unparsable, or contains no
 benchmarks — the CI perf-smoke step uses it to guarantee the benchmark both
@@ -19,7 +21,8 @@ silently dropped from a sweep (e.g. the writers=1 mixed series) is a CI
 failure too. --pair/--min-speedup additionally turn a performance
 regression (e.g. the hash-join rescue disappearing) into a CI failure.
 --counter-min gates a figure a benchmark computes itself, such as bench_obs's
-median paired off/on CPU ratio.
+median paired off/on CPU ratio; --counter-max is its upper-bound twin, such
+as bench_server's lost responses per iteration.
 """
 
 import argparse
@@ -113,16 +116,23 @@ def pair_speedup(benches, slow_prefix, fast_prefix):
     return (sum(slow) / len(slow)) / (sum(fast) / len(fast))
 
 
-def check_counter(benches, prefix, counter, floor):
+def check_counter(benches, prefix, counter, bound, upper):
+    flag, word, op = (
+        ("--counter-max", "ceiling", ">") if upper
+        else ("--counter-min", "floor", "<")
+    )
     hits = [b for b in benches if b["name"].startswith(prefix)]
     if not hits:
-        sys.exit(f"error: --counter-min found no benchmarks for '{prefix}'")
+        sys.exit(f"error: {flag} found no benchmarks for '{prefix}'")
     for b in hits:
         if counter not in b:
             sys.exit(f"error: '{b['name']}' reports no counter '{counter}'")
-        print(f"{b['name']}: {counter} = {b[counter]:.3f} (floor {floor})")
-        if b[counter] < floor:
-            sys.exit(f"error: {counter} {b[counter]:.3f} < required {floor}")
+        print(f"{b['name']}: {counter} = {b[counter]:.3f} ({word} {bound})")
+        if (b[counter] > bound) if upper else (b[counter] < bound):
+            sys.exit(
+                f"error: {b['name']}: {counter} {b[counter]:.3f} {op} "
+                f"allowed {word} {bound}"
+            )
 
 
 def main():
@@ -164,6 +174,15 @@ def main():
         "COUNTER >= MIN (repeatable)",
     )
     parser.add_argument(
+        "--counter-max",
+        nargs=3,
+        action="append",
+        default=[],
+        metavar=("NAME_PREFIX", "COUNTER", "MAX"),
+        help="fail unless every benchmark with this name prefix reports "
+        "COUNTER <= MAX (repeatable)",
+    )
+    parser.add_argument(
         "--fail-on-regression",
         action="store_true",
         help="with a baseline: exit 1 when any benchmark regressed >10%%",
@@ -200,7 +219,9 @@ def main():
             sys.exit(f"error: pair speedup {speedup:.3f}x < required {need}x")
 
     for prefix, counter, floor in args.counter_min:
-        check_counter(benches, prefix, counter, float(floor))
+        check_counter(benches, prefix, counter, float(floor), upper=False)
+    for prefix, counter, ceiling in args.counter_max:
+        check_counter(benches, prefix, counter, float(ceiling), upper=True)
 
 
 if __name__ == "__main__":
