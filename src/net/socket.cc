@@ -176,12 +176,9 @@ Status SendAll(int fd, const void* data, size_t n, SteadyTime deadline) {
         (pf.revents & POLLOUT) == 0) {
       return Status::Unavailable("connection closed while sending");
     }
-    ssize_t w = ::send(fd, p + sent, n - sent, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      return Status::Unavailable(std::string("send: ") + ::strerror(errno));
-    }
-    sent += static_cast<size_t>(w);
+    auto w = SendNow(fd, p + sent, n - sent);
+    if (!w.ok()) return w.status();
+    sent += *w;
   }
   return Status::OK();
 }
@@ -197,13 +194,13 @@ Result<size_t> RecvSome(int fd, void* buf, size_t cap, SteadyTime deadline) {
       }
       continue;
     }
-    ssize_t r = ::recv(fd, buf, cap, 0);
-    if (r < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      return Status::Unavailable(std::string("recv: ") + ::strerror(errno));
+    auto r = RecvNow(fd, buf, cap);
+    if (!r.ok()) {
+      if (r.status().IsDeadlineExceeded()) continue;  // spurious wake
+      return r.status();
     }
-    if (r == 0) return Status::Unavailable("connection closed by peer");
-    return static_cast<size_t>(r);
+    if (*r == 0) return Status::Unavailable("connection closed by peer");
+    return *r;
   }
 }
 
