@@ -2,6 +2,10 @@
 // machine-readable BENCH_<name>.json in the working directory (Google
 // Benchmark's native JSON schema) so the perf trajectory can accumulate
 // across PRs. Passing an explicit --benchmark_out=... overrides the default.
+// The JSON context says what was built: this repository's build type, the
+// compiler and the git revision at configure time (UFILTER_* definitions
+// from cmake/UFilterHelpers.cmake). Google Benchmark's own
+// library_build_type describes the benchmark library, not this build.
 #ifndef UFILTER_BENCH_BENCH_JSON_H_
 #define UFILTER_BENCH_BENCH_JSON_H_
 
@@ -9,6 +13,13 @@
 
 #include <string>
 #include <vector>
+
+#ifndef UFILTER_BUILD_TYPE
+#define UFILTER_BUILD_TYPE "unknown"
+#endif
+#ifndef UFILTER_GIT_REVISION
+#define UFILTER_GIT_REVISION "unknown"
+#endif
 
 namespace ufilter::bench {
 
@@ -34,6 +45,13 @@ inline int RunWithJson(int argc, char** argv, const char* name) {
     args.push_back(fmt_flag.data());
   }
   int n = static_cast<int>(args.size());
+  benchmark::AddCustomContext("ufilter_build_type", UFILTER_BUILD_TYPE);
+#ifdef __clang__
+  benchmark::AddCustomContext("ufilter_compiler", __VERSION__);
+#else
+  benchmark::AddCustomContext("ufilter_compiler", "GCC " __VERSION__);
+#endif
+  benchmark::AddCustomContext("ufilter_git_revision", UFILTER_GIT_REVISION);
   benchmark::Initialize(&n, args.data());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -22,10 +22,15 @@ endfunction()
 #
 # Builds one Google Benchmark binary. Benchmarks are not registered with
 # ctest; run them directly from the build tree (see docs/BENCHMARKS.md).
+# bench/bench_json.h writes the build type and UFILTER_GIT_REVISION (set
+# at configure time) into every BENCH_<name>.json.
 function(ufilter_add_bench src)
   get_filename_component(stem "${src}" NAME_WE)
   add_executable(${stem} "${src}")
   target_link_libraries(${stem} PRIVATE ufilter_core benchmark::benchmark)
+  target_compile_definitions(${stem} PRIVATE
+    UFILTER_BUILD_TYPE="$<CONFIG>"
+    UFILTER_GIT_REVISION="${UFILTER_GIT_REVISION}")
 endfunction()
 
 # ufilter_add_example(examples/<name>.cpp)

@@ -15,31 +15,33 @@ size_t HashOneValue(const Value& v) {
   return static_cast<size_t>(0x345678) * 1000003 ^ v.Hash();
 }
 
+/// The bucket hash of every index: values[cols[0]], values[cols[1]], ...
+size_t HashKey(const Value* values, const std::vector<int>& cols) {
+  size_t h = 0x345678;
+  for (int c : cols) h = h * 1000003 ^ values[c].Hash();
+  return h;
+}
+
+bool AnyNull(const Value* values, const std::vector<int>& cols) {
+  for (int c : cols) {
+    if (values[c].is_null()) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 size_t Table::HashRowValues(const Row& row, const std::vector<int>& cols) {
-  size_t h = 0x345678;
-  for (int c : cols) {
-    h = h * 1000003 ^ row[static_cast<size_t>(c)].Hash();
-  }
-  return h;
+  return HashKey(row.data(), cols);
 }
 
 bool Table::RowValuesEqual(const Row& a, const Row& b,
                            const std::vector<int>& cols) {
-  for (int c : cols) {
-    if (!(a[static_cast<size_t>(c)] == b[static_cast<size_t>(c)])) {
-      return false;
-    }
-  }
-  return true;
+  return KeyMatches(a, cols, b.data(), cols);
 }
 
 bool Table::AnyValueNull(const Row& row, const std::vector<int>& cols) {
-  for (int c : cols) {
-    if (row[static_cast<size_t>(c)].is_null()) return true;
-  }
-  return false;
+  return AnyNull(row.data(), cols);
 }
 
 // ---------------------------------------------------------------- Table ---
@@ -208,6 +210,50 @@ bool Table::RowMatches(const Row& row,
   return true;
 }
 
+bool Table::KeyMatches(const Row& row, const std::vector<int>& columns,
+                       const Value* key_row,
+                       const std::vector<int>& key_columns) {
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (!(row[static_cast<size_t>(columns[i])] == key_row[key_columns[i]])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void Table::FindKey(const std::vector<int>& columns, const Value* key_row,
+                    const std::vector<int>& key_columns,
+                    std::vector<RowId>* out,
+                    const EngineCounters* counters) const {
+  const Index* index = nullptr;
+  for (const Index& idx : indexes_) {
+    if (idx.column_idx == columns) {
+      index = &idx;
+      break;
+    }
+  }
+  if (index == nullptr) {  // scanned in slot order: already ascending
+    if (counters != nullptr) counters->rows_scanned->Add(live_count_);
+    for (size_t i = 0; i < rows_.size(); ++i) {
+      if (rows_[i].has_value() &&
+          KeyMatches(*rows_[i], columns, key_row, key_columns)) {
+        out->push_back(static_cast<RowId>(i));
+      }
+    }
+    return;
+  }
+  if (counters != nullptr) counters->index_lookups->Inc();
+  const auto first = static_cast<std::ptrdiff_t>(out->size());
+  auto range = index->map.equal_range(HashKey(key_row, key_columns));
+  for (auto it = range.first; it != range.second; ++it) {
+    const Row* row = GetRow(it->second);
+    if (row != nullptr && KeyMatches(*row, columns, key_row, key_columns)) {
+      out->push_back(it->second);
+    }
+  }
+  std::sort(out->begin() + first, out->end());
+}
+
 void Table::BulkLoad(std::vector<Row> rows, std::vector<RowId>* ids) {
   rows_.reserve(rows_.size() + rows.size());
   if (ids != nullptr) ids->reserve(ids->size() + rows.size());
@@ -338,6 +384,32 @@ Database::Database(DatabaseSchema schema)
   for (size_t i = 0; i < schema_.tables().size(); ++i) {
     tables_.push_back(std::make_shared<Table>(&schema_.tables()[i]));
     table_index_[schema_.tables()[i].name()] = i;
+  }
+  // Create() validated every FK's tables and columns.
+  links_.resize(schema_.tables().size());
+  for (size_t t = 0; t < schema_.tables().size(); ++t) {
+    const TableSchema& table = schema_.tables()[t];
+    for (const ForeignKey& fk : table.foreign_keys()) {
+      ForeignKeyLink link;
+      link.table = t;
+      link.ref_table = table_index_.at(fk.ref_table);
+      const TableSchema& ref = schema_.tables()[link.ref_table];
+      for (size_t i = 0; i < fk.columns.size(); ++i) {
+        const int c = table.ColumnIndex(fk.columns[i]);
+        link.columns.push_back(c);
+        link.ref_columns.push_back(ref.ColumnIndex(fk.ref_columns[i]));
+        if (table.columns()[static_cast<size_t>(c)].not_null) {
+          link.not_null = true;
+        }
+      }
+      link.on_delete = fk.on_delete;
+      links_[t].own.push_back(std::move(link));
+    }
+  }
+  for (const TableLinks& table : links_) {
+    for (const ForeignKeyLink& link : table.own) {
+      links_[link.ref_table].referencing.push_back(&link);
+    }
   }
 }
 
@@ -559,19 +631,21 @@ Result<std::unique_ptr<Database>> Database::Create(DatabaseSchema schema) {
   return std::unique_ptr<Database>(new Database(std::move(schema)));
 }
 
+Table* Database::BaseTable(const ExecutionContext* ctx, size_t slot) {
+  if (ctx != nullptr && ctx->read_snapshot() != nullptr) {
+    // Snapshot-pinned context: every base-table read resolves to the
+    // pinned epoch's immutable version. Mutation paths never write through
+    // it (RunLive refuses pinned contexts), so handing back a non-const
+    // pointer to callers that only read is safe.
+    return const_cast<Table*>(ctx->read_snapshot()->TableAt(slot));
+  }
+  return tables_[slot].get();
+}
+
 Table* Database::TableByName(const ExecutionContext* ctx,
                              const std::string& name) {
   auto it = table_index_.find(name);
-  if (it != table_index_.end()) {
-    if (ctx != nullptr && ctx->read_snapshot() != nullptr) {
-      // Snapshot-pinned context: every base-table read resolves to the
-      // pinned epoch's immutable version. Mutation paths never come through
-      // here (WritableTable refuses pinned contexts), so handing back a
-      // non-const pointer to callers that only read is safe.
-      return const_cast<Table*>(ctx->read_snapshot()->TableAt(it->second));
-    }
-    return tables_[it->second].get();
-  }
+  if (it != table_index_.end()) return BaseTable(ctx, it->second);
   if (ctx != nullptr) {
     // Sessions only read their own temp tables; the const_cast hands the
     // session back mutable access to a table it created itself.
@@ -659,19 +733,24 @@ Status Database::CheckRowConstraints(const TableSchema& schema,
 /// store that writes undo, captures redo and bumps the row counters.
 class Database::LiveTable final : public TableStore {
  public:
-  void Bind(Database* db, ExecutionContext* ctx, Table* table, bool temp) {
+  void Bind(Database* db, ExecutionContext* ctx, Table* table, size_t slot) {
     db_ = db;
     ctx_ = ctx;
     table_ = table;
-    temp_ = temp;
+    slot_ = slot;
   }
 
   const TableSchema& schema() const override { return table_->schema(); }
-  bool temp() const override { return temp_; }
+  size_t slot() const override { return slot_; }
   const Row* GetRow(RowId id) const override { return table_->GetRow(id); }
   std::vector<RowId> Find(
       const std::vector<ColumnPredicate>& preds) const override {
     return table_->Find(preds, &db_->counters_);
+  }
+  void FindKey(const std::vector<int>& columns, const Value* key_row,
+               const std::vector<int>& key_columns,
+               std::vector<RowId>* out) const override {
+    table_->FindKey(columns, key_row, key_columns, out, &db_->counters_);
   }
   RowId FindUniqueConflict(const Row& row, RowId self) const override {
     return table_->FindUniqueConflict(row, self);
@@ -702,8 +781,8 @@ class Database::LiveTable final : public TableStore {
 
  private:
   Table* Writable() {
-    if (!writable_ && !temp_) {  // temp tables are never versioned
-      table_ = db_->WritableBaseTable(db_->table_index_.at(schema().name()));
+    if (!writable_ && !temp()) {  // temp tables are never versioned
+      table_ = db_->WritableBaseTable(slot_);
     }
     writable_ = true;
     return table_;
@@ -714,13 +793,13 @@ class Database::LiveTable final : public TableStore {
   }
   /// After LogUndo: the redo op pairs with the undo record just pushed.
   void LogRedo(RedoOp::Kind kind, RowId id, const Row* row) {
-    if (!temp_) db_->CaptureRedo(ctx_, kind, schema().name(), id, row);
+    if (!temp()) db_->CaptureRedo(ctx_, kind, schema().name(), id, row);
   }
 
   Database* db_ = nullptr;
   ExecutionContext* ctx_ = nullptr;
   Table* table_ = nullptr;
-  bool temp_ = false;
+  size_t slot_ = kTempTableSlot;
   bool writable_ = false;
 };
 
@@ -731,22 +810,39 @@ class Database::LiveStores final : public TableStores {
  public:
   LiveStores(Database* db, ExecutionContext* ctx) : db_(db), ctx_(ctx) {}
 
-  Result<TableStore*> Get(const std::string& name) override {
-    for (size_t i = 0; i < used_; ++i) {
-      if (slots_[i].schema().name() == name) return &slots_[i];
-    }
-    for (LiveTable& t : overflow_) {
-      if (t.schema().name() == name) return &t;
-    }
-    Table* table = db_->TableByName(ctx_, name);
-    if (table == nullptr) return Status::NotFound("no table '" + name + "'");
-    LiveTable& slot =
-        used_ < slots_.size() ? slots_[used_++] : overflow_.emplace_back();
-    slot.Bind(db_, ctx_, table, ctx_->IsTempTable(name));
-    return &slot;
+  TableStore* Base(size_t slot) override {
+    LiveTable* t = Bound([slot](const LiveTable& t) {
+      return t.slot() == slot;
+    });
+    return t != nullptr ? t : Bind(db_->BaseTable(ctx_, slot), slot);
+  }
+  TableStore* Temp(const std::string& name) override {
+    LiveTable* t = Bound([&name](const LiveTable& t) {
+      return t.temp() && t.schema().name() == name;
+    });
+    if (t != nullptr) return t;
+    Table* table = ctx_->FindTempTable(name);
+    return table == nullptr ? nullptr : Bind(table, kTempTableSlot);
   }
 
  private:
+  template <typename Pred>
+  LiveTable* Bound(Pred pred) {
+    for (size_t i = 0; i < used_; ++i) {
+      if (pred(slots_[i])) return &slots_[i];
+    }
+    for (LiveTable& t : overflow_) {
+      if (pred(t)) return &t;
+    }
+    return nullptr;
+  }
+  LiveTable* Bind(Table* table, size_t slot) {
+    LiveTable& t =
+        used_ < slots_.size() ? slots_[used_++] : overflow_.emplace_back();
+    t.Bind(db_, ctx_, table, slot);
+    return &t;
+  }
+
   Database* db_;
   ExecutionContext* ctx_;
   std::array<LiveTable, 4> slots_;
@@ -771,29 +867,32 @@ Result<T> Database::RunLive(ExecutionContext* ctx, const std::string& table,
 // runs before the write it guards: a statement rejected before writing, or
 // one that matches nothing, clones nothing.
 
-Status Database::CheckForeignKeysExist(TableStores& stores,
-                                       const TableSchema& schema,
+Result<TableStore*> Database::ResolveStore(TableStores& stores,
+                                           const std::string& name) const {
+  auto it = table_index_.find(name);
+  if (it != table_index_.end()) return stores.Base(it->second);
+  TableStore* temp = stores.Temp(name);
+  if (temp == nullptr) return Status::NotFound("no table '" + name + "'");
+  return temp;
+}
+
+Status Database::CheckForeignKeysExist(TableStores& stores, size_t slot,
                                        const Row& row) const {
-  for (const ForeignKey& fk : schema.foreign_keys()) {
-    std::vector<ColumnPredicate> preds;
-    bool any_null = false;
-    for (size_t i = 0; i < fk.columns.size(); ++i) {
-      int c = schema.ColumnIndex(fk.columns[i]);
-      const Value& v = row[static_cast<size_t>(c)];
-      if (v.is_null()) {
-        any_null = true;
-        break;
-      }
-      preds.push_back({fk.ref_columns[i], CompareOp::kEq, v});
-    }
-    if (any_null) continue;  // NULL FKs reference nothing
-    UFILTER_ASSIGN_OR_RETURN(TableStore * ref, stores.Get(fk.ref_table));
-    if (ref->Find(preds).empty()) {
+  std::vector<RowId> found;
+  for (const ForeignKeyLink& fk : links_[slot].own) {
+    if (AnyNull(row.data(), fk.columns)) continue;  // references nothing
+    found.clear();
+    stores.Base(fk.ref_table)
+        ->FindKey(fk.ref_columns, row.data(), fk.columns, &found);
+    if (found.empty()) {
       std::vector<std::string> vals;
-      for (const auto& p : preds) vals.push_back(p.literal.ToSqlLiteral());
+      for (int c : fk.columns) {
+        vals.push_back(row[static_cast<size_t>(c)].ToSqlLiteral());
+      }
       return Status::ConstraintViolation(
-          "FK violation: " + schema.name() + " -> " + fk.ref_table + " (" +
-          Join(vals, ", ") + ") has no referenced row");
+          "FK violation: " + schema_.tables()[slot].name() + " -> " +
+          schema_.tables()[fk.ref_table].name() + " (" + Join(vals, ", ") +
+          ") has no referenced row");
     }
   }
   return Status::OK();
@@ -801,10 +900,10 @@ Status Database::CheckForeignKeysExist(TableStores& stores,
 
 Result<RowId> Database::InsertRow(TableStores& stores,
                                   const std::string& table, Row row) const {
-  UFILTER_ASSIGN_OR_RETURN(TableStore * t, stores.Get(table));
+  UFILTER_ASSIGN_OR_RETURN(TableStore * t, ResolveStore(stores, table));
   UFILTER_RETURN_NOT_OK(CheckRowConstraints(t->schema(), row));
   if (!t->temp()) {
-    UFILTER_RETURN_NOT_OK(CheckForeignKeysExist(stores, t->schema(), row));
+    UFILTER_RETURN_NOT_OK(CheckForeignKeysExist(stores, t->slot(), row));
   }
   if (t->FindUniqueConflict(row, -1) >= 0) {
     return Status::ConstraintViolation("unique key violation on table '" +
@@ -823,7 +922,7 @@ Result<RowId> Database::Insert(ExecutionContext* ctx,
 Result<RowId> Database::InsertValues(
     TableStores& stores, const std::string& table,
     const std::map<std::string, Value>& values) const {
-  UFILTER_ASSIGN_OR_RETURN(TableStore * t, stores.Get(table));
+  UFILTER_ASSIGN_OR_RETURN(TableStore * t, ResolveStore(stores, table));
   Row row(t->schema().columns().size());
   for (const auto& [name, value] : values) {
     int c = t->schema().ColumnIndex(name);
@@ -844,65 +943,61 @@ Result<RowId> Database::InsertValues(
 }
 
 Status Database::DeleteRowInternal(TableStores& stores, TableStore* table,
-                                   RowId id, DeleteOutcome* outcome) const {
-  const Row* row_ptr = table->GetRow(id);
-  if (row_ptr == nullptr) return Status::OK();
-  Row row = *row_ptr;  // copy: the walk below may rewrite the stored row
-  const std::string& table_name = table->schema().name();
-
-  // Handle referencing tables first (policy-driven).
-  for (const TableSchema& other : schema_.tables()) {
-    for (const ForeignKey& fk : other.foreign_keys()) {
-      if (fk.ref_table != table_name) continue;
-      std::vector<ColumnPredicate> preds;
-      bool any_null = false;
-      for (size_t i = 0; i < fk.columns.size(); ++i) {
-        int rc = table->schema().ColumnIndex(fk.ref_columns[i]);
-        const Value& v = row[static_cast<size_t>(rc)];
-        if (v.is_null()) any_null = true;
-        preds.push_back({fk.columns[i], CompareOp::kEq, v});
-      }
-      if (any_null) continue;
-      UFILTER_ASSIGN_OR_RETURN(TableStore * ref, stores.Get(other.name()));
-      std::vector<RowId> referencing = ref->Find(preds);
-      if (referencing.empty()) continue;
-      switch (fk.on_delete) {
-        case DeletePolicy::kRestrict:
-          return Status::ConstraintViolation(
-              "delete from '" + table_name + "' restricted: referenced by '" +
-              other.name() + "'");
-        case DeletePolicy::kCascade:
-          for (RowId rid : referencing) {
-            UFILTER_RETURN_NOT_OK(DeleteRowInternal(stores, ref, rid, outcome));
-          }
-          break;
-        case DeletePolicy::kSetNull: {
-          for (RowId rid : referencing) {
-            const Row* old = ref->GetRow(rid);
-            if (old == nullptr) continue;
-            Row updated = *old;
-            bool possible = true;
-            for (const std::string& c : fk.columns) {
-              int ci = other.ColumnIndex(c);
-              if (other.columns()[static_cast<size_t>(ci)].not_null) {
-                possible = false;
-              }
-              updated[static_cast<size_t>(ci)] = Value::Null();
-            }
-            if (!possible) {
-              // SET NULL impossible on NOT NULL FK; fall back to cascade to
-              // preserve integrity.
-              UFILTER_RETURN_NOT_OK(
-                  DeleteRowInternal(stores, ref, rid, outcome));
-              continue;
-            }
-            ref->Overwrite(rid, std::move(updated));
-            outcome->nulled_rows++;
-          }
-          break;
-        }
+                                   RowId id, DeleteOutcome* outcome,
+                                   DeleteScratch* scratch) const {
+  const Row* row = table->GetRow(id);
+  if (row == nullptr) return Status::OK();
+  const size_t slot = table->slot();
+  if (slot != kTempTableSlot && !links_[slot].referencing.empty()) {
+    // Handle referencing rows first (policy-driven). Their probes need the
+    // referenced key values after the walk may have rewritten or erased
+    // this row (a cycle) or moved its table to a copy-on-write clone, so
+    // copy those values, at their column positions, before the first write.
+    const std::vector<const ForeignKeyLink*>& referencing =
+        links_[slot].referencing;
+    const size_t key_at = scratch->keys.size();
+    scratch->keys.resize(key_at + row->size());
+    for (const ForeignKeyLink* fk : referencing) {
+      for (int c : fk->ref_columns) {
+        scratch->keys[key_at + static_cast<size_t>(c)] =
+            (*row)[static_cast<size_t>(c)];
       }
     }
+    for (const ForeignKeyLink* fk : referencing) {
+      // A deeper level may have grown `keys`: address it afresh.
+      const Value* key = scratch->keys.data() + key_at;
+      if (AnyNull(key, fk->ref_columns)) continue;
+      TableStore* ref = stores.Base(fk->table);
+      const size_t first = scratch->ids.size();
+      ref->FindKey(fk->columns, key, fk->ref_columns, &scratch->ids);
+      const size_t last = scratch->ids.size();
+      if (first == last) continue;
+      if (fk->on_delete == DeletePolicy::kRestrict) {
+        return Status::ConstraintViolation(
+            "delete from '" + table->schema().name() +
+            "' restricted: referenced by '" + ref->schema().name() + "'");
+      }
+      for (size_t i = first; i < last; ++i) {
+        const RowId rid = scratch->ids[i];
+        if (fk->on_delete == DeletePolicy::kCascade || fk->not_null) {
+          // SET NULL is impossible on a NOT NULL FK column; cascade to
+          // preserve integrity.
+          UFILTER_RETURN_NOT_OK(
+              DeleteRowInternal(stores, ref, rid, outcome, scratch));
+          continue;
+        }
+        const Row* old = ref->GetRow(rid);
+        if (old == nullptr) continue;
+        Row updated = *old;
+        for (int c : fk->columns) {
+          updated[static_cast<size_t>(c)] = Value::Null();
+        }
+        ref->Overwrite(rid, std::move(updated));
+        outcome->nulled_rows++;
+      }
+      scratch->ids.resize(first);
+    }
+    scratch->keys.resize(key_at);
   }
 
   // The row may have been cascade-deleted through a cycle; re-check.
@@ -915,10 +1010,12 @@ Status Database::DeleteRowInternal(TableStores& stores, TableStore* table,
 Result<DeleteOutcome> Database::DeleteWhere(
     TableStores& stores, const std::string& table,
     const std::vector<ColumnPredicate>& preds) const {
-  UFILTER_ASSIGN_OR_RETURN(TableStore * t, stores.Get(table));
+  UFILTER_ASSIGN_OR_RETURN(TableStore * t, ResolveStore(stores, table));
   DeleteOutcome outcome;
+  DeleteScratch scratch;
   for (RowId id : t->Find(preds)) {
-    UFILTER_RETURN_NOT_OK(DeleteRowInternal(stores, t, id, &outcome));
+    UFILTER_RETURN_NOT_OK(
+        DeleteRowInternal(stores, t, id, &outcome, &scratch));
   }
   return outcome;
 }
@@ -935,9 +1032,11 @@ Result<DeleteOutcome> Database::DeleteRow(ExecutionContext* ctx,
                                           const std::string& table, RowId id) {
   return RunLive<DeleteOutcome>(
       ctx, table, [&](TableStores& stores) -> Result<DeleteOutcome> {
-        UFILTER_ASSIGN_OR_RETURN(TableStore * t, stores.Get(table));
+        UFILTER_ASSIGN_OR_RETURN(TableStore * t, ResolveStore(stores, table));
         DeleteOutcome outcome;
-        UFILTER_RETURN_NOT_OK(DeleteRowInternal(stores, t, id, &outcome));
+        DeleteScratch scratch;
+        UFILTER_RETURN_NOT_OK(
+            DeleteRowInternal(stores, t, id, &outcome, &scratch));
         return outcome;
       });
 }
@@ -946,7 +1045,7 @@ Result<int64_t> Database::UpdateWhere(
     TableStores& stores, const std::string& table,
     const std::map<std::string, Value>& assignments,
     const std::vector<ColumnPredicate>& preds) const {
-  UFILTER_ASSIGN_OR_RETURN(TableStore * t, stores.Get(table));
+  UFILTER_ASSIGN_OR_RETURN(TableStore * t, ResolveStore(stores, table));
   const TableSchema& schema = t->schema();
   for (const auto& [name, value] : assignments) {
     (void)value;
@@ -964,7 +1063,7 @@ Result<int64_t> Database::UpdateWhere(
     }
     UFILTER_RETURN_NOT_OK(CheckRowConstraints(schema, next));
     if (!t->temp()) {
-      UFILTER_RETURN_NOT_OK(CheckForeignKeysExist(stores, schema, next));
+      UFILTER_RETURN_NOT_OK(CheckForeignKeysExist(stores, t->slot(), next));
     }
     if (t->FindUniqueConflict(next, id) >= 0) {
       return Status::ConstraintViolation("unique key violation on table '" +

@@ -164,6 +164,18 @@ class Table {
   bool RowMatches(const Row& row,
                   const std::vector<ColumnPredicate>& preds) const;
 
+  /// Appends to `out`, in ascending order, the rows whose `columns` equal
+  /// the key `key_row[key_columns[i]]` (no part NULL). Slot-addressed: one
+  /// probe of the index over exactly `columns` (the index every FK column
+  /// set has) when there is one, else a scan.
+  void FindKey(const std::vector<int>& columns, const Value* key_row,
+               const std::vector<int>& key_columns, std::vector<RowId>* out,
+               const EngineCounters* counters) const;
+  /// True when `row`'s `columns` equal the key FindKey takes.
+  static bool KeyMatches(const Row& row, const std::vector<int>& columns,
+                         const Value* key_row,
+                         const std::vector<int>& key_columns);
+
   /// Finds a unique-index collision for `row` (other than `self`), or -1.
   RowId FindUniqueConflict(const Row& row, RowId self) const {
     return FindUniqueConflict(row, self,
@@ -284,21 +296,32 @@ struct DeleteOutcome {
   int64_t nulled_rows = 0;    ///< rows whose FK columns were SET NULL
 };
 
+/// The slot of a table that has none in DatabaseSchema::tables(): a
+/// context's temp table.
+inline constexpr size_t kTempTableSlot = static_cast<size_t>(-1);
+
 /// \brief One table as Database's mutation code sees it: the narrow surface
 /// its constraint checks and FK delete walk run against.
 ///
 /// Two implementations: the live table behind an ExecutionContext, and
 /// DryRunOps's throwaway overlay (relational/dryrun.h). Reads see the
-/// store's own earlier writes; Find returns ascending RowIds, like
-/// Table::Find.
+/// store's own earlier writes; Find and FindKey return ascending RowIds,
+/// like Table::Find.
 class TableStore {
  public:
   virtual const TableSchema& schema() const = 0;
+  /// The table's position in DatabaseSchema::tables(), or kTempTableSlot.
+  virtual size_t slot() const = 0;
   /// Session-local scratch: exempt from FK checks, never redo-logged.
-  virtual bool temp() const = 0;
+  bool temp() const { return slot() == kTempTableSlot; }
   virtual const Row* GetRow(RowId id) const = 0;
   virtual std::vector<RowId> Find(
       const std::vector<ColumnPredicate>& preds) const = 0;
+  /// Table::FindKey over the store's current rows: appends to `out` and
+  /// leaves what `out` already held alone.
+  virtual void FindKey(const std::vector<int>& columns, const Value* key_row,
+                       const std::vector<int>& key_columns,
+                       std::vector<RowId>* out) const = 0;
   virtual RowId FindUniqueConflict(const Row& row, RowId self) const = 0;
   virtual RowId Append(Row row) = 0;
   virtual void Erase(RowId id) = 0;
@@ -308,11 +331,14 @@ class TableStore {
   ~TableStore() = default;
 };
 
-/// Resolves each table one mutation call touches to its store (valid until
-/// the call ends); NotFound for an unknown name.
+/// The stores of the tables one mutation call touches (each valid until
+/// the call ends). Database resolves a table name to its slot itself.
 class TableStores {
  public:
-  virtual Result<TableStore*> Get(const std::string& name) = 0;
+  /// Base table `slot` (DatabaseSchema::tables() order).
+  virtual TableStore* Base(size_t slot) = 0;
+  /// The call's temp table `name`, or null when the context has none.
+  virtual TableStore* Temp(const std::string& name) = 0;
 
  protected:
   ~TableStores() = default;
@@ -767,16 +793,49 @@ class Database {
   template <typename T, typename Fn>
   Result<T> RunLive(ExecutionContext* ctx, const std::string& table, Fn fn);
 
+  /// A foreign key resolved to table and column slots.
+  struct ForeignKeyLink {
+    size_t table = 0;      ///< the referencing table
+    size_t ref_table = 0;  ///< the referenced table
+    std::vector<int> columns;      ///< FK columns, in `table`
+    std::vector<int> ref_columns;  ///< referenced columns, in `ref_table`
+    DeletePolicy on_delete = DeletePolicy::kCascade;
+    /// An FK column is NOT NULL: SET NULL is impossible, so it cascades.
+    bool not_null = false;
+  };
+  /// One base table's foreign keys, built once by the constructor: its own
+  /// (checked on insert and update), and those that reference it, in the
+  /// order the delete walk visits them (referencing table in schema order,
+  /// then declaration order).
+  struct TableLinks {
+    std::vector<ForeignKeyLink> own;
+    std::vector<const ForeignKeyLink*> referencing;
+  };
+  /// One delete call's scratch, used as two stacks by the recursive walk:
+  /// each level copies the key values it probes with into `keys` and
+  /// probes the referencing rows into `ids`, then pops both.
+  struct DeleteScratch {
+    std::vector<Value> keys;
+    std::vector<RowId> ids;
+  };
+
+  /// The store of table `name`: a base table by slot, else a temp table.
+  Result<TableStore*> ResolveStore(TableStores& stores,
+                                   const std::string& name) const;
   Result<RowId> InsertRow(TableStores& stores, const std::string& table,
                           Row row) const;
   Status CheckRowConstraints(const TableSchema& schema, const Row& row) const;
-  Status CheckForeignKeysExist(TableStores& stores, const TableSchema& schema,
+  Status CheckForeignKeysExist(TableStores& stores, size_t slot,
                                const Row& row) const;
   // Recursive policy-driven delete of row `id` of `table`. Appends to
   // outcome.
   Status DeleteRowInternal(TableStores& stores, TableStore* table, RowId id,
-                           DeleteOutcome* outcome) const;
+                           DeleteOutcome* outcome,
+                           DeleteScratch* scratch) const;
 
+  /// Base table `slot` as `ctx` resolves it: the pinned version for a
+  /// snapshot-pinned context, else the live one.
+  Table* BaseTable(const ExecutionContext* ctx, size_t slot);
   Table* TableByName(const ExecutionContext* ctx, const std::string& name);
   const Table* TableByName(const ExecutionContext* ctx,
                            const std::string& name) const;
@@ -851,6 +910,9 @@ class Database {
   std::vector<std::shared_ptr<Table>> tables_;
   // GetTable sits on every probe's hot path: hashed lookups, not tree walks.
   std::unordered_map<std::string, size_t> table_index_;
+  /// Aligned with schema_; never changes after construction, so concurrent
+  /// dry runs read it with no lock.
+  std::vector<TableLinks> links_;
   std::unique_ptr<ExecutionContext> root_context_;
 
   /// Guards the version state below: snapshot open/close, publish, the

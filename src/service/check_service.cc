@@ -27,20 +27,6 @@ CheckReport DeadlineExceededReport(const char* where) {
 
 }  // namespace
 
-const char* AdmitResultName(AdmitResult r) {
-  switch (r) {
-    case AdmitResult::kAdmitted:
-      return "admitted";
-    case AdmitResult::kShed:
-      return "shed";
-    case AdmitResult::kExpired:
-      return "expired";
-    case AdmitResult::kClosed:
-      return "closed";
-  }
-  return "?";
-}
-
 class CheckService::PromiseCompletion : public Completion {
  public:
   explicit PromiseCompletion(obs::Tracer* tracer) : tracer_(tracer) {}

@@ -87,8 +87,6 @@ enum class AdmitResult {
   kClosed,    ///< the service is shut down / draining
 };
 
-const char* AdmitResultName(AdmitResult r);
-
 /// Where a finished request goes. The worker that finishes an admitted
 /// request records the service's metrics for it, then calls Complete
 /// exactly once, on its own thread, with the tag the request was submitted
