@@ -205,6 +205,45 @@ TEST(DatabaseTest, FindScansOnNonIndexedColumn) {
   EXPECT_EQ(counters.Delta("engine_rows_scanned"), 3u);
 }
 
+TEST(DatabaseTest, ForeignKeyToUnindexedColumnsScansTheParent) {
+  // FK probes use the index over exactly the key's columns. The child's
+  // FK columns always have one; a parent's referenced non-key column has
+  // none, so the existence check scans it.
+  DatabaseSchema schema;
+  TableSchema parent("parent");
+  parent.AddColumn("id", ValueType::kInt, true)
+      .AddColumn("code", ValueType::kInt)
+      .SetPrimaryKey({"id"});
+  ASSERT_TRUE(schema.AddTable(std::move(parent)).ok());
+  TableSchema child("child");
+  child.AddColumn("id", ValueType::kInt, true)
+      .AddColumn("code", ValueType::kInt)
+      .SetPrimaryKey({"id"})
+      .AddForeignKey({{"code"}, "parent", {"code"}, DeletePolicy::kCascade});
+  ASSERT_TRUE(schema.AddTable(std::move(child)).ok());
+  auto created = Database::Create(std::move(schema));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  Database& db = **created;
+  ASSERT_TRUE(db.Insert("parent", {Value::Int(1), Value::Int(10)}).ok());
+  ASSERT_TRUE(db.Insert("parent", {Value::Int(2), Value::Int(20)}).ok());
+
+  obs::CounterWindow counters(db.registry());
+  ASSERT_TRUE(db.Insert("child", {Value::Int(1), Value::Int(10)}).ok());
+  EXPECT_EQ(counters.Delta("engine_rows_scanned"), 2u);
+  auto orphan = db.Insert("child", {Value::Int(2), Value::Int(11)});
+  EXPECT_EQ(orphan.status().message(),
+            "FK violation: child -> parent (11) has no referenced row");
+
+  counters.Rebase();
+  auto deleted =
+      db.DeleteWhere("parent", {{"id", CompareOp::kEq, Value::Int(1)}});
+  ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+  EXPECT_EQ(deleted->deleted_rows, 2);
+  // The statement's key lookup, then the probe of the child's FK index.
+  EXPECT_EQ(counters.Delta("engine_index_lookups"), 2u);
+  EXPECT_EQ(counters.Delta("engine_rows_scanned"), 0u);
+}
+
 TEST(DatabaseTest, TempTablesHaveNoIndexesAndNoFkChecks) {
   auto db = Db();
   TableSchema temp("TAB_book");

@@ -50,7 +50,8 @@ MakeDb Chain(int depth, DeletePolicy policy) {
 /// leaves on (0,0)/h 0, (0,1)/h 1, (1,0)/h 2 and (NULL,NULL)/h 0. Deleting
 /// hub 0 reaches leaf 0 twice (through pair (0,0) and through h), and under
 /// SET NULL the NOT NULL pair.x and leaf.h cascade. Every `up` points at a
-/// smaller key, so no op of the alphabet makes a row cycle.
+/// smaller key, so no op of the alphabet makes a row cycle: the delete
+/// walk recurses through one without end.
 Result<std::unique_ptr<Database>> MakeLattice(DeletePolicy policy) {
   DatabaseSchema schema;
   TableSchema hub("hub");
@@ -194,7 +195,8 @@ Alphabet LatticeAlphabet() {
       {"re-point leaf", Update("leaf", "y", Value::Int(1), "k", Value::Int(0))},
       {"detach mid hub",
        Update("hub", "up", Value::Null(), "k", Value::Int(1))},
-      {"move pair", Update("pair", "x", Value::Int(2), "v", Value::String("c"))},
+      {"move pair",
+       Update("pair", "x", Value::Int(2), "v", Value::String("c"))},
   };
 }
 
