@@ -8,7 +8,8 @@
 // at the core count (~2.3x at 4 workers); see docs/BENCHMARKS.md. No
 // speedup is asserted. Counters attached per run: fast-path vs.
 // writer-lane requests and plan-cache hits, so a scaling regression can be
-// told apart from an escalation regression.
+// told apart from checks taking the writer lane (CI gates ConcurrentChecks'
+// writer_lane at 0).
 //
 // MixedChecksOneWriter is the mixed read+write sweep (writers=1): the same
 // check workload while one client continuously applies value replacements

@@ -13,8 +13,8 @@
 //
 // The follower side (net::Follower) maintains the subscription: it
 // connects, bootstraps or resumes from its own commit epoch, applies each
-// epoch through the service's writer lane (serializing with escalated
-// check-only traffic; fast-path checks keep reading pinned snapshots), and
+// epoch through the service's writer lane (serializing with any apply;
+// check-only traffic keeps reading pinned snapshots), and
 // publishes through the normal MVCC path — replication is just another
 // writer. On any transport damage it disconnects, backs off with full
 // jitter and resubscribes with start_epoch = its current commit epoch, so

@@ -726,129 +726,114 @@ Status Database::CheckRowConstraints(const TableSchema& schema,
 
 // ------------------------------------------------- live mutation stores ---
 
-/// One live table of a mutation call. Reads go to the version the context
-/// resolves until the first write swaps in the copy-on-write-resolved
-/// writable version, once per call: the cascade walk takes the global
-/// snapshot mutex once per table, not once per cascaded row. The only
-/// store that writes undo, captures redo and bumps the row counters.
-class Database::LiveTable final : public TableStore {
- public:
-  void Bind(Database* db, ExecutionContext* ctx, Table* table, size_t slot) {
-    db_ = db;
-    ctx_ = ctx;
-    table_ = table;
-    slot_ = slot;
-  }
+void Database::LiveTable::Bind(Database* db, ExecutionContext* ctx,
+                               Table* table, size_t slot) {
+  db_ = db;
+  ctx_ = ctx;
+  table_ = table;
+  slot_ = slot;
+}
 
-  const TableSchema& schema() const override { return table_->schema(); }
-  size_t slot() const override { return slot_; }
-  const Row* GetRow(RowId id) const override { return table_->GetRow(id); }
-  std::vector<RowId> Find(
-      const std::vector<ColumnPredicate>& preds) const override {
-    return table_->Find(preds, &db_->counters_);
-  }
-  void FindKey(const std::vector<int>& columns, const Value* key_row,
-               const std::vector<int>& key_columns,
-               std::vector<RowId>* out) const override {
-    table_->FindKey(columns, key_row, key_columns, out, &db_->counters_);
-  }
-  RowId FindUniqueConflict(const Row& row, RowId self) const override {
-    return table_->FindUniqueConflict(row, self);
-  }
+const Table* Database::LiveTable::pinned_version() const {
+  // A pinned context's base tables are published versions; its writes are
+  // refused before they reach a store.
+  return !temp() && ctx_->read_snapshot() != nullptr ? table_ : nullptr;
+}
 
-  RowId Append(Row row) override {
-    Table* t = Writable();
-    RowId id = t->AppendRow(std::move(row));
-    LogUndo(ExecutionContext::UndoKind::kInsert, id, {});
-    db_->counters_.rows_inserted->Inc();
-    LogRedo(RedoOp::Kind::kInsert, id, t->GetRow(id));
-    return id;
-  }
-  void Erase(RowId id) override {
-    Table* t = Writable();
-    LogUndo(ExecutionContext::UndoKind::kDelete, id, *t->GetRow(id));
-    LogRedo(RedoOp::Kind::kDelete, id, nullptr);
-    t->EraseRow(id);
-    db_->counters_.rows_deleted->Inc();
-  }
-  void Overwrite(RowId id, Row row) override {
-    Table* t = Writable();
-    LogUndo(ExecutionContext::UndoKind::kUpdate, id, *t->GetRow(id));
-    t->OverwriteRow(id, std::move(row));
-    db_->counters_.rows_updated->Inc();
-    LogRedo(RedoOp::Kind::kUpdate, id, t->GetRow(id));
-  }
+void Database::LiveTable::ProbeIndexEq(int column_idx, const Value& v,
+                                       std::vector<RowId>* out) const {
+  table_->ProbeIndexEq(column_idx, v, out, &db_->counters_);
+}
 
- private:
-  Table* Writable() {
-    if (!writable_ && !temp()) {  // temp tables are never versioned
-      table_ = db_->WritableBaseTable(slot_);
-    }
-    writable_ = true;
-    return table_;
-  }
-  void LogUndo(ExecutionContext::UndoKind kind, RowId id, Row old) {
-    ctx_->undo_log_.push_back({kind, schema().name(), id, std::move(old)});
-    db_->counters_.undo_records->Inc();
-  }
-  /// After LogUndo: the redo op pairs with the undo record just pushed.
-  void LogRedo(RedoOp::Kind kind, RowId id, const Row* row) {
-    if (!temp()) db_->CaptureRedo(ctx_, kind, schema().name(), id, row);
-  }
+std::vector<RowId> Database::LiveTable::Find(
+    const std::vector<ColumnPredicate>& preds) const {
+  return table_->Find(preds, &db_->counters_);
+}
 
-  Database* db_ = nullptr;
-  ExecutionContext* ctx_ = nullptr;
-  Table* table_ = nullptr;
-  size_t slot_ = kTempTableSlot;
-  bool writable_ = false;
-};
+void Database::LiveTable::FindKey(const std::vector<int>& columns,
+                                  const Value* key_row,
+                                  const std::vector<int>& key_columns,
+                                  std::vector<RowId>* out) const {
+  table_->FindKey(columns, key_row, key_columns, out, &db_->counters_);
+}
 
-/// The live tables of one mutation call on `ctx`. A call touches a handful
-/// of tables, so inline slots keep the per-Insert path allocation-free; the
-/// list (stable addresses) takes any overflow.
-class Database::LiveStores final : public TableStores {
- public:
-  LiveStores(Database* db, ExecutionContext* ctx) : db_(db), ctx_(ctx) {}
+RowId Database::LiveTable::Append(Row row) {
+  Table* t = Writable();
+  RowId id = t->AppendRow(std::move(row));
+  LogUndo(ExecutionContext::UndoKind::kInsert, id, {});
+  db_->counters_.rows_inserted->Inc();
+  LogRedo(RedoOp::Kind::kInsert, id, t->GetRow(id));
+  return id;
+}
 
-  TableStore* Base(size_t slot) override {
-    LiveTable* t = Bound([slot](const LiveTable& t) {
-      return t.slot() == slot;
-    });
-    return t != nullptr ? t : Bind(db_->BaseTable(ctx_, slot), slot);
-  }
-  TableStore* Temp(const std::string& name) override {
-    LiveTable* t = Bound([&name](const LiveTable& t) {
-      return t.temp() && t.schema().name() == name;
-    });
-    if (t != nullptr) return t;
-    Table* table = ctx_->FindTempTable(name);
-    return table == nullptr ? nullptr : Bind(table, kTempTableSlot);
-  }
+void Database::LiveTable::Erase(RowId id) {
+  Table* t = Writable();
+  LogUndo(ExecutionContext::UndoKind::kDelete, id, *t->GetRow(id));
+  LogRedo(RedoOp::Kind::kDelete, id, nullptr);
+  t->EraseRow(id);
+  db_->counters_.rows_deleted->Inc();
+}
 
- private:
-  template <typename Pred>
-  LiveTable* Bound(Pred pred) {
-    for (size_t i = 0; i < used_; ++i) {
-      if (pred(slots_[i])) return &slots_[i];
-    }
-    for (LiveTable& t : overflow_) {
-      if (pred(t)) return &t;
-    }
-    return nullptr;
-  }
-  LiveTable* Bind(Table* table, size_t slot) {
-    LiveTable& t =
-        used_ < slots_.size() ? slots_[used_++] : overflow_.emplace_back();
-    t.Bind(db_, ctx_, table, slot);
-    return &t;
-  }
+void Database::LiveTable::Overwrite(RowId id, Row row) {
+  Table* t = Writable();
+  LogUndo(ExecutionContext::UndoKind::kUpdate, id, *t->GetRow(id));
+  t->OverwriteRow(id, std::move(row));
+  db_->counters_.rows_updated->Inc();
+  LogRedo(RedoOp::Kind::kUpdate, id, t->GetRow(id));
+}
 
-  Database* db_;
-  ExecutionContext* ctx_;
-  std::array<LiveTable, 4> slots_;
-  size_t used_ = 0;
-  std::list<LiveTable> overflow_;
-};
+Table* Database::LiveTable::Writable() {
+  if (!writable_ && !temp()) {  // temp tables are never versioned
+    table_ = db_->WritableBaseTable(slot_);
+  }
+  writable_ = true;
+  return table_;
+}
+
+void Database::LiveTable::LogUndo(ExecutionContext::UndoKind kind, RowId id,
+                                  Row old) {
+  ctx_->undo_log_.push_back({kind, schema().name(), id, std::move(old)});
+  db_->counters_.undo_records->Inc();
+}
+
+void Database::LiveTable::LogRedo(RedoOp::Kind kind, RowId id,
+                                  const Row* row) {
+  if (!temp()) db_->CaptureRedo(ctx_, kind, schema().name(), id, row);
+}
+
+template <typename Pred>
+Database::LiveTable* Database::LiveStores::Bound(Pred pred) {
+  for (size_t i = 0; i < used_; ++i) {
+    if (pred(slots_[i])) return &slots_[i];
+  }
+  for (LiveTable& t : overflow_) {
+    if (pred(t)) return &t;
+  }
+  return nullptr;
+}
+
+TableStore* Database::LiveStores::Base(size_t slot) {
+  LiveTable* t = Bound([slot](const LiveTable& t) {
+    return t.slot() == slot;
+  });
+  return t != nullptr ? t : Bind(db_->BaseTable(ctx_, slot), slot);
+}
+
+TableStore* Database::LiveStores::Temp(const std::string& name) {
+  LiveTable* t = Bound([&name](const LiveTable& t) {
+    return t.temp() && t.schema().name() == name;
+  });
+  if (t != nullptr) return t;
+  Table* table = ctx_->FindTempTable(name);
+  return table == nullptr ? nullptr : Bind(table, kTempTableSlot);
+}
+
+Database::LiveTable* Database::LiveStores::Bind(Table* table, size_t slot) {
+  LiveTable& t =
+      used_ < slots_.size() ? slots_[used_++] : overflow_.emplace_back();
+  t.Bind(db_, ctx_, table, slot);
+  return &t;
+}
 
 template <typename T, typename Fn>
 Result<T> Database::RunLive(ExecutionContext* ctx, const std::string& table,
@@ -950,11 +935,13 @@ Status Database::DeleteRowInternal(TableStores& stores, TableStore* table,
   const size_t slot = table->slot();
   if (slot != kTempTableSlot && !links_[slot].referencing.empty()) {
     // Handle referencing rows first (policy-driven). Their probes need the
-    // referenced key values after the walk may have rewritten or erased
-    // this row (a cycle) or moved its table to a copy-on-write clone, so
-    // copy those values, at their column positions, before the first write.
+    // referenced key values after the walk may have rewritten this row
+    // (SET NULL through a cycle) or moved its table to a copy-on-write
+    // clone, so copy those values, at their column positions, before the
+    // first write.
     const std::vector<const ForeignKeyLink*>& referencing =
         links_[slot].referencing;
+    scratch->path.emplace_back(slot, id);
     const size_t key_at = scratch->keys.size();
     scratch->keys.resize(key_at + row->size());
     for (const ForeignKeyLink* fk : referencing) {
@@ -981,7 +968,13 @@ Status Database::DeleteRowInternal(TableStores& stores, TableStore* table,
         const RowId rid = scratch->ids[i];
         if (fk->on_delete == DeletePolicy::kCascade || fk->not_null) {
           // SET NULL is impossible on a NOT NULL FK column; cascade to
-          // preserve integrity.
+          // preserve integrity. A row already on the path closes a cycle:
+          // its own level erases it.
+          const std::pair<size_t, RowId> child(fk->table, rid);
+          if (std::find(scratch->path.begin(), scratch->path.end(), child) !=
+              scratch->path.end()) {
+            continue;
+          }
           UFILTER_RETURN_NOT_OK(
               DeleteRowInternal(stores, ref, rid, outcome, scratch));
           continue;
@@ -998,10 +991,9 @@ Status Database::DeleteRowInternal(TableStores& stores, TableStore* table,
       scratch->ids.resize(first);
     }
     scratch->keys.resize(key_at);
+    scratch->path.pop_back();
   }
 
-  // The row may have been cascade-deleted through a cycle; re-check.
-  if (table->GetRow(id) == nullptr) return Status::OK();
   table->Erase(id);
   outcome->deleted_rows++;
   return Status::OK();

@@ -23,10 +23,12 @@
 #ifndef UFILTER_RELATIONAL_DATABASE_H_
 #define UFILTER_RELATIONAL_DATABASE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -300,13 +302,14 @@ struct DeleteOutcome {
 /// context's temp table.
 inline constexpr size_t kTempTableSlot = static_cast<size_t>(-1);
 
-/// \brief One table as Database's mutation code sees it: the narrow surface
-/// its constraint checks and FK delete walk run against.
+/// \brief One table as a statement sees it: the surface Database's
+/// constraint checks and FK delete walk, the query executor and step 3's
+/// translation all read and write through.
 ///
-/// Two implementations: the live table behind an ExecutionContext, and
-/// DryRunOps's throwaway overlay (relational/dryrun.h). Reads see the
-/// store's own earlier writes; Find and FindKey return ascending RowIds,
-/// like Table::Find.
+/// Two implementations: the live table behind an ExecutionContext
+/// (Database::LiveStores), and a check-only statement's throwaway overlay
+/// (relational/dryrun.h). Reads see the store's own earlier writes;
+/// AllRowIds, Find and FindKey return ascending RowIds, like Table::Find.
 class TableStore {
  public:
   virtual const TableSchema& schema() const = 0;
@@ -314,7 +317,16 @@ class TableStore {
   virtual size_t slot() const = 0;
   /// Session-local scratch: exempt from FK checks, never redo-logged.
   bool temp() const { return slot() == kTempTableSlot; }
+  /// The published (immutable) version this store reads, while nothing has
+  /// been written through it; null otherwise. The columnar cache lives only
+  /// on such versions (Table::columnar).
+  virtual const Table* pinned_version() const = 0;
   virtual const Row* GetRow(RowId id) const = 0;
+  /// Every live row (a scan).
+  virtual std::vector<RowId> AllRowIds() const = 0;
+  /// Table::ProbeIndexEq over the store's current rows (unsorted).
+  virtual void ProbeIndexEq(int column_idx, const Value& v,
+                            std::vector<RowId>* out) const = 0;
   virtual std::vector<RowId> Find(
       const std::vector<ColumnPredicate>& preds) const = 0;
   /// Table::FindKey over the store's current rows: appends to `out` and
@@ -331,8 +343,8 @@ class TableStore {
   ~TableStore() = default;
 };
 
-/// The stores of the tables one mutation call touches (each valid until
-/// the call ends). Database resolves a table name to its slot itself.
+/// The stores of the tables one statement touches (each valid while the
+/// stores are). Database::ResolveStore resolves a table name to its store.
 class TableStores {
  public:
   /// Base table `slot` (DatabaseSchema::tables() order).
@@ -577,8 +589,8 @@ class Database {
     WriterGuard(const WriterGuard&) = delete;
     WriterGuard& operator=(const WriterGuard&) = delete;
 
-    /// Declares that this transaction will leave no *net* change (e.g. the
-    /// check-only execute/rollback protocol): on release the guard skips
+    /// Declares that this transaction will leave no *net* change (e.g. an
+    /// apply that was rejected and rolled back): on release the guard skips
     /// the publish and clears the dirty flag instead of committing a new
     /// epoch whose content is byte-identical to the previous one. Any
     /// copy-on-write clone made meanwhile simply becomes the live version
@@ -662,9 +674,17 @@ class Database {
   // --- The same mutation code against caller-supplied stores ---
   // The calls above run these on their context's live tables, after
   // refusing a snapshot-pinned context and before rolling a failed
-  // statement back. DryRunOps runs them on an overlay. Every write goes
-  // through `stores`; the Database itself is never touched.
+  // statement back. A check-only statement runs them on its overlay
+  // (relational/dryrun.h). Every write goes through `stores`; the Database
+  // itself is never touched, and a failed call's partial writes stay in
+  // `stores` (the caller rolls back or discards).
 
+  class LiveStores;
+
+  /// The store of table `name` in `stores`: a base table by slot, else a
+  /// temp table.
+  Result<TableStore*> ResolveStore(TableStores& stores,
+                                   const std::string& name) const;
   Result<RowId> InsertValues(TableStores& stores, const std::string& table,
                              const std::map<std::string, Value>& values) const;
   Result<DeleteOutcome> DeleteWhere(
@@ -760,8 +780,8 @@ class Database {
   /// `record.epoch` — Database::RecoverFrom running continuously. Records
   /// at or below the current commit epoch are skipped (idempotent
   /// resume-from-epoch after a reconnect). Requires writer quiescence
-  /// (the follower serves check-only traffic; the service's writer lane
-  /// serializes the applier with escalated check-only writers): a dirty
+  /// (the follower serves check-only traffic, which never writes; the
+  /// service's writer lane serializes the applier with any apply): a dirty
   /// live state or an active WriterGuard is an Internal error. When
   /// durability is enabled the record is also appended to the local WAL,
   /// so a restarted follower resumes from its own log. Any apply failure
@@ -783,7 +803,6 @@ class Database {
   friend class ExecutionContext;
   friend class Snapshot;
   class LiveTable;
-  class LiveStores;
 
   explicit Database(DatabaseSchema schema);
 
@@ -811,24 +830,24 @@ class Database {
     std::vector<ForeignKeyLink> own;
     std::vector<const ForeignKeyLink*> referencing;
   };
-  /// One delete call's scratch, used as two stacks by the recursive walk:
-  /// each level copies the key values it probes with into `keys` and
-  /// probes the referencing rows into `ids`, then pops both.
+  /// One delete call's scratch, used as three stacks by the recursive walk:
+  /// each level pushes the row it deletes onto `path`, copies the key
+  /// values it probes with into `keys` and probes the referencing rows into
+  /// `ids`, then pops all three.
   struct DeleteScratch {
+    std::vector<std::pair<size_t, RowId>> path;  ///< (slot, row) per level
     std::vector<Value> keys;
     std::vector<RowId> ids;
   };
 
-  /// The store of table `name`: a base table by slot, else a temp table.
-  Result<TableStore*> ResolveStore(TableStores& stores,
-                                   const std::string& name) const;
   Result<RowId> InsertRow(TableStores& stores, const std::string& table,
                           Row row) const;
   Status CheckRowConstraints(const TableSchema& schema, const Row& row) const;
   Status CheckForeignKeysExist(TableStores& stores, size_t slot,
                                const Row& row) const;
   // Recursive policy-driven delete of row `id` of `table`. Appends to
-  // outcome.
+  // outcome. A cascade skips a row already on the walk's path (a row
+  // cycle), so each row is erased once.
   Status DeleteRowInternal(TableStores& stores, TableStore* table, RowId id,
                            DeleteOutcome* outcome,
                            DeleteScratch* scratch) const;
@@ -951,6 +970,80 @@ class Database {
   mutable std::mutex wal_mu_;
   std::unique_ptr<WalWriter> wal_writer_;
   Status wal_status_;
+};
+
+/// One live table of a statement. Reads go to the version the context
+/// resolves until the first write swaps in the copy-on-write-resolved
+/// writable version, once per statement: the cascade walk takes the global
+/// snapshot mutex once per table, not once per cascaded row. The only
+/// store that writes undo, captures redo and bumps the row counters.
+class Database::LiveTable final : public TableStore {
+ public:
+  void Bind(Database* db, ExecutionContext* ctx, Table* table, size_t slot);
+
+  const TableSchema& schema() const override { return table_->schema(); }
+  size_t slot() const override { return slot_; }
+  const Table* pinned_version() const override;
+  const Row* GetRow(RowId id) const override { return table_->GetRow(id); }
+  std::vector<RowId> AllRowIds() const override {
+    return table_->AllRowIds();
+  }
+  void ProbeIndexEq(int column_idx, const Value& v,
+                    std::vector<RowId>* out) const override;
+  std::vector<RowId> Find(
+      const std::vector<ColumnPredicate>& preds) const override;
+  void FindKey(const std::vector<int>& columns, const Value* key_row,
+               const std::vector<int>& key_columns,
+               std::vector<RowId>* out) const override;
+  RowId FindUniqueConflict(const Row& row, RowId self) const override {
+    return table_->FindUniqueConflict(row, self);
+  }
+  RowId Append(Row row) override;
+  void Erase(RowId id) override;
+  void Overwrite(RowId id, Row row) override;
+
+ private:
+  Table* Writable();
+  void LogUndo(ExecutionContext::UndoKind kind, RowId id, Row old);
+  /// After LogUndo: the redo op pairs with the undo record just pushed.
+  void LogRedo(RedoOp::Kind kind, RowId id, const Row* row);
+
+  Database* db_ = nullptr;
+  ExecutionContext* ctx_ = nullptr;
+  Table* table_ = nullptr;
+  size_t slot_ = kTempTableSlot;
+  bool writable_ = false;
+};
+
+/// \brief The tables of `ctx` as one statement's stores: its base tables
+/// as it resolves them (the pinned versions, read-only, when it is
+/// snapshot-pinned) and its temp tables. Writes are undo-logged in `ctx`,
+/// redo-captured and published like every other mutation.
+///
+/// A store keeps the table version it resolved until its own first write,
+/// so every read and write of one statement goes through one LiveStores,
+/// and none outlives a write made through another. A statement touches a
+/// handful of tables: inline slots keep it allocation-free, and the list
+/// (stable addresses) takes any overflow.
+class Database::LiveStores final : public TableStores {
+ public:
+  LiveStores(Database* db, ExecutionContext* ctx) : db_(db), ctx_(ctx) {}
+  LiveStores(const LiveStores&) = delete;
+  LiveStores& operator=(const LiveStores&) = delete;
+
+  TableStore* Base(size_t slot) override;
+  TableStore* Temp(const std::string& name) override;
+
+ private:
+  template <typename Pred>
+  LiveTable* Bound(Pred pred);
+  LiveTable* Bind(Table* table, size_t slot);
+
+  Database* db_;
+  ExecutionContext* ctx_;
+  std::array<LiveTable, 4> slots_;
+  size_t used_ = 0;
+  std::list<LiveTable> overflow_;
 };
 
 }  // namespace ufilter::relational

@@ -120,6 +120,14 @@ Result<bool> QueryEvaluator::ReplayPlan(const PhysicalPlan& plan,
 Result<bool> QueryEvaluator::RunPlan(const PhysicalPlan& plan,
                                      const std::vector<Value>* params,
                                      QueryResult* out) {
+  if (stores_ != nullptr) return RunPlan(plan, params, out, *stores_);
+  Database::LiveStores live(db_, ctx_);
+  return RunPlan(plan, params, out, live);
+}
+
+Result<bool> QueryEvaluator::RunPlan(const PhysicalPlan& plan,
+                                     const std::vector<Value>* params,
+                                     QueryResult* out, TableStores& stores) {
   const EngineCounters* counters = &db_->counters();
   // A filter's value: its parameter slot when the plan runs with
   // parameters, else its own literal.
@@ -135,10 +143,10 @@ Result<bool> QueryEvaluator::RunPlan(const PhysicalPlan& plan,
   // Re-resolve tables by name once per execution (plans outlive temp-table
   // re-creations); the arity check rejects structurally stale plans.
   const size_t from_count = plan.table_names.size();
-  std::vector<const Table*> tables(from_count);
+  std::vector<const TableStore*> tables(from_count);
   for (size_t i = 0; i < from_count; ++i) {
-    UFILTER_ASSIGN_OR_RETURN(const Table* t,
-                             db_->GetTable(ctx_, plan.table_names[i]));
+    UFILTER_ASSIGN_OR_RETURN(const TableStore* t,
+                             db_->ResolveStore(stores, plan.table_names[i]));
     if (t->schema().columns().size() != plan.table_arities[i]) {
       return Status::InvalidArgument(
           "stale plan: table '" + plan.table_names[i] +
@@ -169,20 +177,16 @@ Result<bool> QueryEvaluator::RunPlan(const PhysicalPlan& plan,
   std::vector<LevelRt> rt(depth);
 
   // Columnar eligibility is settled per execution, not per plan: cached
-  // plans replay under pinned and unpinned contexts alike, and only base
-  // tables resolved through a pinned snapshot are guaranteed immutable —
-  // which is what makes lazily building and sharing a column cache safe.
-  // Unpinned (live/dirty) reads and temp tables keep the row path.
-  if (ctx_->read_snapshot() != nullptr) {
-    for (size_t lvl = 0; lvl < depth; ++lvl) {
-      const PlanLevel& spec = plan.levels[lvl];
-      if (!spec.columnar) continue;
-      const std::string& name =
-          plan.table_names[static_cast<size_t>(spec.table_pos)];
-      if (ctx_->IsTempTable(name)) continue;
-      rt[lvl].columnar =
-          tables[static_cast<size_t>(spec.table_pos)]->columnar(counters);
-    }
+  // plans replay under pinned and unpinned contexts alike, and only
+  // published versions are guaranteed immutable — which is what makes
+  // lazily building and sharing a column cache safe. Unpinned (live/dirty)
+  // reads, temp tables and overlay-written tables keep the row path.
+  for (size_t lvl = 0; lvl < depth; ++lvl) {
+    const PlanLevel& spec = plan.levels[lvl];
+    if (!spec.columnar) continue;
+    const Table* pinned =
+        tables[static_cast<size_t>(spec.table_pos)]->pinned_version();
+    if (pinned != nullptr) rt[lvl].columnar = pinned->columnar(counters);
   }
 
   std::vector<const Row*> rows(from_count, nullptr);
@@ -218,7 +222,7 @@ Result<bool> QueryEvaluator::RunPlan(const PhysicalPlan& plan,
       return;
     }
     level.candidates.clear();
-    const Table* table = tables[static_cast<size_t>(spec.table_pos)];
+    const TableStore* table = tables[static_cast<size_t>(spec.table_pos)];
     switch (spec.path) {
       case AccessPath::kScan:
         level.candidates = table->AllRowIds();
@@ -234,8 +238,7 @@ Result<bool> QueryEvaluator::RunPlan(const PhysicalPlan& plan,
                 ? (*params)[static_cast<size_t>(spec.key_param)]
                 : spec.key_literal;
         if (!key.is_null()) {  // NULL never joins or matches
-          table->ProbeIndexEq(spec.key_column, key, &level.candidates,
-                              counters);
+          table->ProbeIndexEq(spec.key_column, key, &level.candidates);
         }
         break;
       }
@@ -243,15 +246,17 @@ Result<bool> QueryEvaluator::RunPlan(const PhysicalPlan& plan,
         if (!level.hash_built) {
           level.hash_built = true;
           counters->hash_join_builds->Inc();
-          level.hash.reserve(table->live_row_count());
           if (level.columnar != nullptr) {
             // Typed-array build: no GetRow, no Value dispatch per row.
+            level.hash.reserve(level.columnar->row_count());
             counters->columnar_scan_rows->Add(level.columnar->row_count());
             level.columnar->HashJoinBuild(spec.key_column, &level.hash);
           } else {
             // The build pass.
-            counters->rows_scanned->Add(table->live_row_count());
-            for (RowId id : table->AllRowIds()) {
+            const std::vector<RowId> ids = table->AllRowIds();
+            level.hash.reserve(ids.size());
+            counters->rows_scanned->Add(ids.size());
+            for (RowId id : ids) {
               const Row* r = table->GetRow(id);
               if (r == nullptr) continue;
               const Value& v = (*r)[static_cast<size_t>(spec.key_column)];

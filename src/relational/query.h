@@ -101,11 +101,19 @@ struct PhysicalPlan;  // relational/planner.h
 /// order a left-deep nested loop over the FROM list would produce.
 class QueryEvaluator {
  public:
-  /// Evaluates against `db`'s base tables plus `ctx`'s temp tables; a null
-  /// `ctx` means the database's root context (single-session convenience).
-  /// Temp tables created by MaterializeInto land in that context.
-  explicit QueryEvaluator(Database* db, ExecutionContext* ctx = nullptr)
-      : db_(db), ctx_(ctx != nullptr ? ctx : db->root_context()) {}
+  /// Evaluates against the tables `stores` holds: one statement's live
+  /// stores, or a check-only statement's overlay (relational/dryrun.h),
+  /// whose earlier writes the queries then see. A null `stores` means
+  /// `db`'s base tables plus `ctx`'s temp tables, as `ctx` resolves them,
+  /// through fresh live stores per query. A null `ctx` means the
+  /// database's root context (single-session convenience); `ctx` also
+  /// scopes planning, and temp tables created by MaterializeInto land in
+  /// it.
+  explicit QueryEvaluator(Database* db, ExecutionContext* ctx = nullptr,
+                          TableStores* stores = nullptr)
+      : db_(db),
+        ctx_(ctx != nullptr ? ctx : db->root_context()),
+        stores_(stores) {}
 
   Result<QueryResult> Execute(const SelectQuery& query);
 
@@ -144,16 +152,20 @@ class QueryEvaluator {
                           const std::vector<Value>& params,
                           QueryResult* out);
 
-  /// The iterative compiled-plan executor (no replay counting). With null
-  /// `params` every filter reads its own literal. Returns whether the plan
-  /// yields a row; fills `out` with every row, or with a null `out` stops
-  /// at the first one.
+  /// The iterative compiled-plan executor (no replay counting) over
+  /// `stores`. With null `params` every filter reads its own literal.
+  /// Returns whether the plan yields a row; fills `out` with every row, or
+  /// with a null `out` stops at the first one.
   Result<bool> RunPlan(const PhysicalPlan& plan,
-                       const std::vector<Value>* params,
-                       QueryResult* out);
+                       const std::vector<Value>* params, QueryResult* out,
+                       TableStores& stores);
+  /// RunPlan over the evaluator's stores, or fresh live stores of `ctx_`.
+  Result<bool> RunPlan(const PhysicalPlan& plan,
+                       const std::vector<Value>* params, QueryResult* out);
 
   Database* db_;
   ExecutionContext* ctx_;
+  TableStores* stores_;
 };
 
 }  // namespace ufilter::relational

@@ -58,7 +58,6 @@ CheckService::CheckService(check::UFilter* filter, CheckServiceOptions options)
   completed_ = registry_.GetCounter("service_completed");
   fast_path_ = registry_.GetCounter("service_fast_path");
   writer_lane_ = registry_.GetCounter("service_writer_lane");
-  escalations_ = registry_.GetCounter("service_escalations");
   shed_ = registry_.GetCounter("service_shed");
   deadline_expired_ = registry_.GetCounter("service_deadline_expired");
   reader_wait_ns_ = registry_.GetCounter("service_reader_wait_ns");
@@ -284,45 +283,45 @@ CheckReport CheckService::Process(Request* req) {
       req->session->processing_mutex());
   relational::ExecutionContext* ctx = req->session->context();
   obs::TraceContext* trace = &req->trace;
+  const bool check_only = !req->options.apply;
   std::shared_ptr<const check::PreparedUpdate> plan;
-  bool tried_fast_path = false;
   {
-    // Fast path: pin a snapshot of the latest commit epoch on the session's
-    // context, then prepare (thread-safe sharded plan cache) and attempt
-    // the whole check read-only against the pinned tables. Opening the
-    // snapshot is the only synchronization point — after it, no lock is
-    // held, so this runs concurrently with every other reader *and* with a
-    // writer-lane occupant committing new versions.
+    // Pin a snapshot of the latest commit epoch on the session's context,
+    // then prepare (thread-safe sharded plan cache) against it. Opening the
+    // snapshot is the only synchronization point: after it, no lock is
+    // held, so a check runs concurrently with every other reader *and*
+    // with a writer-lane occupant committing new versions.
     auto wait_start = std::chrono::steady_clock::now();
     std::shared_ptr<const relational::Snapshot> snapshot;
     {
       obs::ScopedSpan span(trace, obs::Stage::kSnapshotPin);
       snapshot = db_->OpenSnapshot();
     }
-    tried_fast_path = !req->options.apply;
-    // Only genuine fast-path candidates account into the reader-wait
-    // counter: an apply=true request's snapshot open is writer-side work
-    // and must not pollute the readers-never-block metric.
-    if (tried_fast_path) reader_wait_ns_->Add(ElapsedNs(wait_start));
+    // An apply's snapshot open is writer-side work and must not pollute
+    // the readers-never-block metric.
+    if (check_only) reader_wait_ns_->Add(ElapsedNs(wait_start));
     ctx->PinReadSnapshot(std::move(snapshot));
     bool cache_hit = false;
     plan = filter_->Prepare(req->update_text, &cache_hit, ctx, trace);
     req->plan = plan;
     req->plan_from_cache = cache_hit;
-    std::optional<CheckReport> fast;
-    {
-      obs::ScopedSpan span(trace, obs::Stage::kProbe);
-      fast = filter_->TryCheckReadOnly(*plan, req->options, ctx);
+    if (check_only) {
+      // Fast path: the whole check runs on an overlay of the pinned
+      // tables, whatever its strategy and number of actions.
+      CheckReport report;
+      {
+        obs::ScopedSpan span(trace, obs::Stage::kProbe);
+        report = filter_->Execute(*plan, req->options, ctx);
+      }
+      ctx->ClearReadSnapshot();
+      fast_path_->Inc();
+      return report;
     }
     ctx->ClearReadSnapshot();
-    if (fast.has_value()) {
-      fast_path_->Inc();
-      return *std::move(fast);
-    }
   }
-  // Writer lane: one occupant at a time; the classic execute / rollback
-  // protocol runs against the live tables (copy-on-write keeps pinned
-  // snapshots stable), and the guard publishes the outcome as one commit.
+  // Writer lane, applies only: one occupant at a time runs against the
+  // live tables (copy-on-write keeps pinned snapshots stable), and the
+  // guard publishes the outcome as one commit.
   auto wait_start = std::chrono::steady_clock::now();
   std::unique_lock<std::mutex> write_lock(writer_mu_);
   writer_wait_ns_->Add(ElapsedNs(wait_start));
@@ -331,13 +330,7 @@ CheckReport CheckService::Process(Request* req) {
   obs::TraceClock::time_point publish_start{};
   {
     relational::Database::WriterGuard guard(db_);
-    if (!req->options.apply) {
-      // Escalated check-only traffic executes and fully rolls back: no net
-      // change, so don't commit a byte-identical epoch per check.
-      guard.AbandonPublish();
-    }
     writer_lane_->Inc();
-    if (tried_fast_path) escalations_->Inc();
     {
       obs::ScopedSpan span(trace, obs::Stage::kApply);
       if (options_.writer_lane_hold_ms_for_testing > 0) {
@@ -347,7 +340,7 @@ CheckReport CheckService::Process(Request* req) {
       report = filter_->Execute(*plan, req->options, ctx);
     }
     if (report.outcome != CheckOutcome::kExecuted) {
-      // A rejected apply rolled everything back too — don't commit a no-op
+      // A rejected apply rolled everything back: don't commit a no-op
       // epoch for it.
       guard.AbandonPublish();
     }

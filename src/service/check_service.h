@@ -6,20 +6,19 @@
 //   - a fixed pool of worker threads drains a *bounded* MPMC admission
 //     queue (Submit blocks when it is full — backpressure — and
 //     SubmitWithDeadline sheds load instead);
-//   - check-only traffic (apply=false, outside strategy) runs on the *fast
-//     path*: the worker pins an MVCC snapshot (Database::OpenSnapshot, a
-//     mutex-guarded pointer copy) on the session's context and then runs
-//     plan-cache prepare + probes + a dry run of the translation on a
-//     throwaway overlay with **no lock held at all** — N workers check
-//     concurrently with each other *and* with the writer lane;
-//   - everything that must mutate the base tables — apply=true requests,
-//     hybrid/internal strategies and multi-action statements — is
-//     serialized through the single *writer lane* (a plain mutex), where
-//     the classic execute / rollback protocol runs against the live tables
-//     and a Database::WriterGuard publishes the result as a new commit
-//     epoch.
-//     In-flight snapshot checks keep reading their pinned epoch; the
-//     writer's copy-on-write clones never touch a published table version.
+//   - every check-only request (apply=false: any strategy, any number of
+//     actions) runs on the *fast path*: the worker pins an MVCC snapshot
+//     (Database::OpenSnapshot, a mutex-guarded pointer copy) on the
+//     session's context, then runs plan-cache prepare, the probes, the
+//     translation and its ops on one throwaway overlay of the pinned
+//     tables with **no lock held at all** — N workers check concurrently
+//     with each other *and* with the writer lane;
+//   - applies (apply=true), and nothing else, are serialized through the
+//     single *writer lane* (a plain mutex): they run against the live
+//     tables inside a savepoint, and a Database::WriterGuard publishes the
+//     result as a new commit epoch. In-flight snapshot checks keep reading
+//     their pinned epoch; the writer's copy-on-write clones never touch a
+//     published table version.
 //
 // Shared vs. per-session state: the Database's base tables, the compiled
 // view and the sharded plan cache are shared; each Session owns an
@@ -70,8 +69,9 @@ struct CheckServiceOptions {
   /// Per-check timing instrumentation: stage spans, latency/stage/queue
   /// histograms, trace sampling, slow-check log. Counters (submitted /
   /// shed / engine work) stay on regardless — they predate this knob and
-  /// cost one relaxed add each. Off = the clock is never read on the check
-  /// path; bench_obs gates the on-vs-off gap at <3%.
+  /// cost one relaxed add each. Off still reads the clock on the check
+  /// path: for the reader- and writer-wait counters, and for the report's
+  /// step timings. bench_obs gates the on-vs-off gap at <3%.
   bool metrics_enabled = true;
   /// Full-trace sampling (1-in-N requests) and ring size.
   obs::Tracer::Options trace;
@@ -143,12 +143,10 @@ class CheckService {
                                  uint64_t tag);
 
   /// Applies one replicated WAL record through the writer lane (follower
-  /// mode). Serializing with the lane means a replica can keep serving
-  /// escalated check-only traffic while epochs stream in: the applier and
-  /// any writer-lane check take turns on writer_mu_, and fast-path checks
-  /// keep reading their pinned snapshots throughout. Forwards to
-  /// Database::ApplyReplicatedEpoch (idempotent for already-applied
-  /// epochs; see its contract for failure semantics).
+  /// mode). The applier and any apply take turns on writer_mu_, and
+  /// check-only traffic keeps reading its pinned snapshots throughout.
+  /// Forwards to Database::ApplyReplicatedEpoch (idempotent for
+  /// already-applied epochs; see its contract for failure semantics).
   Status ApplyReplicatedEpoch(const relational::WalRecord& record);
 
   /// Refuses new submissions, drains everything queued, joins the workers.
@@ -218,8 +216,8 @@ class CheckService {
   BoundedQueue<std::unique_ptr<Request>> queue_;
   std::vector<std::thread> workers_;
 
-  /// The writer lane: one mutating request at a time. Fast-path checks
-  /// never touch it — they read a pinned MVCC snapshot instead.
+  /// The writer lane: one apply at a time. Checks never touch it — they
+  /// read a pinned MVCC snapshot instead.
   std::mutex writer_mu_;
 
   std::atomic<uint64_t> next_session_id_{1};
@@ -230,14 +228,11 @@ class CheckService {
   obs::Registry registry_;
   obs::Counter* submitted_;
   obs::Counter* completed_;
-  /// Served read-only against a pinned snapshot (no lock held; concurrent
-  /// with each other and with the writer lane).
+  /// Checks served read-only against a pinned snapshot (no lock held;
+  /// concurrent with each other and with the writer lane).
   obs::Counter* fast_path_;
-  /// Serialized through the exclusive writer lane.
+  /// Applies serialized through the exclusive writer lane.
   obs::Counter* writer_lane_;
-  /// Writer-lane subset that *tried* the fast path first and was punted
-  /// (multi-action statement / hybrid or internal strategy at step 3).
-  obs::Counter* escalations_;
   /// Admissions refused because the queue stayed full.
   obs::Counter* shed_;
   /// Requests whose deadline expired before execution: rejected at

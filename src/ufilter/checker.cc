@@ -3,6 +3,7 @@
 #include <chrono>
 #include <utility>
 
+#include "relational/dryrun.h"
 #include "relational/planner.h"
 #include "ufilter/translator.h"
 #include "ufilter/update_binding.h"
@@ -366,62 +367,64 @@ std::optional<CheckReport> UFilter::TryCheckReadOnly(
     const PreparedUpdate& prepared, const CheckOptions& options,
     relational::ExecutionContext* ctx) {
   if (options.apply) return std::nullopt;  // applies go to the writer lane
-  if (ctx == nullptr) ctx = db_->root_context();
-  if (std::optional<CheckReport> rejected = RejectUnusablePlan(prepared)) {
-    return rejected;
-  }
-  const std::vector<PreparedAction>& actions = prepared.actions();
-  if (actions.empty()) {
-    // Data is never touched: serve the same report ExecuteActions builds.
-    return ExecuteActions(prepared, options, ctx);
-  }
-  // The multi-action protocol checks each action against the state left by
-  // the previous ones (inside a savepoint): a later action's probes must see
-  // earlier writes, and queries never read the dry-run overlay.
-  if (actions.size() > 1) return std::nullopt;
-  const PreparedAction& action = actions[0];
-  // Only the outside strategy checks before executing; hybrid/internal rely
-  // on engine execution to surface conflicts and keep executing for real,
-  // in the writer lane. The test mirrors ExecuteAction's gates: only an
-  // action that reaches step 3 touches data.
-  const bool reaches_step3 =
-      action.bound_ok && options.run_data_check &&
-      !(options.run_star && action.star_computed() &&
-        action.shape->star.result == Translatability::kUntranslatable);
-  if (reaches_step3 && options.strategy != DataCheckStrategy::kOutside) {
-    return std::nullopt;
-  }
-  return ExecuteAction(action, prepared.params(), options, ctx,
-                       /*read_only=*/true);
+  return Execute(prepared, options, ctx);
 }
 
 CheckReport UFilter::ExecuteActions(const PreparedUpdate& prepared,
                                     const CheckOptions& options,
                                     relational::ExecutionContext* ctx) {
-  const std::vector<PreparedAction>& actions = prepared.actions();
-  if (actions.empty()) {
+  if (prepared.actions().empty()) {
     CheckReport report;
     report.outcome = CheckOutcome::kInvalid;
     report.error = Status::InvalidUpdate("update statement has no action");
     return report;
   }
-  if (actions.size() == 1) {
-    return ExecuteAction(actions[0], prepared.params(), options, ctx);
+  if (!options.apply) {
+    // Check only: every action runs on one throwaway overlay, so a later
+    // action sees what the earlier ones wrote, and nothing is ever written
+    // to `ctx`'s tables or undo log.
+    relational::OverlayStores overlay(*db_, ctx);
+    return RunActions(prepared, options, ctx, &overlay);
   }
-  // Multi-action UPDATE block: check and apply atomically — every action
-  // must pass or nothing is applied.
+  if (ctx->read_snapshot() != nullptr) {
+    CheckReport report;
+    report.outcome = CheckOutcome::kInvalid;
+    report.error = Status::InvalidArgument(
+        "cannot apply through a snapshot-pinned context");
+    return report;
+  }
+  // Apply atomically: every action must pass, or the statement's
+  // savepoint rolls all of them back.
+  relational::Database::LiveStores live(db_, ctx);
+  const size_t savepoint = ctx->Begin();
+  CheckReport report = RunActions(prepared, options, ctx, &live);
+  if (report.outcome == CheckOutcome::kExecuted) {
+    ctx->Commit(savepoint);
+  } else {
+    ctx->Rollback(savepoint);
+  }
+  return report;
+}
+
+CheckReport UFilter::RunActions(const PreparedUpdate& prepared,
+                                const CheckOptions& options,
+                                relational::ExecutionContext* ctx,
+                                relational::TableStores* stores) {
+  const std::vector<PreparedAction>& actions = prepared.actions();
+  if (actions.size() == 1) {
+    return ExecuteAction(actions[0], prepared.params(), options, ctx, stores);
+  }
+  // Multi-action UPDATE block: each action is checked against the state the
+  // earlier ones left, and the first rejection rejects the statement.
   CheckReport combined;
   if (options.run_star) {
     combined.star_class = Translatability::kUnconditionallyTranslatable;
   }
-  size_t savepoint = ctx->Begin();
   for (const PreparedAction& action : actions) {
-    CheckOptions per_action = options;
-    per_action.apply = true;  // applied inside the outer savepoint
-    CheckReport r = ExecuteAction(action, prepared.params(), per_action, ctx);
+    CheckReport r =
+        ExecuteAction(action, prepared.params(), options, ctx, stores);
     combined.step3_seconds += r.step3_seconds;
     if (r.outcome != CheckOutcome::kExecuted) {
-      ctx->Rollback(savepoint);
       r.step3_seconds = combined.step3_seconds;
       return r;
     }
@@ -441,11 +444,6 @@ CheckReport UFilter::ExecuteActions(const PreparedUpdate& prepared,
     for (auto& op : r.translation) combined.translation.push_back(op);
     for (auto& p : r.probes) combined.probes.push_back(p);
   }
-  if (options.apply) {
-    ctx->Commit(savepoint);
-  } else {
-    ctx->Rollback(savepoint);
-  }
   combined.outcome = CheckOutcome::kExecuted;
   return combined;
 }
@@ -454,7 +452,7 @@ CheckReport UFilter::ExecuteAction(const PreparedAction& action,
                                    const std::vector<Value>& params,
                                    const CheckOptions& options,
                                    relational::ExecutionContext* ctx,
-                                   bool read_only) {
+                                   relational::TableStores* stores) {
   CheckReport report;
   if (!action.bound_ok) {
     report.outcome = CheckOutcome::kInvalid;
@@ -490,12 +488,9 @@ CheckReport UFilter::ExecuteAction(const PreparedAction& action,
 
   // ---- Step 3: data-driven translatability checking + translation --------
   double t0 = Now();
-  DataChecker checker(db_, ctx, view_.get(), gv_.get());
-  ApplyMode mode = read_only       ? ApplyMode::kReadOnly
-                   : options.apply ? ApplyMode::kApply
-                                   : ApplyMode::kDryRun;
+  DataChecker checker(db_, ctx, stores, view_.get(), gv_.get());
   auto data = checker.CheckAndExecute(action.bound, verdict, options.strategy,
-                                      mode, &action.shape->probes, &params);
+                                      &action.shape->probes, &params);
   report.step3_seconds = Now() - t0;
   if (!data.ok()) {
     report.outcome = CheckOutcome::kDataConflict;

@@ -60,7 +60,10 @@ const char* CheckOutcomeName(CheckOutcome o);
 
 struct CheckOptions {
   DataCheckStrategy strategy = DataCheckStrategy::kOutside;
-  /// When false, translation runs but the database is rolled back (dry run).
+  /// When false (check only), the probes, the translation and the
+  /// translated ops run on a throwaway overlay of the context's tables
+  /// (relational/dryrun.h): the verdict execution would give, and nothing
+  /// is written.
   bool apply = true;
   /// When false, steps 1-2 run but step 3 / execution is skipped; the report
   /// carries the STAR classification only.
@@ -133,21 +136,18 @@ class UFilter {
   /// Rejects plans prepared against a different UFilter or view definition.
   /// `ctx` is the session's scratch (temp tables, undo log); null means the
   /// database's root context. The same UFilter is shared by all sessions.
+  /// An apply runs every action on `ctx`'s live tables inside one
+  /// savepoint, kept only when all of them pass; a snapshot-pinned `ctx`
+  /// is refused. A check (apply=false) runs every action on one overlay
+  /// and writes nothing, so it needs no lock over a pinned `ctx`.
   CheckReport Execute(const PreparedUpdate& prepared,
                       const CheckOptions& options = {},
                       relational::ExecutionContext* ctx = nullptr);
 
-  /// Attempts the check without mutating the database at all: probes and
-  /// translation run normally, but the translated ops run through the
-  /// engine on a throwaway overlay (relational/dryrun.h) instead of being
-  /// executed and rolled back. Returns the report Execute(apply=false)
-  /// would give; nullopt for what cannot run this way — apply=true
-  /// requests, non-outside strategies reaching step 3, and multi-action
-  /// statements (a later action's probes must see the earlier actions'
-  /// writes, which the overlay does not show to queries) — in which case
-  /// the caller must fall back to Execute (the service routes that through
-  /// its writer lane). This is what lets check-only traffic run against a
-  /// pinned snapshot with no lock held.
+  /// The check-only half of Execute: the report Execute gives for
+  /// apply=false, any strategy and any number of actions; nullopt only for
+  /// apply=true, which the caller runs through Execute (the service, in
+  /// its writer lane).
   std::optional<CheckReport> TryCheckReadOnly(
       const PreparedUpdate& prepared, const CheckOptions& options = {},
       relational::ExecutionContext* ctx = nullptr);
@@ -201,27 +201,34 @@ class UFilter {
       std::shared_ptr<const CompiledShape> shape, std::vector<Value> params,
       std::string normalized);
 
-  /// Shared rejection prologue of Execute / TryCheckReadOnly: a plan
-  /// prepared against another UFilter / view signature, or one whose parse
-  /// failed, yields the rejection report; nullopt means executable.
+  /// Execute's rejection prologue: a plan prepared against another
+  /// UFilter / view signature, or one whose parse failed, yields the
+  /// rejection report; nullopt means executable.
   std::optional<CheckReport> RejectUnusablePlan(
       const PreparedUpdate& prepared) const;
 
-  /// Replays a prepared update's actions: the per-action step-1/2 verdict
-  /// gates plus step 3, with the multi-action atomic savepoint protocol.
+  /// Picks a prepared update's stores — one overlay for a check, `ctx`'s
+  /// live tables inside a savepoint for an apply — and runs its actions
+  /// on them.
   CheckReport ExecuteActions(const PreparedUpdate& prepared,
                              const CheckOptions& options,
                              relational::ExecutionContext* ctx);
 
-  /// Runs one prepared action (gates + step 3); `params` are its request's
-  /// literal values. `read_only` runs step 3 in ApplyMode::kReadOnly (the
-  /// translated ops run on a throwaway overlay) with the same verdict as
-  /// kDryRun.
+  /// Runs a prepared update's actions in order on `stores`; the first
+  /// rejection is the statement's report, else the actions' reports
+  /// combine.
+  CheckReport RunActions(const PreparedUpdate& prepared,
+                         const CheckOptions& options,
+                         relational::ExecutionContext* ctx,
+                         relational::TableStores* stores);
+
+  /// Runs one prepared action (gates + step 3) on `stores`; `params` are
+  /// its request's literal values.
   CheckReport ExecuteAction(const PreparedAction& action,
                             const std::vector<Value>& params,
                             const CheckOptions& options,
                             relational::ExecutionContext* ctx,
-                            bool read_only = false);
+                            relational::TableStores* stores);
 
   relational::Database* db_ = nullptr;
   xq::ViewQuery query_;

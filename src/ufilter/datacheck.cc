@@ -9,7 +9,7 @@ using relational::QueryEvaluator;
 using relational::QueryResult;
 using relational::RowId;
 using relational::SelectQuery;
-using relational::Table;
+using relational::TableStore;
 using relational::UpdateOp;
 using relational::UpdateOpKind;
 
@@ -42,7 +42,7 @@ Result<const relational::PhysicalPlan*> DataChecker::BindProbe(
 Result<bool> DataChecker::RunProbe(const SelectQuery& query,
                                    const relational::PhysicalPlan* plan,
                                    QueryResult* rows) {
-  QueryEvaluator evaluator(db_, ctx_);
+  QueryEvaluator evaluator(db_, ctx_, stores_);
   if (rows == nullptr) {
     if (plan != nullptr) return evaluator.ExistsPlan(*plan, *params_);
     return evaluator.Exists(query);
@@ -110,42 +110,17 @@ Status DataChecker::RunWideProbe(const BoundUpdate& update,
 
 Status DataChecker::ExecuteOps(const std::vector<UpdateOp>& ops,
                                DataCheckReport* report) {
-  if (mode_ == ApplyMode::kReadOnly) {
-    relational::DryRunOutcome outcome =
-        relational::DryRunOps(*db_, ctx_, ops);
-    report->rows_affected += outcome.rows_affected;
-    return outcome.failure;
-  }
-  for (const UpdateOp& op : ops) {
-    switch (op.kind) {
-      case UpdateOpKind::kInsert: {
-        auto result = db_->InsertValues(ctx_, op.table, op.values);
-        if (!result.ok()) return result.status();
-        report->rows_affected += 1;
-        break;
-      }
-      case UpdateOpKind::kDelete: {
-        auto result = db_->DeleteWhere(ctx_, op.table, op.where);
-        if (!result.ok()) return result.status();
-        report->rows_affected += result->deleted_rows;
-        break;
-      }
-      case UpdateOpKind::kUpdate: {
-        auto result = db_->UpdateWhere(ctx_, op.table, op.values, op.where);
-        if (!result.ok()) return result.status();
-        report->rows_affected += *result;
-        break;
-      }
-    }
-  }
-  return Status::OK();
+  relational::DryRunOutcome outcome = relational::RunOps(*db_, *stores_, ops);
+  report->rows_affected += outcome.rows_affected;
+  return outcome.failure;
 }
 
 Status DataChecker::ProbeInsertConflicts(const std::vector<UpdateOp>& ops,
                                          DataCheckReport* report) {
   for (const UpdateOp& op : ops) {
     if (op.kind != UpdateOpKind::kInsert) continue;
-    UFILTER_ASSIGN_OR_RETURN(Table * table, db_->GetTable(ctx_, op.table));
+    UFILTER_ASSIGN_OR_RETURN(const TableStore* table,
+                             db_->ResolveStore(*stores_, op.table));
     const relational::TableSchema& schema = table->schema();
     if (schema.primary_key().empty()) continue;
     std::vector<ColumnPredicate> preds;
@@ -167,7 +142,7 @@ Status DataChecker::ProbeInsertConflicts(const std::vector<UpdateOp>& ops,
       probe.selects.push_back(relational::ColRef{op.table, p.column});
     }
     report->probes.push_back(probe.ToSql());
-    if (!table->Find(preds, &db_->counters()).empty()) {
+    if (!table->Find(preds).empty()) {
       return Status::DataConflict("data conflict: key already exists in '" +
                                   op.table + "' (outside-strategy probe)");
     }
@@ -304,8 +279,8 @@ Result<DataCheckReport> DataChecker::RunReplace(
     if (pos == alias_pos.end()) {
       return Status::Internal("replace target variable missing from probe");
     }
-    UFILTER_ASSIGN_OR_RETURN(Table * table,
-                             db_->GetTable(ctx_, leaf.relation));
+    UFILTER_ASSIGN_OR_RETURN(const TableStore* table,
+                             db_->ResolveStore(*stores_, leaf.relation));
     for (const auto& ids : victims.row_ids) {
       const relational::Row* row = table->GetRow(ids[pos->second]);
       if (row == nullptr) continue;
@@ -357,14 +332,9 @@ Result<DataCheckReport> DataChecker::RunReplace(
 
 Result<DataCheckReport> DataChecker::CheckAndExecute(
     const BoundUpdate& update, const StarVerdict& verdict,
-    DataCheckStrategy strategy, ApplyMode mode,
-    const CompiledProbeSet* compiled, const std::vector<Value>* params) {
-  mode_ = mode;
+    DataCheckStrategy strategy, const CompiledProbeSet* compiled,
+    const std::vector<Value>* params) {
   params_ = params;
-  // Read-only mode touches no data, so there is nothing to roll back (and
-  // taking a savepoint would race with concurrent readers' contexts).
-  const bool read_only = mode == ApplyMode::kReadOnly;
-  size_t savepoint = read_only ? 0 : ctx_->Begin();
   Result<DataCheckReport> result = [&]() -> Result<DataCheckReport> {
     switch (update.op) {
       case xq::UpdateOpType::kDelete:
@@ -376,21 +346,11 @@ Result<DataCheckReport> DataChecker::CheckAndExecute(
     }
     return Status::Internal("unknown update op");
   }();
-  if (!result.ok()) {
-    if (!read_only) ctx_->Rollback(savepoint);
+  if (!result.ok() && result.status().IsDataConflict()) {
     // Context-check rejections surface as a failed report, not an error.
-    if (result.status().IsDataConflict()) {
-      DataCheckReport report;
-      report.failure = result.status();
-      return report;
-    }
-    return result.status();
-  }
-  if (read_only) return result;
-  if (!result->passed || mode != ApplyMode::kApply) {
-    ctx_->Rollback(savepoint);
-  } else {
-    ctx_->Commit(savepoint);
+    DataCheckReport report;
+    report.failure = result.status();
+    return report;
   }
   return result;
 }

@@ -29,16 +29,6 @@ enum class DataCheckStrategy { kInternal, kHybrid, kOutside };
 
 const char* DataCheckStrategyName(DataCheckStrategy s);
 
-/// How step 3 treats the translated ops once composed.
-enum class ApplyMode {
-  kApply,    ///< execute and keep (savepoint committed)
-  kDryRun,   ///< execute, then roll the savepoint back
-  /// Run the ops through the engine on a throwaway overlay
-  /// (relational/dryrun.h) — no savepoint, no mutation, safe against a
-  /// pinned MVCC snapshot with no lock held. Same verdict as kDryRun.
-  kReadOnly,
-};
-
 /// One step-3 probe, composed and physically compiled once per update
 /// shape. The query (alias layout) is frozen with the update's WHERE
 /// literals as parameter slots; `sql` is its SQL rendered once, into which
@@ -60,8 +50,8 @@ struct CompiledProbeSet {
   CompiledProbe wide;    ///< internal strategy's full-width tuple probe
 };
 
-/// Outcome of step 3 plus translation/execution: the same report under
-/// kDryRun and kReadOnly.
+/// Outcome of step 3 plus translation/execution: the same report whether
+/// the ops ran on live stores or on an overlay.
 struct DataCheckReport {
   bool passed = false;
   Status failure;  ///< DataConflict / ConstraintViolation when !passed
@@ -77,32 +67,30 @@ struct DataCheckReport {
 /// \brief Runs step 3 and, when it passes, executes the translation.
 class DataChecker {
  public:
-  /// Probes and mutations run against `db` + `ctx` (temp tables, undo log);
-  /// a null `ctx` means the database's root context.
+  /// Probes, translation reads and the translated ops all go through
+  /// `stores`: the statement's live stores for an apply, its overlay
+  /// (relational/dryrun.h) for a check-only statement. `ctx` scopes probe
+  /// planning; a null `ctx` means the database's root context.
   DataChecker(relational::Database* db, relational::ExecutionContext* ctx,
-              const view::AnalyzedView* view, const asg::ViewAsg* gv)
+              relational::TableStores* stores, const view::AnalyzedView* view,
+              const asg::ViewAsg* gv)
       : db_(db),
         ctx_(ctx != nullptr ? ctx : db->root_context()),
+        stores_(stores),
         view_(view),
         gv_(gv),
-        // The translator shares the session context: with a snapshot-pinned
-        // context the probes *and* the translation's own table reads all see
-        // the same commit epoch.
-        translator_(db, view, gv, ctx_) {}
+        translator_(db, view, gv, ctx_, stores) {}
 
   /// Checks and executes `update` (which already passed steps 1 and 2 with
-  /// `verdict`). With kDryRun the database is rolled back to its initial
-  /// state afterwards; with kReadOnly it is never touched at all (the
-  /// translated ops run on relational/dryrun.h's overlay — check-only
-  /// traffic runs against a pinned snapshot with no lock held). On
-  /// failure the database is always left unchanged. When `compiled` is
-  /// non-null its prepared plans are bound to `params` (the request's
-  /// literal values by parameter slot) and replayed instead of composing
-  /// and planning the probe queries from scratch.
+  /// `verdict`) on the stores. A failed check may leave writes in them: the
+  /// caller rolls its statement back (live stores) or discards them (an
+  /// overlay). When `compiled` is non-null its prepared plans are bound to
+  /// `params` (the request's literal values by parameter slot) and
+  /// replayed instead of composing and planning the probe queries from
+  /// scratch.
   Result<DataCheckReport> CheckAndExecute(
       const BoundUpdate& update, const StarVerdict& verdict,
-      DataCheckStrategy strategy, ApplyMode mode,
-      const CompiledProbeSet* compiled = nullptr,
+      DataCheckStrategy strategy, const CompiledProbeSet* compiled = nullptr,
       const std::vector<Value>* params = nullptr);
 
  private:
@@ -155,8 +143,7 @@ class DataChecker {
                         const relational::PhysicalPlan* plan,
                         relational::QueryResult* rows);
 
-  /// Executes translated ops and fills rows_affected — in kReadOnly mode
-  /// on DryRunOps's overlay.
+  /// Executes translated ops on the stores and fills rows_affected.
   Status ExecuteOps(const std::vector<relational::UpdateOp>& ops,
                     DataCheckReport* report);
 
@@ -166,11 +153,11 @@ class DataChecker {
 
   relational::Database* db_;
   relational::ExecutionContext* ctx_;
+  relational::TableStores* stores_;
   const view::AnalyzedView* view_;
   const asg::ViewAsg* gv_;
   Translator translator_;
   /// Set for the duration of one CheckAndExecute call.
-  ApplyMode mode_ = ApplyMode::kApply;
   const std::vector<Value>* params_ = nullptr;
 };
 

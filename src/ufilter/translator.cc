@@ -19,8 +19,9 @@ using relational::QueryResult;
 using relational::Row;
 using relational::RowId;
 using relational::SelectQuery;
-using relational::Table;
 using relational::TableSchema;
+using relational::TableStore;
+using relational::TableStores;
 using relational::UpdateOp;
 using relational::UpdateOpKind;
 using view::AttrRef;
@@ -196,9 +197,17 @@ std::vector<ColumnPredicate> KeyPredicates(const TableSchema& schema,
 
 }  // namespace
 
+TableStores& Translator::Stores(
+    std::optional<relational::Database::LiveStores>* live) {
+  if (stores_ != nullptr) return *stores_;
+  return live->emplace(db_, ctx_);
+}
+
 Result<std::vector<UpdateOp>> Translator::TranslateDelete(
     const BoundUpdate& update, const SelectQuery& victim_query,
     const QueryResult& victims, bool minimize) {
+  std::optional<relational::Database::LiveStores> live;
+  TableStores& stores = Stores(&live);
   std::vector<UpdateOp> ops;
   const asg::ViewNode& target = gv_->node(update.target_node);
 
@@ -215,7 +224,8 @@ Result<std::vector<UpdateOp>> Translator::TranslateDelete(
     if (pos == alias_pos.end()) {
       return Status::Internal("victim variable missing from probe");
     }
-    UFILTER_ASSIGN_OR_RETURN(Table * table, db_->GetTable(ctx_, target.relation));
+    UFILTER_ASSIGN_OR_RETURN(const TableStore* table,
+                             db_->ResolveStore(stores, target.relation));
     std::set<RowId> seen;
     for (const auto& ids : victims.row_ids) {
       RowId id = ids[pos->second];
@@ -259,7 +269,8 @@ Result<std::vector<UpdateOp>> Translator::TranslateDelete(
       if (pos == alias_pos.end()) continue;
       RowId id = ids[pos->second];
       if (scheduled.count({rel, id}) > 0) continue;
-      UFILTER_ASSIGN_OR_RETURN(Table * table, db_->GetTable(ctx_, rel));
+      UFILTER_ASSIGN_OR_RETURN(const TableStore* table,
+                               db_->ResolveStore(stores, rel));
       const Row* row = table->GetRow(id);
       if (row == nullptr) continue;
 
@@ -269,7 +280,8 @@ Result<std::vector<UpdateOp>> Translator::TranslateDelete(
         Value primary_key_value;
         std::string primary_key_col;
         if (primary_pos != alias_pos.end()) {
-          UFILTER_ASSIGN_OR_RETURN(Table * ptable, db_->GetTable(ctx_, primary_rel));
+          UFILTER_ASSIGN_OR_RETURN(const TableStore* ptable,
+                                   db_->ResolveStore(stores, primary_rel));
           const Row* prow = ptable->GetRow(ids[primary_pos->second]);
           const auto& ppk = ptable->schema().primary_key();
           if (prow != nullptr && ppk.size() == 1) {
@@ -281,8 +293,8 @@ Result<std::vector<UpdateOp>> Translator::TranslateDelete(
         }
         UFILTER_ASSIGN_OR_RETURN(
             bool referenced,
-            TupleReferencedElsewhere(rel, *row, primary_rel, primary_key_col,
-                                     primary_key_value));
+            TupleReferencedElsewhere(stores, rel, *row, primary_rel,
+                                     primary_key_col, primary_key_value));
         if (referenced) continue;  // minimization: keep the shared tuple
       }
 
@@ -298,14 +310,15 @@ Result<std::vector<UpdateOp>> Translator::TranslateDelete(
 }
 
 Result<bool> Translator::TupleReferencedElsewhere(
-    const std::string& relation, const Row& tuple,
+    TableStores& stores, const std::string& relation, const Row& tuple,
     const std::string& excluded_rel, const std::string& excluded_key_col,
     const Value& excluded_key_value) {
-  UFILTER_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(ctx_, relation));
+  UFILTER_ASSIGN_OR_RETURN(const TableStore* table,
+                           db_->ResolveStore(stores, relation));
   const TableSchema& schema = table->schema();
   if (schema.primary_key().empty()) return true;  // conservative
 
-  QueryEvaluator evaluator(db_, ctx_);
+  QueryEvaluator evaluator(db_, ctx_, &stores);
   // Every internal view node whose UCBinding includes `relation` describes
   // view content that may reference this tuple.
   std::set<std::string> probed;
@@ -581,6 +594,8 @@ Value Translator::SatisfyingValue(CompareOp op, const Value& literal) const {
 
 Status Translator::EnforceDuplicationConsistency(
     const BoundUpdate& update, std::vector<UpdateOp>* ops) {
+  std::optional<relational::Database::LiveStores> live;
+  TableStores& stores = Stores(&live);
   // The element's own (primary) relation is strict.
   std::string strict_rel;
   if (update.target != nullptr && update.target->scope != nullptr &&
@@ -593,7 +608,8 @@ Status Translator::EnforceDuplicationConsistency(
       kept.push_back(std::move(op));
       continue;
     }
-    UFILTER_ASSIGN_OR_RETURN(Table * table, db_->GetTable(ctx_, op.table));
+    UFILTER_ASSIGN_OR_RETURN(const TableStore* table,
+                             db_->ResolveStore(stores, op.table));
     const TableSchema& schema = table->schema();
     std::vector<ColumnPredicate> key_preds;
     bool have_full_key = !schema.primary_key().empty();
@@ -609,7 +625,7 @@ Status Translator::EnforceDuplicationConsistency(
       kept.push_back(std::move(op));
       continue;
     }
-    std::vector<RowId> existing = table->Find(key_preds, &db_->counters());
+    std::vector<RowId> existing = table->Find(key_preds);
     if (existing.empty()) {
       kept.push_back(std::move(op));
       continue;

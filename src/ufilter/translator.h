@@ -6,6 +6,7 @@
 #ifndef UFILTER_UFILTER_TRANSLATOR_H_
 #define UFILTER_UFILTER_TRANSLATOR_H_
 
+#include <optional>
 #include <vector>
 
 #include "asg/view_asg.h"
@@ -20,17 +21,22 @@ namespace ufilter::check {
 /// \brief Composes probe queries and translates bound updates.
 class Translator {
  public:
-  /// `ctx` scopes every table *read* the translation performs (victim row
-  /// fetches, minimization reference checks, duplication-consistency key
-  /// probes): a snapshot-pinned context makes the whole translation read the
-  /// pinned epoch, which is what lets check-only sessions translate with no
-  /// lock held while a writer commits concurrently. Null means the
-  /// database's root context (live reads), preserving the legacy behavior.
+  /// Every table *read* the translation performs (victim row fetches,
+  /// minimization reference checks, duplication-consistency key probes)
+  /// goes through `stores`: step 3 passes its statement's live stores for
+  /// an apply, and its overlay for a check-only statement, so a later
+  /// action translates against what the earlier ones wrote. A null
+  /// `stores` means `ctx`'s tables as it resolves them (a snapshot-pinned
+  /// context reads the pinned epoch), through fresh live stores per call.
+  /// `ctx` also scopes the planning of the reference-check probes; null
+  /// means the database's root context. Composing probes reads no table.
   Translator(relational::Database* db, const view::AnalyzedView* view,
              const asg::ViewAsg* gv,
-             relational::ExecutionContext* ctx = nullptr)
+             relational::ExecutionContext* ctx = nullptr,
+             relational::TableStores* stores = nullptr)
       : db_(db), view_(view), gv_(gv),
-        ctx_(ctx != nullptr ? ctx : db->root_context()) {}
+        ctx_(ctx != nullptr ? ctx : db->root_context()),
+        stores_(stores) {}
 
   /// Probe for the *context anchor* (does the element the update inserts
   /// into / deletes from exist in the view?). Composes the view query chain
@@ -94,11 +100,17 @@ class Translator {
   /// Minimization reference check: true when `tuple` of `relation` is still
   /// used by some view instance other than the one keyed by
   /// (`excluded_rel`, `excluded_key_col` = `excluded_key_value`).
-  Result<bool> TupleReferencedElsewhere(const std::string& relation,
+  Result<bool> TupleReferencedElsewhere(relational::TableStores& stores,
+                                        const std::string& relation,
                                         const relational::Row& tuple,
                                         const std::string& excluded_rel,
                                         const std::string& excluded_key_col,
                                         const Value& excluded_key_value);
+
+  /// The stores translation reads: the translator's own, else `live`,
+  /// emplaced over `ctx_`.
+  relational::TableStores& Stores(
+      std::optional<relational::Database::LiveStores>* live);
 
   /// A value satisfying `value <op> literal` (used to pin attributes the
   /// payload omits but the view's selection predicates constrain).
@@ -108,6 +120,7 @@ class Translator {
   const view::AnalyzedView* view_;
   const asg::ViewAsg* gv_;
   relational::ExecutionContext* ctx_;
+  relational::TableStores* stores_;
 };
 
 }  // namespace ufilter::check

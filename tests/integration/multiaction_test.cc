@@ -9,6 +9,8 @@
 #include "view/diff.h"
 #include "xquery/parser.h"
 
+#include "../support/multiaction_texts.h"
+
 namespace ufilter {
 namespace {
 
@@ -45,11 +47,7 @@ TEST_F(MultiActionTest, ParserSplitsActions) {
 }
 
 TEST_F(MultiActionTest, DeleteTheNInsertExecutesAtomically) {
-  CheckReport r = uf_->Check(
-      "FOR $book IN document(\"v\")/book WHERE $book/bookid/text() = "
-      "\"98001\" UPDATE $book { DELETE $book/review, INSERT "
-      "<review><reviewid>009</reviewid><comment>replacement</comment>"
-      "</review> }");
+  CheckReport r = uf_->Check(test_support::kDeleteThenInsert);
   ASSERT_EQ(r.outcome, CheckOutcome::kExecuted) << r.Describe();
   EXPECT_EQ(r.rows_affected, 3);  // 2 deletes + 1 insert
   auto review = db_->GetTable("review");
@@ -60,19 +58,13 @@ TEST_F(MultiActionTest, RejectionOfAnyActionRollsBackAll) {
   size_t rows_before = db_->TotalRows();
   // First action fine (delete reviews), second action untranslatable
   // (delete publisher) -> nothing applied.
-  CheckReport r = uf_->Check(
-      "FOR $book IN document(\"v\")/book WHERE $book/bookid/text() = "
-      "\"98001\" UPDATE $book { DELETE $book/review, DELETE "
-      "$book/publisher }");
+  CheckReport r = uf_->Check(test_support::kDeleteThenUntranslatable);
   EXPECT_EQ(r.outcome, CheckOutcome::kUntranslatable) << r.Describe();
   EXPECT_EQ(db_->TotalRows(), rows_before);
 }
 
 TEST_F(MultiActionTest, RectangleRuleHoldsForMultiAction) {
-  const std::string text =
-      "FOR $book IN document(\"v\")/book WHERE $book/bookid/text() = "
-      "\"98001\" UPDATE $book { DELETE $book/review, INSERT "
-      "<review><reviewid>009</reviewid><comment>x</comment></review> }";
+  const std::string text = test_support::kDeleteThenInsertX;
   auto stmt = xq::ParseUpdate(text);
   ASSERT_TRUE(stmt.ok());
   auto expected = uf_->MaterializeView();
@@ -90,20 +82,14 @@ TEST_F(MultiActionTest, DryRunMultiActionRollsBack) {
   size_t rows_before = db_->TotalRows();
   check::CheckOptions options;
   options.apply = false;
-  CheckReport r = uf_->Check(
-      "FOR $book IN document(\"v\")/book WHERE $book/bookid/text() = "
-      "\"98001\" UPDATE $book { DELETE $book/review, INSERT "
-      "<review><reviewid>009</reviewid><comment>x</comment></review> }",
-      options);
+  CheckReport r = uf_->Check(test_support::kDeleteThenInsertX, options);
   EXPECT_EQ(r.outcome, CheckOutcome::kExecuted) << r.Describe();
   EXPECT_EQ(db_->TotalRows(), rows_before);
 }
 
 TEST_F(MultiActionTest, ConditionsAggregateAcrossActions) {
   // Two conditionally translatable deletes in one block.
-  CheckReport r = uf_->Check(
-      "FOR $root IN document(\"v\"), $book = $root/book WHERE "
-      "$book/price > 40.00 UPDATE $root { DELETE $book }");
+  CheckReport r = uf_->Check(test_support::kMinimizedDelete);
   ASSERT_EQ(r.outcome, CheckOutcome::kExecuted);
   EXPECT_EQ(r.condition, "translation minimization");
 }
@@ -111,10 +97,7 @@ TEST_F(MultiActionTest, ConditionsAggregateAcrossActions) {
 TEST_F(MultiActionTest, SecondActionSeesFirstActionsEffect) {
   // Insert a review, then delete all reviews of the same book: the freshly
   // inserted review must be gone too (sequential semantics).
-  CheckReport r = uf_->Check(
-      "FOR $book IN document(\"v\")/book WHERE $book/bookid/text() = "
-      "\"98003\" UPDATE $book { INSERT <review><reviewid>009</reviewid>"
-      "<comment>x</comment></review>, DELETE $book/review }");
+  CheckReport r = uf_->Check(test_support::kInsertThenDelete);
   ASSERT_EQ(r.outcome, CheckOutcome::kExecuted) << r.Describe();
   auto review = db_->GetTable("review");
   auto rows = (*review)->Find(

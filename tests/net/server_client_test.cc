@@ -635,7 +635,9 @@ TEST(ServerClientTest, BadMagicDropsOnlyThatConnection) {
 /// counter that CI only checks for presence.
 /// Readers treat a missing series as 0, so a rename fails nowhere else.
 /// (CI's follower-only repl_* / replication_lag_* series are pinned in
-/// tests/net/replication_test.cc, where a follower exists.)
+/// tests/net/replication_test.cc, where a follower exists. perfbench still
+/// reads service_escalations, which is gone since no check takes the
+/// writer lane: it reads 0, as it should.)
 struct SeriesContract {
   const char* name;
   obs::MetricKind kind;
@@ -652,7 +654,6 @@ constexpr SeriesContract kSeriesContract[] = {
     {"plan_cache_misses", obs::MetricKind::kCounter},
     {"server_connections_accepted", obs::MetricKind::kCounter},
     {"service_completed", obs::MetricKind::kCounter},
-    {"service_escalations", obs::MetricKind::kCounter},
     {"service_fast_path", obs::MetricKind::kCounter},
     {"service_writer_lane", obs::MetricKind::kCounter},
     {"service_writer_wait_ns", obs::MetricKind::kCounter},

@@ -244,6 +244,39 @@ TEST(DatabaseTest, ForeignKeyToUnindexedColumnsScansTheParent) {
   EXPECT_EQ(counters.Delta("engine_rows_scanned"), 0u);
 }
 
+TEST(DatabaseTest, CascadeThroughARowCycleErasesEachRowOnce) {
+  // A row may reference itself, or two rows each other (an insert cannot,
+  // an update afterwards can): the cascade walk erases each row once.
+  DatabaseSchema schema;
+  TableSchema node("node");
+  node.AddColumn("k", ValueType::kInt, true)
+      .AddColumn("next", ValueType::kInt)
+      .SetPrimaryKey({"k"})
+      .AddForeignKey({{"next"}, "node", {"k"}, DeletePolicy::kCascade});
+  ASSERT_TRUE(schema.AddTable(std::move(node)).ok());
+  auto db = Database::Create(std::move(schema));
+  ASSERT_TRUE(db.ok());
+  for (int64_t k : {1, 2, 3, 4}) {
+    ASSERT_TRUE((*db)->Insert("node", {Value::Int(k), Value::Null()}).ok());
+  }
+  auto link = [&](int64_t k, int64_t next) {
+    ASSERT_TRUE((*db)
+                    ->UpdateWhere("node", {{"next", Value::Int(next)}},
+                                  {{"k", CompareOp::kEq, Value::Int(k)}})
+                    .ok());
+  };
+  link(1, 1);  // a self-loop
+  link(2, 3);  // and a pair
+  link(3, 2);
+  auto self = (*db)->DeleteWhere("node", {{"k", CompareOp::kEq, Value::Int(1)}});
+  ASSERT_TRUE(self.ok()) << self.status().ToString();
+  EXPECT_EQ(self->deleted_rows, 1);
+  auto pair = (*db)->DeleteWhere("node", {{"k", CompareOp::kEq, Value::Int(2)}});
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  EXPECT_EQ(pair->deleted_rows, 2);
+  EXPECT_EQ((*(*db)->GetTable("node"))->live_row_count(), 1u);
+}
+
 TEST(DatabaseTest, TempTablesHaveNoIndexesAndNoFkChecks) {
   auto db = Db();
   TableSchema temp("TAB_book");

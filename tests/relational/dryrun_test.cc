@@ -49,9 +49,9 @@ MakeDb Chain(int depth, DeletePolicy policy) {
 /// seeded with the hub chain 0 <- 1 <- 2, pairs (0,0) (0,1) (1,0) and
 /// leaves on (0,0)/h 0, (0,1)/h 1, (1,0)/h 2 and (NULL,NULL)/h 0. Deleting
 /// hub 0 reaches leaf 0 twice (through pair (0,0) and through h), and under
-/// SET NULL the NOT NULL pair.x and leaf.h cascade. Every `up` points at a
-/// smaller key, so no op of the alphabet makes a row cycle: the delete
-/// walk recurses through one without end.
+/// SET NULL the NOT NULL pair.x and leaf.h cascade. Two ops of the alphabet
+/// close a row cycle through `up`: hub 0 onto itself, and hub 0 onto hub 2
+/// (0 <- 1 <- 2 <- 0).
 Result<std::unique_ptr<Database>> MakeLattice(DeletePolicy policy) {
   DatabaseSchema schema;
   TableSchema hub("hub");
@@ -168,8 +168,9 @@ Alphabet ChainAlphabet() {
 /// chain, the diamond and the two-column FK; the inserts need a two-column
 /// or a self-referencing parent that earlier ops may remove or move, and
 /// one writes a leaf that shares only x with pair (0, 1); the updates
-/// re-point a two-column FK, detach a subtree and move a two-column key
-/// (orphaning the leaf on it, as the engine allows).
+/// re-point a two-column FK, detach a subtree, move a two-column key
+/// (orphaning the leaf on it, as the engine allows) and close a row cycle,
+/// which a later delete then walks.
 Alphabet LatticeAlphabet() {
   return {
       {"delete root hub", Delete("hub", "k", Value::Int(0))},
@@ -197,6 +198,9 @@ Alphabet LatticeAlphabet() {
        Update("hub", "up", Value::Null(), "k", Value::Int(1))},
       {"move pair",
        Update("pair", "x", Value::Int(2), "v", Value::String("c"))},
+      {"loop root hub", Update("hub", "up", Value::Int(0), "k", Value::Int(0))},
+      {"close hub cycle",
+       Update("hub", "up", Value::Int(2), "k", Value::Int(0))},
   };
 }
 
@@ -383,6 +387,19 @@ TEST(DryRunTest, LatticeWalksReachEachShape) {
                       {op("insert orphan leaf")}, "orphan leaf", &tally);
   EXPECT_EQ(out.failure.message(),
             "FK violation: leaf -> pair (0, 5) has no referenced row");
+  // A cascade through a row cycle erases each row once: the self-loop and
+  // the three-hub cycle take the same rows as the plain root delete, and
+  // the mid hub's delete reaches the root through the cycle.
+  out = CheckSequence(Lattice(DeletePolicy::kCascade),
+                      {op("loop root hub"), op("delete root hub")},
+                      "self-loop, cascade root", &tally);
+  EXPECT_TRUE(out.failure.ok()) << out.failure.ToString();
+  EXPECT_EQ(out.rows_affected, 1 + 10);
+  out = CheckSequence(Lattice(DeletePolicy::kCascade),
+                      {op("close hub cycle"), op("delete mid hub")},
+                      "cycle, cascade mid", &tally);
+  EXPECT_TRUE(out.failure.ok()) << out.failure.ToString();
+  EXPECT_EQ(out.rows_affected, 1 + 10);
   // The two-column probe finds the rewritten leaf 0 beside leaf 1.
   out = CheckSequence(Lattice(DeletePolicy::kCascade),
                       {op("re-point leaf"), op("delete pair by value")},

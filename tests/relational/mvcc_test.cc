@@ -306,10 +306,10 @@ TEST(MvccTest, SerializedWritersNeverLoseUpdates) {
 }
 
 TEST(MvccTest, AbandonedWriterTransactionPublishesNoEpoch) {
-  // The execute/rollback protocol of escalated check-only requests leaves
-  // no net change; a guard marked AbandonPublish must not commit a
-  // byte-identical epoch per check (and later snapshots must still see the
-  // correct — unchanged — content).
+  // A rejected apply executes and rolls back, leaving no net change; a
+  // guard marked AbandonPublish must not commit a byte-identical epoch for
+  // it (and later snapshots must still see the correct — unchanged —
+  // content).
   auto db = MakeCounterDb();
   (void)db->OpenSnapshot();  // force the first publish
   const uint64_t epoch_before = db->commit_epoch();

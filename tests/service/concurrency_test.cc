@@ -23,6 +23,7 @@
 #include "service/bounded_queue.h"
 #include "service/check_service.h"
 
+#include "../support/check_oracle.h"
 #include "../support/op_oracle.h"
 #include "../support/temp_dir.h"
 
@@ -145,10 +146,11 @@ TEST(ConcurrencyTest, StressVerdictsMatchSingleThreadedBaseline) {
   EXPECT_EQ(Series(svc, "service_completed"), Series(svc, "service_submitted"));
   EXPECT_EQ(Series(svc, "service_completed"),
             static_cast<uint64_t>(kThreads) * kRounds * updates.size());
-  // The dry workload is served overwhelmingly read-only: only the one
-  // multi-action template (u13) escalates to the writer lane per round.
-  EXPECT_GT(Series(svc, "service_fast_path"),
-            Series(svc, "service_writer_lane"));
+  // Check-only traffic never takes the writer lane, multi-action u13
+  // included.
+  EXPECT_EQ(Series(svc, "service_fast_path"),
+            Series(svc, "service_completed"));
+  EXPECT_EQ(Series(svc, "service_writer_lane"), 0u);
   // The database is untouched by check-only traffic.
   Instance fresh = MakeBookInstance();
   EXPECT_EQ(inst.db->TotalRows(), fresh.db->TotalRows());
@@ -199,10 +201,12 @@ TEST(ConcurrencyTest, CascadeHeavyDryRunsMatchBaselineThroughService) {
 
 // --- The read-only validator vs. execute-and-rollback, per FK policy ------
 
+/// The oracle: the statement executed and rolled back (Check(apply=false)
+/// itself runs on an overlay now).
 CheckReport BaselineDryRun(Instance* inst, const std::string& update) {
   CheckOptions dry;
   dry.apply = false;
-  return inst->uf->Check(update, dry);
+  return test_support::CheckByExecution(inst->uf.get(), update, dry);
 }
 
 std::optional<CheckReport> ReadOnlyDryRun(Instance* inst,
@@ -238,8 +242,8 @@ TEST(ConcurrencyTest, ReadOnlyCheckMatchesExecuteRollbackUnderSetNull) {
 }
 
 TEST(ConcurrencyTest, ReadOnlyCheckMatchesBaselineOnPaperUpdates) {
-  // Every paper update stays on the fast path: a new escalation fails here
-  // instead of passing silently.
+  // Every paper update is checked read-only, with the report execution
+  // gives.
   for (int u = 1; u <= 13; ++u) {
     Instance a = MakeBookInstance();
     Instance b = MakeBookInstance();
@@ -593,10 +597,9 @@ TEST(ConcurrencyTest, ConcurrentChecksSurviveAnActiveWriterAndStayParityClean) {
 }
 
 TEST(ConcurrencyTest, RolledBackWriterRequestsPublishNoEpoch) {
-  // Both escalated check-only requests and *failed* applies execute and
-  // roll back — neither may commit a byte-identical epoch, or a stream of
-  // conflicting applies turns into clone/publish/GC churn with zero data
-  // change.
+  // A *failed* apply executes and rolls back — it may not commit a
+  // byte-identical epoch, or a stream of conflicting applies turns into
+  // clone/publish/GC churn with zero data change.
   Instance inst = MakeChainInstance(2, 8, DeletePolicy::kRestrict);
   CheckServiceOptions options;
   options.worker_threads = 2;

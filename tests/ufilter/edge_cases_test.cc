@@ -2,7 +2,6 @@
 // engine-error propagation, replace end-to-end, DOT export, dry-run modes.
 #include <gtest/gtest.h>
 
-#include "asg/dot.h"
 #include "fixtures/bookdb.h"
 #include "relational/sqlgen.h"
 #include "ufilter/checker.h"
@@ -124,19 +123,6 @@ TEST_F(EdgeCasesTest, ProbesAreReportedForAudit) {
   ASSERT_EQ(r.outcome, CheckOutcome::kExecuted);
   ASSERT_FALSE(r.probes.empty());
   EXPECT_NE(r.probes[0].find("SELECT"), std::string::npos);
-}
-
-TEST_F(EdgeCasesTest, DotExportContainsMarksAndEdges) {
-  std::string dot = asg::ViewAsgToDot(uf_->view_asg());
-  EXPECT_NE(dot.find("digraph ViewASG"), std::string::npos);
-  EXPECT_NE(dot.find("unsafe-delete"), std::string::npos);
-  EXPECT_NE(dot.find("UCB={book,publisher}"), std::string::npos);
-  EXPECT_NE(dot.find("->"), std::string::npos);
-  std::string base = asg::BaseAsgToDot(uf_->base_asg());
-  EXPECT_NE(base.find("publisher -> book"), std::string::npos);
-  EXPECT_NE(base.find("book -> review"), std::string::npos);
-  // publisher -> review is transitive, not direct.
-  EXPECT_EQ(base.find("publisher -> review"), std::string::npos);
 }
 
 TEST_F(EdgeCasesTest, EmptyViewStillChecksInserts) {

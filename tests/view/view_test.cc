@@ -4,7 +4,6 @@
 #include "view/analyzed_view.h"
 #include "view/diff.h"
 #include "view/materializer.h"
-#include "view/relview.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
 #include "xquery/parser.h"
@@ -137,24 +136,6 @@ TEST_F(BookViewTest, MaterializerOmitsNullLeaves) {
   ASSERT_EQ(books.size(), 4u);
   EXPECT_EQ(books[3]->FindChild("year"), nullptr);
   EXPECT_NE(books[3]->FindChild("bookid"), nullptr);
-}
-
-TEST_F(BookViewTest, RelationalViewMappingFig11) {
-  auto rv = BuildRelationalView(db_.get(), *view_);
-  ASSERT_TRUE(rv.ok()) << rv.status().ToString();
-  // Columns: bookid,title,price,pubid,pubname,reviewid,comment (+ the
-  // republished branch's pubid_1,pubname_1 are part of the flatten list).
-  EXPECT_GE(rv->columns.size(), 7u);
-  EXPECT_EQ(rv->columns[0].name, "bookid");
-  EXPECT_EQ(rv->columns[0].source.relation, "book");
-  // Rows: book 98001 x 2 reviews + book 98003 with NULL review columns.
-  ASSERT_EQ(rv->rows.size(), 3u);
-  int reviewid = rv->ColumnIndex("reviewid");
-  ASSERT_GE(reviewid, 0);
-  EXPECT_FALSE(rv->rows[0][static_cast<size_t>(reviewid)].is_null());
-  EXPECT_TRUE(rv->rows[2][static_cast<size_t>(reviewid)].is_null());
-  std::string sql = rv->ToCreateViewSql("RelationalBookView");
-  EXPECT_NE(sql.find("CREATE VIEW RelationalBookView"), std::string::npos);
 }
 
 TEST(DiffTest, ReportsFirstDifference) {

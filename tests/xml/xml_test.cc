@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "fixtures/bookdb.h"
-#include "xml/default_view.h"
 #include "xml/node.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
@@ -99,21 +97,6 @@ TEST(WriterTest, PrettyPrintingNests) {
   EXPECT_NE(out.find("<BookView>\n"), std::string::npos);
   EXPECT_NE(out.find("  <book>\n"), std::string::npos);
   EXPECT_NE(out.find("    <bookid>98001</bookid>\n"), std::string::npos);
-}
-
-TEST(DefaultViewTest, MirrorsDatabase) {
-  auto db = fixtures::MakeBookDatabase();
-  ASSERT_TRUE(db.ok());
-  NodePtr view = DefaultView(**db);
-  EXPECT_EQ(view->label(), "DB");
-  Node* book = view->FindChild("book");
-  ASSERT_NE(book, nullptr);
-  EXPECT_EQ(book->FindChildren("row").size(), 3u);
-  Node* first = book->FindChildren("row")[0];
-  EXPECT_EQ(first->ChildText("bookid"), "98001");
-  EXPECT_EQ(first->ChildText("price"), "37.00");
-  // NULL-free fixture: every row has all 5 columns.
-  EXPECT_EQ(first->ElementChildren().size(), 5u);
 }
 
 // --- Malformed-input corpus: these bytes arrive off a socket, so every
