@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "../support/check_oracle.h"
 #include "../support/temp_dir.h"
 #include "fixtures/bookdb.h"
 #include "fixtures/synthetic.h"
@@ -152,10 +153,12 @@ TEST(ServerClientTest, CheckVerdictsMatchInProcessBaseline) {
   CheckOptions dry;
   dry.apply = false;
 
+  // The baseline executes each update and rolls it back.
   Instance baseline = MakeBookInstance();
   std::vector<CheckReport> expected;
   for (const std::string& u : updates) {
-    expected.push_back(baseline.uf->Check(u, dry));
+    expected.push_back(
+        test_support::CheckByExecution(baseline.uf.get(), u, dry));
   }
 
   Instance inst = MakeBookInstance();

@@ -88,6 +88,14 @@ void ExpectSameVerdict(const CheckReport& got, const CheckReport& want,
       << label;
 }
 
+/// The oracle: the statement executed and rolled back, which no check-only
+/// path does (Check(apply=false) runs on an overlay, like the service).
+CheckReport BaselineDryRun(Instance* inst, const std::string& update) {
+  CheckOptions dry;
+  dry.apply = false;
+  return test_support::CheckByExecution(inst->uf.get(), update, dry);
+}
+
 // --- Tentpole: N threads x M mixed updates == single-threaded baseline ----
 
 TEST(ConcurrencyTest, StressVerdictsMatchSingleThreadedBaseline) {
@@ -100,12 +108,13 @@ TEST(ConcurrencyTest, StressVerdictsMatchSingleThreadedBaseline) {
   CheckOptions dry;
   dry.apply = false;
 
-  // Single-threaded baseline (check-only, so every repetition agrees).
+  // Single-threaded baseline: each update executed and rolled back, so
+  // every repetition agrees.
   Instance baseline = MakeBookInstance();
   std::vector<CheckReport> expected;
   expected.reserve(updates.size());
   for (const std::string& u : updates) {
-    expected.push_back(baseline.uf->Check(u, dry));
+    expected.push_back(BaselineDryRun(&baseline, u));
   }
 
   Instance inst = MakeBookInstance();
@@ -157,8 +166,8 @@ TEST(ConcurrencyTest, StressVerdictsMatchSingleThreadedBaseline) {
 }
 
 TEST(ConcurrencyTest, CascadeHeavyDryRunsMatchBaselineThroughService) {
-  // Deletes at every level of a cascade chain: the read-only validator must
-  // reproduce transitive cascade counts exactly.
+  // Deletes at every level of a cascade chain: the service's read-only
+  // checks must reproduce execution's transitive cascade counts exactly.
   constexpr int kDepth = 3;
   constexpr int kRows = 24;
   std::vector<std::string> updates;
@@ -173,7 +182,7 @@ TEST(ConcurrencyTest, CascadeHeavyDryRunsMatchBaselineThroughService) {
   Instance baseline = MakeChainInstance(kDepth, kRows);
   std::vector<CheckReport> expected;
   for (const std::string& u : updates) {
-    expected.push_back(baseline.uf->Check(u, dry));
+    expected.push_back(BaselineDryRun(&baseline, u));
   }
   // Sanity: the workload really exercises cascades.
   bool saw_cascade = false;
@@ -200,14 +209,6 @@ TEST(ConcurrencyTest, CascadeHeavyDryRunsMatchBaselineThroughService) {
 }
 
 // --- The read-only validator vs. execute-and-rollback, per FK policy ------
-
-/// The oracle: the statement executed and rolled back (Check(apply=false)
-/// itself runs on an overlay now).
-CheckReport BaselineDryRun(Instance* inst, const std::string& update) {
-  CheckOptions dry;
-  dry.apply = false;
-  return test_support::CheckByExecution(inst->uf.get(), update, dry);
-}
 
 std::optional<CheckReport> ReadOnlyDryRun(Instance* inst,
                                           const std::string& update) {
