@@ -204,7 +204,7 @@ TEST(ConcurrencyTest, CascadeHeavyDryRunsMatchBaselineThroughService) {
     ExpectSameVerdict(futures[i].get(), expected[i],
                       "update " + std::to_string(i));
   }
-  // Cascade walks are decidable read-only: nothing escalates.
+  // Check-only cascade walks never take the writer lane.
   EXPECT_EQ(Series(svc, "service_writer_lane"), 0u);
 }
 
@@ -250,7 +250,7 @@ TEST(ConcurrencyTest, ReadOnlyCheckMatchesBaselineOnPaperUpdates) {
     Instance b = MakeBookInstance();
     CheckReport baseline = BaselineDryRun(&a, fixtures::PaperUpdate(u));
     auto read_only = ReadOnlyDryRun(&b, fixtures::PaperUpdate(u));
-    ASSERT_TRUE(read_only.has_value()) << "u" << u << " escalated";
+    ASSERT_TRUE(read_only.has_value()) << "u" << u << " refused read-only";
     ExpectSameVerdict(*read_only, baseline, "u" + std::to_string(u));
   }
 }
